@@ -276,7 +276,7 @@ def _simplex_rows(cfg):
 
     def one(k):
         mesh = uniform_mesh(entry.box, entry.dim, k)
-        bounds = interp_error_bounds(mesh.simplices[0], d1, d2)
+        bounds = interp_error_bounds(mesh.simplex(0), d1, d2)
         plain = global_interp(mesh, f)
         star = global_interp(mesh, f, corrected=True)
         rng = np.random.default_rng([cfg.seed, k])

@@ -11,9 +11,10 @@ chain carries half the classical constant, which buys a sqrt(2) coarser
 mesh for the same tolerance; mesh_savings does that arithmetic.
 
 C and alpha are inputs with documented defaults, reported rather than
-certified: C = 1 + diffusion, and alpha the better of min(diffusion,
-reaction) and diffusion/(1 + poincare^2).  Pass explicit values when the
-defaults are too loose, e.g. for reaction much larger than diffusion.
+certified: C = max(1 + diffusion, reaction), which bounds the form since
+|a(u,v)| <= max(diffusion, reaction) |u|_H1 |v|_H1, and alpha the better of
+min(diffusion, reaction) and diffusion/(1 + poincare^2).  Pass explicit
+values when the defaults are too loose.
 """
 
 import itertools
@@ -27,7 +28,7 @@ from scipy.sparse.linalg import cg
 
 from .fields import ScalarField
 from .quadrature import simplex_rule
-from .simplex import global_interp
+from .simplex import _unique_rows, global_interp
 
 __all__ = [
     "SolverError",
@@ -102,7 +103,7 @@ class EllipticProblem:
         self.poincare = poincare_constant(self.box)
 
         if continuity is None:
-            continuity = 1.0 + self.diffusion
+            continuity = max(1.0 + self.diffusion, self.reaction)
         if ellipticity is None:
             ellipticity = max(
                 self.diffusion / (1.0 + self.poincare**2),
@@ -133,27 +134,28 @@ def _edge_pairs(dim):
 def _basis(space, dim, bary):
     """Shape values and barycentric derivatives at quadrature points.
 
-    Returns N of shape (Q, nloc) and D of shape (Q, nloc, dim+1) with
-    D[q, l, i] = d(shape_l)/d(lambda_i); physical gradients follow by
-    composing with the constant barycentric gradients of each element.
+    For bary of shape (..., dim+1) returns N of shape (..., nloc) and D of
+    shape (..., nloc, dim+1) with D[..., l, i] = d(shape_l)/d(lambda_i);
+    physical gradients follow by composing with the constant barycentric
+    gradients of each element.
     """
     bary = np.asarray(bary, dtype=float)
-    nq, nv = bary.shape
+    lead, nv = bary.shape[:-1], bary.shape[-1]
     if space == "P1":
         N = bary.copy()
-        D = np.broadcast_to(np.eye(nv), (nq, nv, nv)).copy()
+        D = np.broadcast_to(np.eye(nv), lead + (nv, nv)).copy()
         return N, D
     pairs = _edge_pairs(dim)
     nloc = nv + len(pairs)
-    N = np.empty((nq, nloc))
-    D = np.zeros((nq, nloc, nv))
-    N[:, :nv] = bary * (2.0 * bary - 1.0)
+    N = np.empty(lead + (nloc,))
+    D = np.zeros(lead + (nloc, nv))
+    N[..., :nv] = bary * (2.0 * bary - 1.0)
     for i in range(nv):
-        D[:, i, i] = 4.0 * bary[:, i] - 1.0
+        D[..., i, i] = 4.0 * bary[..., i] - 1.0
     for e, (i, j) in enumerate(pairs):
-        N[:, nv + e] = 4.0 * bary[:, i] * bary[:, j]
-        D[:, nv + e, i] = 4.0 * bary[:, j]
-        D[:, nv + e, j] = 4.0 * bary[:, i]
+        N[..., nv + e] = 4.0 * bary[..., i] * bary[..., j]
+        D[..., nv + e, i] = 4.0 * bary[..., j]
+        D[..., nv + e, j] = 4.0 * bary[..., i]
     return N, D
 
 
@@ -163,24 +165,20 @@ def _dof_tables(mesh, space):
         return mesh.vertices, mesh.elements.copy(), mesh.boundary_vertex_mask()
 
     nv = len(mesh.vertices)
-    pairs = _edge_pairs(mesh.dim)
-    edges = {}
-    elem_edges = np.empty((len(mesh.elements), len(pairs)), dtype=int)
-    for k, elem in enumerate(mesh.elements):
-        for e, (i, j) in enumerate(pairs):
-            key = tuple(sorted((int(elem[i]), int(elem[j]))))
-            elem_edges[k, e] = edges.setdefault(key, len(edges))
-    mids = np.empty((len(edges), mesh.dim))
-    for (i, j), idx in edges.items():
-        mids[idx] = 0.5 * (mesh.vertices[i] + mesh.vertices[j])
+    ends = np.sort(mesh.elements[:, _edge_pairs(mesh.dim)], axis=2)
+    edges, edge_of, _ = _unique_rows(ends.reshape(-1, 2))
+    mids = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
     coords = np.vstack([mesh.vertices, mids])
-    elem_dofs = np.hstack([mesh.elements, nv + elem_edges])
+    elem_dofs = np.hstack([mesh.elements, nv + edge_of.reshape(len(mesh.elements), -1)])
 
+    # an edge is on the boundary when it is an edge of a boundary face
+    faces, counts, _ = mesh.face_counts()
+    face_pairs = np.array(_edge_pairs(mesh.dim - 1), dtype=int).reshape(-1, 2)
+    boundary_edges = np.sort(faces[counts == 1][:, face_pairs], axis=2)
+    code = lambda e: e[..., 0] * nv + e[..., 1]
     bmask = np.zeros(nv + len(edges), dtype=bool)
     bmask[:nv] = mesh.boundary_vertex_mask()
-    for face, owners in mesh.face_counts().items():
-        if len(owners) == 1 and face in edges:
-            bmask[nv + edges[face]] = True
+    bmask[nv:] = np.isin(code(edges), code(boundary_edges))
     return coords, elem_dofs, bmask
 
 
@@ -208,13 +206,26 @@ class FemSolution:
             self.interp_l2_error = l2_norm_error(mesh, interp, exact)
 
     def eval_on_element(self, k, bary):
-        N, _ = _basis(self.space, self.mesh.dim, np.asarray(bary, dtype=float))
-        return N @ self.dof_values[self.elem_dofs[k]]
+        """Values at barycentric points of element k; bary is (Q, n+1).
+
+        k may also be an index array (K,); bary is then (Q, n+1), shared by
+        all K elements, or (K, Q, n+1), and the values come back as (K, Q).
+        """
+        ks = np.atleast_1d(k)
+        N, _ = _basis(self.space, self.mesh.dim, bary)
+        out = (N @ self.dof_values[self.elem_dofs[ks]][:, :, None])[..., 0]
+        return out if np.ndim(k) else out[0]
 
     def grad_on_element(self, k, bary):
-        _, D = _basis(self.space, self.mesh.dim, np.asarray(bary, dtype=float))
-        G = np.einsum("qlb,bn->qln", D, self.mesh.simplices[k].barycentric_gradients)
-        return np.einsum("qln,l->qn", G, self.dof_values[self.elem_dofs[k]])
+        """Gradients at barycentric points bary (Q, n+1) of element k, (Q, n).
+
+        As in eval_on_element, an index array k gives shape (K, Q, n).
+        """
+        ks = np.atleast_1d(k)
+        _, D = _basis(self.space, self.mesh.dim, bary)
+        G = np.einsum("qlb,kbn->kqln", D, self.mesh.bary_matrices[ks, :, 1:])
+        out = np.einsum("kqln,kl->kqn", G, self.dof_values[self.elem_dofs[ks]])
+        return out if np.ndim(k) else out[0]
 
     def __call__(self, point):
         k, lam = self.mesh.locate(point)
@@ -244,8 +255,8 @@ def assemble_and_solve(problem, mesh, space="P1"):
 
     bary, w = simplex_rule(mesh.dim)
     verts = mesh.vertices[mesh.elements]
-    vols = np.array([s.volume for s in mesh.simplices])
-    G0 = np.stack([s.barycentric_gradients for s in mesh.simplices])
+    vols = mesh.volumes
+    G0 = mesh.bary_matrices[:, :, 1:]
     N, D = _basis(space, mesh.dim, bary)
 
     grads = np.einsum("qlb,mbn->mqln", D, G0)
@@ -293,39 +304,45 @@ def assemble_and_solve(problem, mesh, space="P1"):
 # ------------------------------------------------------------- L2 errors
 
 
-def _element_values(approx, k, bary, pts):
+def _element_values(approx, mesh, bary, pts):
     if hasattr(approx, "eval_on_element"):
-        return np.asarray(approx.eval_on_element(k, bary), dtype=float)
+        return np.asarray(approx.eval_on_element(np.arange(len(mesh)), bary), dtype=float)
+    flat = pts.reshape(-1, mesh.dim)
     if isinstance(approx, ScalarField):
-        return approx.value_at(pts)
-    return np.array([float(approx(p)) for p in pts])
+        return approx.value_at(flat).reshape(pts.shape[:2])
+    return np.array([float(approx(p)) for p in flat]).reshape(pts.shape[:2])
+
+
+def _quadrature_norm(mesh, w, sq):
+    """sqrt of sum_k volume_k * w . sq[k], summed in element order."""
+    # one (1, Q) @ (Q,) dot product per element, then a running sum in element
+    # order: the floating-point operations of an element-by-element loop
+    total = np.cumsum(mesh.volumes * (sq[:, None, :] @ w)[:, 0])[-1]
+    return math.sqrt(max(total, 0.0))
 
 
 def l2_norm_error(mesh, approx, exact):
     """Elementwise Gauss quadrature of the squared mismatch, square-rooted.
 
-    approx may be anything with eval_on_element(k, bary), a ScalarField, or
-    a plain point callable; the rule is exact through degree 4, so P2-level
-    integrands of polynomial fields carry no quadrature error.
+    approx may be anything with eval_on_element(ks, bary) over an element
+    index array (see FemSolution), a ScalarField, or a plain point callable;
+    the rule is exact through degree 4, so P2-level integrands of polynomial
+    fields carry no quadrature error.
     """
     bary, w = simplex_rule(mesh.dim)
-    total = 0.0
-    for k, s in enumerate(mesh.simplices):
-        pts = bary @ s.vertices
-        diff = exact.value_at(pts) - _element_values(approx, k, bary, pts)
-        total += s.volume * float(w @ diff**2)
-    return math.sqrt(max(total, 0.0))
+    pts = bary @ mesh.vertices[mesh.elements]
+    exact_vals = exact.value_at(pts.reshape(-1, mesh.dim)).reshape(pts.shape[:2])
+    diff = exact_vals - _element_values(approx, mesh, bary, pts)
+    return _quadrature_norm(mesh, w, diff**2)
 
 
 def h1_seminorm_error(mesh, sol, exact):
     """Gradient mismatch in L2, a reported diagnostic with nothing asserted."""
     bary, w = simplex_rule(mesh.dim)
-    total = 0.0
-    for k, s in enumerate(mesh.simplices):
-        pts = bary @ s.vertices
-        diff = exact.grad_at(pts) - sol.grad_on_element(k, bary)
-        total += s.volume * float(w @ np.sum(diff**2, axis=1))
-    return math.sqrt(max(total, 0.0))
+    pts = bary @ mesh.vertices[mesh.elements]
+    exact_grads = exact.grad_at(pts.reshape(-1, mesh.dim)).reshape(pts.shape)
+    diff = exact_grads - sol.grad_on_element(np.arange(len(mesh)), bary)
+    return _quadrature_norm(mesh, w, np.sum(diff**2, axis=2))
 
 
 def cea_gap(sol, problem):
@@ -370,7 +387,7 @@ def estimate_report(problem, mesh, space, d1_inf, d2_inf):
         raise ValueError("derivative sup norms must be nonnegative")
     sol = assemble_and_solve(problem, mesh, space)
     h = mesh.mesh_size
-    sqrt_mu = math.sqrt(sum(s.volume for s in mesh.simplices))
+    sqrt_mu = math.sqrt(sum(mesh.volumes.tolist()))
     factor = problem.stability_factor
     return EstimateReport(
         h=h,

@@ -19,6 +19,9 @@ exact arithmetic; face_jumps measures the actual floating-point disagreement
 rather than assuming it away.
 """
 
+import itertools
+import math
+
 import numpy as np
 
 from .fields import DomainError, ScalarField
@@ -48,6 +51,43 @@ class GeometryError(ValueError):
     """Degenerate or non-conforming geometry."""
 
 
+def _simplex_geometry(verts):
+    """Volumes, diameters and barycentric matrices of stacked simplices.
+
+    verts is an (M, n+1, n) array.  Row i of each (n+1, n+1) barycentric
+    matrix maps (1, P) to lambda_i(P), so its columns 1: are the constant
+    barycentric gradients.  Degeneracy is measured against the scale of each
+    simplex: the volume must exceed 1e-12 * diameter^n.
+    """
+    n = verts.shape[2]
+    diffs = verts[:, None, :, :] - verts[:, :, None, :]
+    diameters = np.sqrt((diffs**2).sum(axis=3).max(axis=(1, 2)))
+    volumes = np.abs(np.linalg.det(verts[:, 1:] - verts[:, :1])) / math.factorial(n)
+    bad = np.flatnonzero((diameters <= 0.0) | (volumes <= 1e-12 * diameters**n))
+    if bad.size:
+        k = bad[0]
+        raise GeometryError(
+            f"degenerate simplex {k}: volume {volumes[k]:.3e} vs "
+            f"diameter^{n} {diameters[k] ** n:.3e}"
+        )
+    # the inverse of the affine matrix [1; A^T] gives barycentric coordinates
+    affine = np.ones((len(verts), n + 1, n + 1))
+    affine[:, 1:, :] = verts.transpose(0, 2, 1)
+    return volumes, diameters, np.linalg.inv(affine)
+
+
+def _unique_rows(rows):
+    """Distinct rows in order of first appearance, with each input row's
+    index among them and the count of each."""
+    uniq, first, inverse, counts = np.unique(
+        rows, axis=0, return_index=True, return_inverse=True, return_counts=True
+    )
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return uniq[order], rank[inverse.reshape(-1)], counts[order]
+
+
 class Simplex:
     """Nondegenerate n-simplex in R^n, n in {1, 2, 3}.
 
@@ -65,19 +105,10 @@ class Simplex:
         self.vertices = v.copy()
         self.vertices.flags.writeable = False
         self.dim = n
-
-        diffs = v[None, :, :] - v[:, None, :]
-        self.diameter = float(np.sqrt((diffs**2).sum(axis=2).max()))
-        edge = v[1:] - v[0]
-        self.volume = float(abs(np.linalg.det(edge)) / np.prod(range(1, n + 1)))
-        if self.diameter <= 0.0 or self.volume <= 1e-12 * self.diameter**n:
-            raise GeometryError(
-                f"degenerate simplex: volume {self.volume:.3e} vs "
-                f"diameter^{n} {self.diameter**n:.3e}"
-            )
-        # rows of the inverse affine matrix give barycentric coordinates
-        affine = np.vstack([np.ones(n + 1), v.T])
-        self._bary_matrix = np.linalg.inv(affine)
+        volumes, diameters, bary_matrices = _simplex_geometry(v[None])
+        self.volume = float(volumes[0])
+        self.diameter = float(diameters[0])
+        self._bary_matrix = bary_matrices[0]
 
     @property
     def centroid(self):
@@ -186,60 +217,102 @@ def interp_error_bounds(s, d1_inf, d2_inf):
 
 
 class Triangulation:
-    """Conforming simplicial mesh: shared vertex table plus index tuples."""
+    """Conforming simplicial mesh: shared vertex table plus index tuples.
+
+    The element geometry is stacked once at construction, element k in
+    row k: volumes (M,), diameters (M,) and bary_matrices (M, n+1, n+1),
+    where row i of bary_matrices[k] maps (1, P) to lambda_i(P) on element k
+    and its columns 1: are the barycentric gradients.  simplex(k) builds one
+    Simplex on demand.  The face table is built on the first face_counts()
+    call and cached, so vertices and elements are read-only copies.  locate
+    tests every element at once; the lowest containing index wins.
+    """
 
     def __init__(self, vertices, elements):
-        self.vertices = np.asarray(vertices, dtype=float)
-        self.elements = np.asarray(elements, dtype=int)
+        self.vertices = np.array(vertices, dtype=float)
+        self.elements = np.array(elements, dtype=int)
         if self.vertices.ndim != 2:
             raise GeometryError("vertices must be an (N, n) array")
         self.dim = self.vertices.shape[1]
+        if self.dim not in (1, 2, 3):
+            raise GeometryError(f"dim must be 1, 2 or 3, got {self.dim}")
         if self.elements.ndim != 2 or self.elements.shape[1] != self.dim + 1:
             raise GeometryError(
                 f"elements must be (M, {self.dim + 1}) vertex indices"
             )
         if self.elements.min(initial=0) < 0 or self.elements.max(initial=-1) >= len(self.vertices):
             raise GeometryError("element index out of range")
-        self.simplices = [Simplex(self.vertices[e]) for e in self.elements]
-        self.mesh_size = max(s.diameter for s in self.simplices)
+        self.vertices.flags.writeable = False
+        self.elements.flags.writeable = False
+        self.volumes, self.diameters, self.bary_matrices = _simplex_geometry(
+            self.vertices[self.elements]
+        )
+        self.mesh_size = float(self.diameters.max())
+        self._faces = None
 
     def __len__(self):
-        return len(self.simplices)
+        return len(self.elements)
+
+    def simplex(self, k):
+        """Element k as a standalone Simplex."""
+        return Simplex(self.vertices[self.elements[k]])
 
     def face_counts(self):
-        """Map from sorted (n-1)-face vertex tuples to adjacent element ids."""
-        faces = {}
-        for k, elem in enumerate(self.elements):
-            for drop in range(self.dim + 1):
-                face = tuple(sorted(np.delete(elem, drop)))
-                faces.setdefault(face, []).append(k)
-        return faces
+        """The (n-1)-face table (faces, counts, owners), built once and cached.
+
+        faces (F, n) holds sorted vertex indices in order of first appearance
+        (elements in index order, each dropping vertex 0, 1, .., n in turn);
+        counts (F,) is the number of elements sharing each face and owners
+        (F, 2) the lowest two of them, -1 where a face has only one.
+        """
+        if self._faces is None:
+            n = self.dim
+            keep = [[c for c in range(n + 1) if c != drop] for drop in range(n + 1)]
+            rows = np.sort(self.elements[:, keep], axis=2).reshape(-1, n)
+            faces, face_of, counts = _unique_rows(rows)
+            # rows grouped by face, in element order within each group
+            element_of = np.argsort(face_of, kind="stable") // (n + 1)
+            first = np.cumsum(counts) - counts
+            owners = np.full((len(faces), 2), -1)
+            owners[:, 0] = element_of[first]
+            shared = counts > 1
+            owners[shared, 1] = element_of[first[shared] + 1]
+            for table in (faces, counts, owners):
+                table.flags.writeable = False
+            self._faces = faces, counts, owners
+        return self._faces
 
     def check_conforming(self):
         """Every face must bound one element (boundary) or two (interior)."""
-        for face, owners in self.face_counts().items():
-            if len(owners) > 2:
-                raise GeometryError(f"face {face} shared by {len(owners)} elements")
+        faces, counts, _ = self.face_counts()
+        over = np.flatnonzero(counts > 2)
+        if over.size:
+            f = over[0]
+            raise GeometryError(
+                f"face {tuple(faces[f].tolist())} shared by {counts[f]} elements"
+            )
 
     def boundary_vertex_mask(self):
         """Vertices lying on a boundary face (a face owned by one element)."""
+        faces, counts, _ = self.face_counts()
         mask = np.zeros(len(self.vertices), dtype=bool)
-        for face, owners in self.face_counts().items():
-            if len(owners) == 1:
-                mask[list(face)] = True
+        mask[faces[counts == 1].ravel()] = True
         return mask
 
     def locate(self, point, tol=INSIDE_TOL):
-        """Containing element of a point: brute-force scan, lowest index wins.
+        """Containing element of a point: every element tested, lowest index wins.
 
         Returns (element index, barycentric coordinates).
         """
         point = np.atleast_1d(np.asarray(point, dtype=float))
-        for k, s in enumerate(self.simplices):
-            lam = s.barycentric(point)
-            if np.min(lam) >= -tol:
-                return k, lam
-        raise DomainError(f"point {point.tolist()} lies outside the mesh")
+        if point.size != self.dim:
+            raise ValueError(f"point has dim {point.size}, mesh has {self.dim}")
+        lam = self.bary_matrices @ np.concatenate([[1.0], point])
+        inside = np.flatnonzero(lam.min(axis=1) >= -tol)
+        if not inside.size:
+            raise DomainError(f"point {point.tolist()} lies outside the mesh")
+        k = int(inside[0])
+        return k, lam[k]
 
 
 class MeshInterpolant:
@@ -257,18 +330,24 @@ class MeshInterpolant:
         self.vertex_grads = v.grad_at(mesh.vertices) if corrected else None
 
     def eval_on_element(self, k, bary):
-        """Values at barycentric points of element k; bary is (Q, n+1)."""
+        """Values at barycentric points of element k; bary is (Q, n+1).
+
+        k may also be an index array (K,); bary is then (Q, n+1), shared by
+        all K elements, or (K, Q, n+1), and the values come back as (K, Q).
+        """
+        ks = np.atleast_1d(k)
         bary = np.asarray(bary, dtype=float)
-        idx = self.mesh.elements[k]
-        verts = self.mesh.vertices[idx]
-        out = bary @ self.vertex_values[idx]
+        idx = self.mesh.elements[ks]
+        out = (bary @ self.vertex_values[idx][:, :, None])[..., 0]
         if self.corrected:
+            verts = self.mesh.vertices[idx]
             points = bary @ verts
             grads = self.vertex_grads[idx]
             # 1/2 sum_i lambda_i g_i . (A_i - P)
-            dots = np.einsum("in,qn->qi", grads, -points) + (grads * verts).sum(axis=1)
-            out = out - 0.5 * np.einsum("qi,qi->q", bary, dots)
-        return out
+            dots = np.einsum("kin,kqn->kqi", grads, -points) + (grads * verts).sum(axis=2)[:, None]
+            bary = np.broadcast_to(bary, dots.shape)
+            out = out - 0.5 * np.einsum("kqi,kqi->kq", bary, dots)
+        return out if np.ndim(k) else out[0]
 
     def __call__(self, point):
         k, lam = self.mesh.locate(point)
@@ -289,22 +368,21 @@ def face_jumps(mesh, interp, samples_per_face=8, rng=None):
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    worst = 0.0
-    for face, owners in mesh.face_counts().items():
-        if len(owners) != 2:
-            continue
-        corners = mesh.vertices[list(face)]
-        w = rng.exponential(size=(samples_per_face, len(face)))
-        w /= w.sum(axis=1, keepdims=True)
-        points = w @ corners
-        for p in points:
-            vals = []
-            for k in owners:
-                lam = np.clip(mesh.simplices[k].barycentric(p), 0.0, None)
-                lam /= lam.sum()
-                vals.append(float(interp.eval_on_element(k, lam.reshape(1, -1))[0]))
-            worst = max(worst, abs(vals[0] - vals[1]))
-    return worst
+    faces, counts, owners = mesh.face_counts()
+    interior = counts == 2
+    corners = mesh.vertices[faces[interior]]
+    w = rng.exponential(size=(len(corners), samples_per_face, mesh.dim))
+    w /= w.sum(axis=2, keepdims=True)
+    points = w @ corners
+    affine = np.concatenate([np.ones(points.shape[:2] + (1,)), points], axis=2)[..., None]
+    vals = []
+    for ks in owners[interior].T:
+        lam = np.clip((mesh.bary_matrices[ks][:, None] @ affine)[..., 0], 0.0, None)
+        lam /= lam.sum(axis=2, keepdims=True)
+        # one point per evaluation, as the interpolant evaluates a located point
+        vals.append(interp.eval_on_element(
+            np.repeat(ks, samples_per_face), lam.reshape(-1, 1, mesh.dim + 1)))
+    return float(np.max(np.abs(vals[0] - vals[1]), initial=0.0))
 
 
 def uniform_mesh(bounds, dim, subdivisions):
@@ -312,7 +390,8 @@ def uniform_mesh(bounds, dim, subdivisions):
 
     `bounds` is a per-axis (lo, hi) sequence (a single pair is fine in 1D).
     The splits all use the same orientation, which keeps faces conforming;
-    mesh_size equals the cell diagonal.
+    mesh_size equals the cell diagonal.  Cells are numbered with the last
+    axis fastest, and each cell's elements are consecutive.
     """
     if dim not in (1, 2, 3):
         raise GeometryError(f"dim must be 1, 2 or 3, got {dim}")
@@ -323,45 +402,25 @@ def uniform_mesh(bounds, dim, subdivisions):
         raise ValueError(f"need {dim} (lo, hi) pairs, got shape {bounds.shape}")
     k = subdivisions
     axes = [np.linspace(lo, hi, k + 1) for lo, hi in bounds]
+    grid = np.meshgrid(*axes, indexing="ij")
+    vertices = np.column_stack([g.ravel() for g in grid])
 
+    # the lowest vertex of every cell, and the vertex id step along each axis
+    base = np.arange((k + 1) ** dim).reshape((k + 1,) * dim)[(slice(k),) * dim].ravel()
+    strides = (k + 1) ** np.arange(dim - 1, -1, -1)
     if dim == 1:
-        vertices = axes[0].reshape(-1, 1)
-        elements = [(i, i + 1) for i in range(k)]
-        return Triangulation(vertices, elements)
-
-    if dim == 2:
-        xs, ys = np.meshgrid(axes[0], axes[1], indexing="ij")
-        vertices = np.column_stack([xs.ravel(), ys.ravel()])
-        vid = lambda i, j: i * (k + 1) + j
-        elements = []
-        for i in range(k):
-            for j in range(k):
-                a, b = vid(i, j), vid(i + 1, j)
-                c, d = vid(i + 1, j + 1), vid(i, j + 1)
-                elements.append((a, b, c))  # lower-right triangle
-                elements.append((a, c, d))  # upper-left triangle
-        return Triangulation(vertices, elements)
-
-    xs, ys, zs = np.meshgrid(axes[0], axes[1], axes[2], indexing="ij")
-    vertices = np.column_stack([xs.ravel(), ys.ravel(), zs.ravel()])
-    vid = lambda i, j, l: (i * (k + 1) + j) * (k + 1) + l
-    # Kuhn split: one tetrahedron per monotone corner-to-corner path
-    paths = [
-        (0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0),
-    ]
-    elements = []
-    for i in range(k):
-        for j in range(k):
-            for l in range(k):
-                corner = np.array([i, j, l])
-                for perm in paths:
-                    cell = [corner.copy()]
-                    for axis in perm:
-                        nxt = cell[-1].copy()
-                        nxt[axis] += 1
-                        cell.append(nxt)
-                    elements.append(tuple(vid(*c) for c in cell))
-    return Triangulation(vertices, elements)
+        offsets = [[0, 1]]
+    elif dim == 2:
+        # lower-right and upper-left triangles
+        offsets = [[0, strides[0], strides[0] + 1], [0, strides[0] + 1, 1]]
+    else:
+        # Kuhn split: one tetrahedron per monotone corner-to-corner path
+        offsets = [
+            np.cumsum([0, *strides[list(path)]])
+            for path in itertools.permutations(range(3))
+        ]
+    elements = base[:, None, None] + np.asarray(offsets)[None]
+    return Triangulation(vertices, elements.reshape(-1, dim + 1))
 
 
 def write_mesh_text(mesh):

@@ -1,5 +1,8 @@
 import dataclasses
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +10,8 @@ import pytest
 import reftaylor.cli as cli
 from reftaylor.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, StudyConfig, run_main
 from reftaylor.registry import lookup
+
+DIGESTS = Path(__file__).resolve().parent.parent / "perfbench" / "digests.json"
 
 
 def _read_csv(path):
@@ -80,6 +85,18 @@ def test_csv_bytes_deterministic(tmp_path, monkeypatch):
     monkeypatch.setenv("REFTAYLOR_THREADS", "1")
     assert run_main(args + ["--output", str(b)]) == EXIT_OK
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_benchmark_csv_bytes_match_recorded_digests(tmp_path):
+    # the benchmark's byte contract: perfbench/digests.json holds the SHA-256
+    # of each benchmark CSV at seed 0 ("0"), or at every seed ("any")
+    table = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    assert len(table) == 6
+    for key, by_seed in table.items():
+        out = tmp_path / "golden.csv"
+        assert run_main(key.split() + ["--seed", "0", "--output", str(out)]) == EXIT_OK
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == by_seed.get("0", by_seed.get("any")), key
 
 
 def test_seed_changes_sampled_rows(tmp_path):

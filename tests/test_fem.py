@@ -67,6 +67,11 @@ def test_problem_default_constants():
     q = sine_problem(1, reaction=2.0)
     assert q.ellipticity == pytest.approx(1.0)
     assert q.continuity >= q.ellipticity
+    # reaction above 1 + diffusion bounds the form: |a(u,v)| <= max(d, r) |u| |v|
+    r = sine_problem(1, reaction=1000.0)
+    assert r.continuity >= 1000.0
+    assert r.ellipticity == pytest.approx(1.0)
+    assert r.stability_factor == pytest.approx(1000.0)
 
 
 def test_problem_validation():
@@ -124,6 +129,14 @@ def test_dof_counts():
     assert len(assemble_and_solve(p2, m2, "P1").dof_values) == 9
     # 9 vertices plus 2k(k+1) grid edges plus k^2 diagonals
     assert len(assemble_and_solve(p2, m2, "P2").dof_values) == 9 + 12 + 4
+
+
+def test_p2_boundary_dofs_are_the_box_boundary():
+    # the diagonals of the corner cells join two boundary vertices but are interior
+    for dim, k in ((1, 4), (2, 3), (3, 2)):
+        coords, _, bmask = fem._dof_tables(uniform_mesh(unit_box(dim), dim, k), "P2")
+        on_box = np.any((np.abs(coords) < 1e-14) | (np.abs(coords - 1.0) < 1e-14), axis=1)
+        np.testing.assert_array_equal(bmask, on_box)
 
 
 def test_solution_is_callable_and_matches_dofs():

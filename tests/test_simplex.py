@@ -1,5 +1,6 @@
 """Simplex geometry, barycentric interpolation and uniform meshes."""
 
+import itertools
 import math
 
 import numpy as np
@@ -237,12 +238,76 @@ def test_uniform_cube_mesh_counts():
     assert len(m) == 6 * 2**3
     assert m.mesh_size == pytest.approx(math.sqrt(3.0) / 2)
     m.check_conforming()
-    assert sum(s.volume for s in m.simplices) == pytest.approx(1.0)
+    assert sum(m.volumes) == pytest.approx(1.0)
 
 
 def test_mesh_covers_box_volume():
     m = uniform_mesh([(0.0, 2.0), (-1.0, 1.0)], 2, 3)
-    assert sum(s.volume for s in m.simplices) == pytest.approx(4.0)
+    assert sum(m.volumes) == pytest.approx(4.0)
+
+
+def _nested_loop_elements(dim, k):
+    """The element table of the original nested-loop uniform_mesh, kept as the reference."""
+    if dim == 1:
+        return [(i, i + 1) for i in range(k)]
+    if dim == 2:
+        vid = lambda i, j: i * (k + 1) + j
+        elements = []
+        for i in range(k):
+            for j in range(k):
+                a, b = vid(i, j), vid(i + 1, j)
+                c, d = vid(i + 1, j + 1), vid(i, j + 1)
+                elements.append((a, b, c))
+                elements.append((a, c, d))
+        return elements
+    vid = lambda i, j, l: (i * (k + 1) + j) * (k + 1) + l
+    paths = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
+    elements = []
+    for i in range(k):
+        for j in range(k):
+            for l in range(k):
+                corner = np.array([i, j, l])
+                for perm in paths:
+                    cell = [corner.copy()]
+                    for axis in perm:
+                        nxt = cell[-1].copy()
+                        nxt[axis] += 1
+                        cell.append(nxt)
+                    elements.append(tuple(vid(*c) for c in cell))
+    return elements
+
+
+def test_uniform_mesh_matches_nested_loop_construction():
+    # element order fixes the locate tie rule, the P2 DOF numbering and
+    # the order in which element contributions are summed
+    for dim in (1, 2, 3):
+        for k in (1, 2, 3, 4):
+            bounds = [(0.0, 1.0), (-1.0, 2.0), (0.5, 1.5)][:dim]
+            m = uniform_mesh(bounds, dim, k)
+            axes = [np.linspace(lo, hi, k + 1) for lo, hi in bounds]
+            np.testing.assert_array_equal(m.vertices, list(itertools.product(*axes)))
+            np.testing.assert_array_equal(m.elements, _nested_loop_elements(dim, k))
+
+
+def test_degenerate_mesh_element_rejected():
+    verts = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 0.0]]
+    with pytest.raises(GeometryError, match="degenerate simplex 1"):
+        Triangulation(verts, [[0, 1, 2], [0, 1, 3]])
+
+
+def test_stacked_geometry_equals_per_element_simplices():
+    rng = np.random.default_rng(23)
+    for dim in (1, 2, 3):
+        base = uniform_mesh([(0.0, 1.0)] * dim, dim, 3)
+        shaken = base.vertices + rng.uniform(-0.05, 0.05, base.vertices.shape)
+        m = read_mesh_text(write_mesh_text(Triangulation(shaken, base.elements)))
+        simplices = [m.simplex(k) for k in range(len(m))]
+        assert np.array_equal(m.volumes, [s.volume for s in simplices])
+        assert np.array_equal(m.diameters, [s.diameter for s in simplices])
+        assert np.array_equal(
+            m.bary_matrices[:, :, 1:], [s.barycentric_gradients for s in simplices]
+        )
+        assert m.mesh_size == max(s.diameter for s in simplices)
 
 
 def test_zero_subdivisions_rejected():
@@ -259,13 +324,14 @@ def test_nonconforming_mesh_detected():
         m.check_conforming()
 
 
+def on_unit_box_boundary(points):
+    return np.any((np.abs(points) < 1e-14) | (np.abs(points - 1.0) < 1e-14), axis=1)
+
+
 def test_boundary_vertex_mask():
-    m = uniform_mesh([(0.0, 1.0), (0.0, 1.0)], 2, 2)
-    mask = m.boundary_vertex_mask()
-    on_edge = np.any(
-        (np.abs(m.vertices) < 1e-14) | (np.abs(m.vertices - 1.0) < 1e-14), axis=1
-    )
-    np.testing.assert_array_equal(mask, on_edge)
+    for dim, k in ((2, 2), (3, 3)):
+        m = uniform_mesh([(0.0, 1.0)] * dim, dim, k)
+        np.testing.assert_array_equal(m.boundary_vertex_mask(), on_unit_box_boundary(m.vertices))
 
 
 def test_locate_prefers_lowest_index():
@@ -295,7 +361,7 @@ def test_global_interp_matches_elementwise():
     rng = np.random.default_rng(31)
     for p in rng.random((25, 2)):
         k, _ = m.locate(p)
-        s = m.simplices[k]
+        s = m.simplex(k)
         assert I(p) == pytest.approx(pi_interp(s, f, p), abs=1e-13)
         assert Istar(p) == pytest.approx(pi_star_interp(s, f, p), abs=1e-13)
 
@@ -341,7 +407,7 @@ def test_corrected_interp_agrees_across_shared_diagonal():
         p = np.array([t, t])
         vals = []
         for k in range(2):
-            lam = np.clip(m.simplices[k].barycentric(p), 0.0, None)
+            lam = np.clip(m.simplex(k).barycentric(p), 0.0, None)
             lam /= lam.sum()
             vals.append(float(I.eval_on_element(k, lam.reshape(1, -1))[0]))
         assert abs(vals[0] - vals[1]) <= 1e-13
