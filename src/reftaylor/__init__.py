@@ -19,7 +19,6 @@ from .fields import (
     DomainError,
     ScalarField,
     sampled_derivative_norms,
-    spectral_norm,
 )
 from .expansion import (
     CLOSED,

@@ -23,10 +23,8 @@ codes: 0 success, 1 usage, 2 numeric failure, 3 I/O failure.
 
 import argparse
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -168,27 +166,13 @@ class StudyConfig:
 # -------------------------------------------------------------- helpers
 
 
-def _thread_cap(n_items):
-    raw = os.environ.get("REFTAYLOR_THREADS")
-    if raw is None:
-        cap = os.cpu_count() or 1
-    else:
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise UsageError(f"REFTAYLOR_THREADS must be an integer, got {raw!r}") from None
-        if cap < 1:
-            raise UsageError("REFTAYLOR_THREADS must be at least 1")
-    return max(1, min(cap, n_items))
-
-
 def _map_ordered(fn, items):
-    """fn over items, possibly in parallel; results keep the item order."""
-    workers = _thread_cap(len(items))
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    """fn over items, in order.
+
+    A named function rather than an inline comprehension because the
+    benchmark's tracer (perfbench/spans.py) hooks it by name to time each row.
+    """
+    return [fn(item) for item in items]
 
 
 def _enforce(measured, bound, context):

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import DomainError, ScalarField
-from .quadrature import composite_gauss
+from .fields import DomainError
+from .quadrature import composite_gauss, gauss_panels
 
 __all__ = [
     "CLOSED",
@@ -133,29 +133,49 @@ def _prepare(f, a, h):
     return a, h, float(np.linalg.norm(h))
 
 
-def _require_inside(f, point, what):
-    if not f.contains(point):
-        raise DomainError(f"{what} at {point.tolist()} lies outside the domain {f.domain}")
+def _require_inside(f, points, what, labels=None):
+    """DomainError naming the first row of `points` outside f's domain.
+
+    `what` is formatted with that row's label, its row index by default.
+    """
+    if f.domain is None:
+        return
+    outside = np.flatnonzero(~f.domain.inside(points))
+    if outside.size:
+        i = outside[0]
+        label = i if labels is None else labels[i]
+        raise DomainError(
+            f"{what.format(label)} at {points[i].tolist()} lies outside the domain {f.domain}"
+        )
+
+
+def _segment_points(f, a, h, t):
+    """(a + t h for every t, h, shape of t), all points checked against the domain.
+
+    Callers reshape their per-point values to the shape of t and index them
+    with (), which gives a scalar for a scalar t and the array otherwise.
+    """
+    t = np.asarray(t, dtype=float)
+    ts = t.reshape(-1)
+    bad = ~((ts >= 0.0) & (ts <= 1.0))
+    if bad.any():
+        raise ValueError(f"t must lie in [0, 1], got {ts[bad][0]}")
+    a, h, _ = _prepare(f, a, h)
+    x = a + ts[:, None] * h
+    _require_inside(f, x, "segment point t={}", ts)
+    return x, h, t.shape
 
 
 def phi(f, a, h, t):
-    """phi(t) = Df(a + t h).(h) for t in [0, 1]."""
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t must lie in [0, 1], got {t}")
-    a, h, _ = _prepare(f, a, h)
-    x = a + t * h
-    _require_inside(f, x, f"segment point t={t}")
-    return f.d(x, h)
+    """phi(t) = Df(a + t h).(h) for t in [0, 1], elementwise for an array of t."""
+    x, h, shape = _segment_points(f, a, h, t)
+    return (f.grad_at(x) @ h).reshape(shape)[()]
 
 
 def phi_prime(f, a, h, t):
-    """phi'(t) = D2f(a + t h).(h, h) for t in [0, 1]."""
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t must lie in [0, 1], got {t}")
-    a, h, _ = _prepare(f, a, h)
-    x = a + t * h
-    _require_inside(f, x, f"segment point t={t}")
-    return f.d2(x, h, h)
+    """phi'(t) = D2f(a + t h).(h, h) for t in [0, 1], elementwise for an array of t."""
+    x, h, shape = _segment_points(f, a, h, t)
+    return (h @ f.hess_at(x) @ h).reshape(shape)[()]
 
 
 def estimate_segment_bounds(f, a, h, samples=201):
@@ -170,13 +190,8 @@ def estimate_segment_bounds(f, a, h, samples=201):
     if hn == 0.0:
         raise ValueError("cannot estimate segment bounds for h = 0")
     ts = np.linspace(0.0, 1.0, samples)
-    vals2 = np.empty(samples)
-    vals1 = np.empty(samples)
-    for i, t in enumerate(ts):
-        x = a + t * h
-        _require_inside(f, x, f"sample point t={t}")
-        vals2[i] = f.d2(x, h, h) / hn**2
-        vals1[i] = f.d(x, h) / hn
+    vals2 = phi_prime(f, a, h, ts) / hn**2
+    vals1 = phi(f, a, h, ts) / hn
     return SegmentBounds(
         m2=float(vals2.min()),
         M2=float(vals2.max()),
@@ -202,10 +217,10 @@ def taylor_first_order(f, a, h, bounds=None, samples=201):
     estimate is used (and is, like any sampled bound, not certified).
     """
     a, h, hn = _prepare(f, a, h)
-    _require_inside(f, a, "base point")
+    _require_inside(f, a[None], "base point")
     if hn == 0.0:
         return _degenerate_report(f, a)
-    _require_inside(f, a + h, "segment endpoint")
+    _require_inside(f, (a + h)[None], "segment endpoint")
     if bounds is None:
         bounds = estimate_segment_bounds(f, a, h, samples=samples)
     approx = f.value(a) + f.d(a, h)
@@ -230,20 +245,17 @@ def refined_expansion(f, a, h, m, kind=CLOSED, bounds=None, samples=201):
     """
     family = expansion_weights(m, kind)
     a, h, hn = _prepare(f, a, h)
-    _require_inside(f, a, "base point")
+    _require_inside(f, a[None], "base point")
     if hn == 0.0:
         return _degenerate_report(f, a)
     if bounds is None:
         bounds = estimate_segment_bounds(f, a, h, samples=samples)
 
+    nodes = a + (np.arange(len(family.weights)) / m)[:, None] * h
+    _require_inside(f, nodes, "expansion node k={}")
     acc = f.value(a)
-    for k, w in enumerate(family.weights):
-        node = a + (k / m) * h
-        if not f.contains(node):
-            raise DomainError(
-                f"expansion node k={k} at {node.tolist()} lies outside the domain {f.domain}"
-            )
-        acc += w * f.d(node, h)
+    for w, slope in zip(family.weights, (f.grad_at(nodes) @ h).tolist()):
+        acc += w * slope
     exact = f.value(a + h)
 
     spread = hn * (bounds.M2 - bounds.m2) / (8.0 * m)
@@ -276,14 +288,10 @@ def remainder_integral(f, a, h, m, order=5, panels=32):
     a, h, hn = _prepare(f, a, h)
     if hn == 0.0:
         return 0.0
-    total = 0.0
-    for k in range(m):
-        s_k = 1.0 / (2.0 * m) + k / m
-        total += composite_gauss(
-            lambda t: (s_k - t) * phi_prime(f, a, h, t),
-            k / m, (k + 1) / m, order=order, panels=panels,
-        )
-    return total
+    # `panels` equal panels on each subinterval [k/m, (k+1)/m], in order
+    nodes, weights = gauss_panels(0.0, 1.0, order, m * panels)
+    s_k = 1.0 / (2.0 * m) + (np.arange(m * panels) // panels / m)[:, None]
+    return float(np.sum(weights * (s_k - nodes) * phi_prime(f, a, h, nodes)))
 
 
 def summation_identity_check(coeffs, u, m, order=5, panels_per_unit=8):

@@ -28,6 +28,7 @@ from scipy.sparse.linalg import cg
 
 from .fields import ScalarField
 from .quadrature import simplex_rule
+from .registry import sine_product
 from .simplex import _unique_rows, global_interp
 
 __all__ = [
@@ -307,10 +308,7 @@ def assemble_and_solve(problem, mesh, space="P1"):
 def _element_values(approx, mesh, bary, pts):
     if hasattr(approx, "eval_on_element"):
         return np.asarray(approx.eval_on_element(np.arange(len(mesh)), bary), dtype=float)
-    flat = pts.reshape(-1, mesh.dim)
-    if isinstance(approx, ScalarField):
-        return approx.value_at(flat).reshape(pts.shape[:2])
-    return np.array([float(approx(p)) for p in flat]).reshape(pts.shape[:2])
+    return approx.value_at(pts.reshape(-1, mesh.dim)).reshape(pts.shape[:2])
 
 
 def _quadrature_norm(mesh, w, sq):
@@ -325,7 +323,7 @@ def l2_norm_error(mesh, approx, exact):
     """Elementwise Gauss quadrature of the squared mismatch, square-rooted.
 
     approx may be anything with eval_on_element(ks, bary) over an element
-    index array (see FemSolution), a ScalarField, or a plain point callable;
+    index array (see FemSolution) or a ScalarField;
     the rule is exact through degree 4, so P2-level integrands of polynomial
     fields carry no quadrature error.
     """
@@ -426,44 +424,11 @@ def sine_problem(dim, diffusion=1.0, reaction=0.0):
     right-hand side is (diffusion * dim * pi^2 + reaction) * u.  Derivative
     sup norms over the box are pi and pi^2 in both dimensions.
     """
-    if dim == 1:
-        u = lambda x: math.sin(math.pi * x[0])
-        u_many = lambda pts: np.sin(math.pi * pts[:, 0])
-        grad = lambda x: np.array([math.pi * math.cos(math.pi * x[0])])
-        hess = lambda x: np.array([[-math.pi**2 * math.sin(math.pi * x[0])]])
-    elif dim == 2:
-        u = lambda x: math.sin(math.pi * x[0]) * math.sin(math.pi * x[1])
-        u_many = lambda pts: np.sin(math.pi * pts[:, 0]) * np.sin(math.pi * pts[:, 1])
-        grad = lambda x: math.pi * np.array(
-            [
-                math.cos(math.pi * x[0]) * math.sin(math.pi * x[1]),
-                math.sin(math.pi * x[0]) * math.cos(math.pi * x[1]),
-            ]
-        )
-        hess = lambda x: math.pi**2 * np.array(
-            [
-                [
-                    -math.sin(math.pi * x[0]) * math.sin(math.pi * x[1]),
-                    math.cos(math.pi * x[0]) * math.cos(math.pi * x[1]),
-                ],
-                [
-                    math.cos(math.pi * x[0]) * math.cos(math.pi * x[1]),
-                    -math.sin(math.pi * x[0]) * math.sin(math.pi * x[1]),
-                ],
-            ]
-        )
-    else:
+    if dim not in (1, 2):
         raise ValueError(f"dim must be 1 or 2, got {dim}")
-
     scale = diffusion * dim * math.pi**2 + reaction
-    exact = ScalarField(dim, u, gradient=grad, hessian=hess, name=f"sine{dim}d",
-                        value_many=u_many)
-    rhs = ScalarField(
-        dim,
-        lambda x: scale * u(x),
-        name=f"sine{dim}d rhs",
-        value_many=lambda pts: scale * u_many(pts),
-    )
+    exact = sine_product(dim, math.pi, f"sine{dim}d")
+    rhs = ScalarField(dim, lambda pts: scale * exact.value_at(pts), name=f"sine{dim}d rhs")
     return EllipticProblem(
         dim, rhs, diffusion=diffusion, reaction=reaction, exact_solution=exact
     )

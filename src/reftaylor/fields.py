@@ -3,10 +3,14 @@
 Everything downstream (expansions, interpolation operators, finite element
 error studies) consumes functions through one interface: a value, a gradient
 seen as the linear map h -> Df(x).(h), and a Hessian seen as the symmetric
-bilinear map (h, k) -> D2f(x).(h, k).  Analytic derivative callables are used
-when supplied; missing ones fall back to central differences, which is fine
-for diagnostics but too coarse for certified bound checks, so the built-in
-test fields all carry analytic derivatives.
+bilinear map (h, k) -> D2f(x).(h, k).
+
+A field is built from batch callables only: each maps an (N, dim) array of
+points to (N,) values, (N, dim) gradients or (N, dim, dim) Hessians, and
+value_at / grad_at / hess_at check those shapes.  The one-point methods
+value, grad, hess, d and d2 are views of one-row batch calls, so a formula is
+written once and both paths return the same bits.  There is no numerical
+fallback: asking for a derivative the field was built without is an error.
 
 Domains are axis-aligned boxes.  Because boxes are convex, a segment lies in
 the domain as soon as its endpoints do; the expansion routines still check
@@ -19,7 +23,6 @@ __all__ = [
     "Box",
     "DomainError",
     "ScalarField",
-    "spectral_norm",
     "sampled_derivative_norms",
     "gradient_consistency_error",
     "hessian_symmetry_error",
@@ -59,13 +62,21 @@ class Box:
     def measure(self):
         return float(np.prod(self.widths))
 
+    def inside(self, points, tol=1e-12):
+        """Membership mask of an (N, dim) array of points, with a tolerance
+        relative to each side length."""
+        points = np.asarray(points, dtype=float)
+        if points.ndim != 2 or points.shape[1] != self.dim:
+            raise ValueError(f"points have shape {points.shape}, box has dim {self.dim}")
+        slack = tol * np.maximum(1.0, self.widths)
+        return np.all((points >= self.lo - slack) & (points <= self.hi + slack), axis=1)
+
     def contains(self, x, tol=1e-12):
-        """Membership test with a tolerance relative to each side length."""
+        """Membership test of one point."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if x.size != self.dim:
             raise ValueError(f"point has dim {x.size}, box has dim {self.dim}")
-        slack = tol * np.maximum(1.0, self.widths)
-        return bool(np.all(x >= self.lo - slack) and np.all(x <= self.hi + slack))
+        return bool(self.inside(x.reshape(1, -1), tol=tol)[0])
 
     def __repr__(self):
         pairs = ", ".join(f"[{lo:g}, {hi:g}]" for lo, hi in zip(self.lo, self.hi))
@@ -80,31 +91,27 @@ class ScalarField:
     dim : int
         Number of variables.
     value : callable
-        Point (array of shape (dim,)) to float.
-    gradient : callable, optional
-        Point to array of partial derivatives, shape (dim,).  Defaults to
-        central differences of `value`.
-    hessian : callable, optional
-        Point to symmetric (dim, dim) matrix.  Defaults to central
-        differences of the gradient with step 1e-5 * (1 + |x|).
+        (N, dim) array of points to the (N,) array of values.
+    grad : callable, optional
+        (N, dim) points to the (N, dim) gradients.
+    hess : callable, optional
+        (N, dim) points to the (N, dim, dim) symmetric Hessians.
     domain : Box or bounds sequence, optional
         Defaults to the whole space.
-    value_many, gradient_many : callable, optional
-        Vectorised evaluators taking an (N, dim) array; used by the mesh and
-        finite element code when present, emulated by a loop otherwise.
+    name : str, optional
+        Used in error messages and reprs.
+
+    Asking for a derivative the field was built without raises ValueError.
     """
 
-    def __init__(self, dim, value, gradient=None, hessian=None, domain=None,
-                 name="", value_many=None, gradient_many=None):
+    def __init__(self, dim, value, grad=None, hess=None, domain=None, name=""):
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
         self.dim = int(dim)
         self.name = name
         self._value = value
-        self._gradient = gradient
-        self._hessian = hessian
-        self._value_many = value_many
-        self._gradient_many = gradient_many
+        self._grad = grad
+        self._hess = hess
         if domain is None:
             self.domain = None
         elif isinstance(domain, Box):
@@ -118,29 +125,38 @@ class ScalarField:
         p = np.atleast_1d(np.asarray(x, dtype=float))
         if p.size != self.dim:
             raise ValueError(f"point has dim {p.size}, field has dim {self.dim}")
-        return p
+        return p.reshape(1, self.dim)
 
-    def contains(self, x, tol=1e-12):
-        if self.domain is None:
-            return True
-        return self.domain.contains(self._point(x), tol=tol)
+    def _batch(self, fn, what, points, shape):
+        if fn is None:
+            raise ValueError(f"{self!r} has no {what}")
+        points = np.asarray(points, dtype=float).reshape(-1, self.dim)
+        out = np.asarray(fn(points), dtype=float)
+        expected = (len(points),) + shape
+        if out.shape != expected:
+            raise ValueError(f"{self!r} {what} returned shape {out.shape}, expected {expected}")
+        return out
+
+    def value_at(self, points):
+        """Values at an (N, dim) array of points, shape (N,)."""
+        return self._batch(self._value, "value", points, ())
+
+    def grad_at(self, points):
+        """Gradients at an (N, dim) array of points, shape (N, dim)."""
+        return self._batch(self._grad, "gradient", points, (self.dim,))
+
+    def hess_at(self, points):
+        """Hessians at an (N, dim) array of points, shape (N, dim, dim)."""
+        return self._batch(self._hess, "Hessian", points, (self.dim, self.dim))
 
     def value(self, x):
-        return float(self._value(self._point(x)))
+        return float(self.value_at(self._point(x))[0])
 
     def grad(self, x):
-        x = self._point(x)
-        if self._gradient is not None:
-            g = np.asarray(self._gradient(x), dtype=float).reshape(self.dim)
-            return g
-        return self._fd_gradient(x)
+        return self.grad_at(self._point(x))[0]
 
     def hess(self, x):
-        x = self._point(x)
-        if self._hessian is not None:
-            h = np.asarray(self._hessian(x), dtype=float).reshape(self.dim, self.dim)
-            return h
-        return self._fd_hessian(x)
+        return self.hess_at(self._point(x))[0]
 
     def d(self, x, h):
         """Df(x).(h), the first derivative applied to direction h."""
@@ -153,71 +169,9 @@ class ScalarField:
         k = h if k is None else np.atleast_1d(np.asarray(k, dtype=float))
         return float(h @ self.hess(x) @ k)
 
-    def value_at(self, points):
-        """Values at an (N, dim) array of points."""
-        points = np.asarray(points, dtype=float).reshape(-1, self.dim)
-        if self._value_many is not None:
-            return np.asarray(self._value_many(points), dtype=float).reshape(len(points))
-        return np.array([self._value(p) for p in points], dtype=float)
-
-    def grad_at(self, points):
-        """Gradients at an (N, dim) array of points, shape (N, dim)."""
-        points = np.asarray(points, dtype=float).reshape(-1, self.dim)
-        if self._gradient_many is not None:
-            out = np.asarray(self._gradient_many(points), dtype=float)
-            return out.reshape(len(points), self.dim)
-        return np.array([self.grad(p) for p in points], dtype=float)
-
-    def _fd_gradient(self, x):
-        g = np.empty(self.dim)
-        for i in range(self.dim):
-            step = 1e-5 * (1.0 + abs(x[i]))
-            e = np.zeros(self.dim)
-            e[i] = step
-            g[i] = (self._value(x + e) - self._value(x - e)) / (2.0 * step)
-        return g
-
-    def _fd_hessian(self, x):
-        step = 1e-5 * (1.0 + float(np.linalg.norm(x)))
-        h = np.empty((self.dim, self.dim))
-        for j in range(self.dim):
-            e = np.zeros(self.dim)
-            e[j] = step
-            h[:, j] = (self.grad(x + e) - self.grad(x - e)) / (2.0 * step)
-        # symmetrise: the bilinear form is symmetric by definition
-        return 0.5 * (h + h.T)
-
     def __repr__(self):
         label = self.name or "<anonymous>"
         return f"ScalarField({label}, dim={self.dim})"
-
-
-def spectral_norm(mat, iters=50, tol=1e-10):
-    """2-norm of a square matrix by power iteration on mat.T @ mat.
-
-    Uses the Rayleigh quotient, which converges twice as fast as the iterate
-    itself and is squeezed between the top two eigenvalues, so near-tied
-    spectra (the slow case for the eigenvector) still give accurate norms.
-    An estimator, not a certified bound.
-    """
-    a = np.asarray(mat, dtype=float)
-    b = a.T @ a
-    v = np.ones(b.shape[0])
-    v[0] += 0.5  # avoid starting orthogonal to the top eigenvector
-    v /= np.linalg.norm(v)
-    prev = -1.0
-    for _ in range(iters):
-        w = b @ v
-        rho = float(v @ w)  # converges to the top eigenvalue of b = |a|^2
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        done = abs(rho - prev) <= tol * (1.0 + abs(rho))
-        prev = rho
-        if done:
-            break
-    return float(np.sqrt(max(prev, 0.0)))
 
 
 def sampled_derivative_norms(field, points):
@@ -229,8 +183,8 @@ def sampled_derivative_norms(field, points):
     points = np.asarray(points, dtype=float).reshape(-1, field.dim)
     if len(points) == 0:
         raise ValueError("need at least one sample point")
-    d1 = max(float(np.linalg.norm(field.grad(p))) for p in points)
-    d2 = max(spectral_norm(field.hess(p)) for p in points)
+    d1 = float(np.max(np.linalg.norm(field.grad_at(points), axis=1)))
+    d2 = float(np.max(np.linalg.norm(field.hess_at(points), 2, axis=(1, 2))))
     return d1, d2
 
 

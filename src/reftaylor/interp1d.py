@@ -101,12 +101,12 @@ class ClassPParams:
 
 
 def linear_interpolant(f, iv):
-    """The affine function matching f at both endpoints of iv.
+    """The affine function matching the ScalarField f at both endpoints of iv.
 
-    Accepts a ScalarField or a plain callable; returns a vectorised callable.
+    Returns a vectorised callable.
     """
-    fa = f.value([iv.a]) if isinstance(f, ScalarField) else float(f(iv.a))
-    fb = f.value([iv.b]) if isinstance(f, ScalarField) else float(f(iv.b))
+    fa = f.value([iv.a])
+    fb = f.value([iv.b])
     a, b = iv.a, iv.b
 
     def interp(x):
@@ -114,12 +114,6 @@ def linear_interpolant(f, iv):
         return ((x - b) * fa + (a - x) * fb) / (a - b)
 
     return interp
-
-
-def _values_on_grid(f, xs):
-    if isinstance(f, ScalarField):
-        return f.value_at(xs.reshape(-1, 1))
-    return np.array([float(f(x)) for x in xs])
 
 
 def compare_bounds(f, iv, f1_sup, f2_sup, grid=1001):
@@ -135,7 +129,7 @@ def compare_bounds(f, iv, f1_sup, f2_sup, grid=1001):
         raise ValueError(f"grid must have at least 3 points, got {grid}")
     length = iv.length
     xs = iv.grid(grid)
-    vals = _values_on_grid(f, xs)
+    vals = f.value_at(xs.reshape(-1, 1))
     interp = linear_interpolant(f, iv)
     measured = float(np.max(np.abs(interp(xs) - vals)))
 
@@ -204,13 +198,11 @@ def class_p_field(params, iv):
     value, deriv, deriv2 = _class_p_parts(params, iv.a)
     return ScalarField(
         1,
-        value=lambda x: float(value(x[0])),
-        gradient=lambda x: np.array([deriv(x[0])]),
-        hessian=lambda x: np.array([[deriv2(x[0])]]),
+        value=lambda pts: value(pts[:, 0]),
+        grad=deriv,
+        hess=lambda pts: deriv2(pts)[:, :, None],
         domain=[(iv.a, iv.b)],
         name=f"classP(rate={params.rate:g})",
-        value_many=lambda pts: value(pts[:, 0]),
-        gradient_many=lambda pts: deriv(pts[:, 0]).reshape(-1, 1),
     )
 
 

@@ -10,6 +10,7 @@ import numpy as np
 
 __all__ = [
     "gauss_legendre_01",
+    "gauss_panels",
     "composite_gauss",
     "simplex_rule",
 ]
@@ -23,22 +24,29 @@ def gauss_legendre_01(order):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def composite_gauss(func, a, b, order=5, panels=32):
-    """Integrate a scalar callable over [a, b] with equal Gauss-Legendre panels.
+def gauss_panels(a, b, order, panels):
+    """Nodes and weights of `panels` equal Gauss-Legendre panels over [a, b].
 
-    The 5-point default integrates polynomials up to degree 9 exactly on each
-    panel, so piecewise-polynomial integrands are exact whenever their
-    breakpoints fall on panel boundaries.
+    Both come back as (panels, order) arrays, one row per panel, so
+    sum(weights * func(nodes)) integrates func.
     """
     if panels < 1:
         raise ValueError(f"panel count must be >= 1, got {panels}")
-    nodes, weights = gauss_legendre_01(order)
+    t, w = gauss_legendre_01(order)
     edges = np.linspace(a, b, panels + 1)
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        width = hi - lo
-        total += width * sum(w * func(lo + width * t) for t, w in zip(nodes, weights))
-    return total
+    lo, width = edges[:-1, None], np.diff(edges)[:, None]
+    return lo + width * t, width * w
+
+
+def composite_gauss(func, a, b, order=5, panels=32):
+    """Integrate a scalar callable over [a, b] with equal Gauss-Legendre panels.
+
+    func is called once per node.  The 5-point default integrates polynomials
+    up to degree 9 exactly on each panel, so piecewise-polynomial integrands
+    are exact whenever their breakpoints fall on panel boundaries.
+    """
+    nodes, weights = gauss_panels(a, b, order, panels)
+    return sum(w * func(x) for x, w in zip(nodes.ravel(), weights.ravel()))
 
 
 # Reference rules on the unit simplex, given as barycentric coordinates and

@@ -59,98 +59,85 @@ class FieldEntry:
 
 
 def _exp_nd(dim):
+    def value(pts):
+        return np.exp(pts.sum(axis=1))
+
     return ScalarField(
         dim,
-        lambda x: math.exp(float(np.sum(x))),
-        gradient=lambda x: np.full(dim, math.exp(float(np.sum(x)))),
-        hessian=lambda x: math.exp(float(np.sum(x))) * np.ones((dim, dim)),
+        value,
+        grad=lambda pts: np.repeat(value(pts)[:, None], dim, axis=1),
+        hess=lambda pts: value(pts)[:, None, None] * np.ones((dim, dim)),
         name=f"exp{dim}d",
-        value_many=lambda pts: np.exp(pts.sum(axis=1)),
     )
 
 
 def _quad_nd(dim, A):
     A = np.asarray(A, dtype=float)
+    sym = A + A.T
     return ScalarField(
         dim,
-        lambda x: float(np.asarray(x) @ A @ np.asarray(x)),
-        gradient=lambda x: 2.0 * A @ np.asarray(x, dtype=float),
-        hessian=lambda x: 2.0 * A.copy(),
+        lambda pts: np.einsum("qi,ij,qj->q", pts, A, pts),
+        grad=lambda pts: pts @ sym,
+        hess=lambda pts: np.repeat(sym[None], len(pts), axis=0),
         name=f"quad{dim}d",
-        value_many=lambda pts: np.einsum("qi,ij,qj->q", pts, A, pts),
     )
 
 
-def _sin1d():
-    return ScalarField(
-        1,
-        lambda x: math.sin(x[0]),
-        gradient=lambda x: np.array([math.cos(x[0])]),
-        hessian=lambda x: np.array([[-math.sin(x[0])]]),
-        name="sin1d",
-        value_many=lambda pts: np.sin(pts[:, 0]),
-    )
+def sine_product(dim, freq, name):
+    """prod_i sin(freq x_i) with its gradient and Hessian."""
+
+    def factors(pts):
+        z = freq * pts
+        return np.sin(z), np.cos(z)
+
+    def value(pts):
+        return np.prod(np.sin(freq * pts), axis=1)
+
+    def grad(pts):
+        s, c = factors(pts)
+        out = np.empty_like(pts)
+        for j in range(dim):
+            f = s.copy()
+            f[:, j] = c[:, j]
+            out[:, j] = np.prod(f, axis=1)
+        return freq * out
+
+    def hess(pts):
+        s, c = factors(pts)
+        out = np.empty((len(pts), dim, dim))
+        for j in range(dim):
+            for k in range(dim):
+                f = s.copy()
+                if j == k:
+                    f[:, j] = -s[:, j]
+                else:
+                    f[:, j], f[:, k] = c[:, j], c[:, k]
+                out[:, j, k] = np.prod(f, axis=1)
+        return freq**2 * out
+
+    return ScalarField(dim, value, grad=grad, hess=hess, name=name)
 
 
 def _cubic1d():
     return ScalarField(
         1,
-        lambda x: x[0] ** 3,
-        gradient=lambda x: np.array([3.0 * x[0] ** 2]),
-        hessian=lambda x: np.array([[6.0 * x[0]]]),
+        lambda pts: pts[:, 0] ** 3,
+        grad=lambda pts: 3.0 * pts**2,
+        hess=lambda pts: (6.0 * pts)[:, :, None],
         name="cubic1d",
-        value_many=lambda pts: pts[:, 0] ** 3,
-    )
-
-
-def _sinsin2d():
-    return ScalarField(
-        2,
-        lambda x: math.sin(PI * x[0]) * math.sin(PI * x[1]),
-        gradient=lambda x: PI
-        * np.array(
-            [
-                math.cos(PI * x[0]) * math.sin(PI * x[1]),
-                math.sin(PI * x[0]) * math.cos(PI * x[1]),
-            ]
-        ),
-        hessian=lambda x: PI**2
-        * np.array(
-            [
-                [
-                    -math.sin(PI * x[0]) * math.sin(PI * x[1]),
-                    math.cos(PI * x[0]) * math.cos(PI * x[1]),
-                ],
-                [
-                    math.cos(PI * x[0]) * math.cos(PI * x[1]),
-                    -math.sin(PI * x[0]) * math.sin(PI * x[1]),
-                ],
-            ]
-        ),
-        name="sinsin2d",
-        value_many=lambda pts: np.sin(PI * pts[:, 0]) * np.sin(PI * pts[:, 1]),
     )
 
 
 def _runge1d():
-    def val(x):
-        return 1.0 / (1.0 + 25.0 * x[0] ** 2)
-
-    def grad(x):
-        u = 1.0 + 25.0 * x[0] ** 2
-        return np.array([-50.0 * x[0] / u**2])
-
-    def hess(x):
-        u = 1.0 + 25.0 * x[0] ** 2
-        return np.array([[(3750.0 * x[0] ** 2 - 50.0) / u**3]])
+    def u(x):
+        return 1.0 + 25.0 * x**2
 
     return ScalarField(
         1,
-        val,
-        gradient=grad,
-        hessian=hess,
+        lambda pts: 1.0 / u(pts[:, 0]),
+        grad=lambda pts: -50.0 * pts / u(pts) ** 2,
+        hess=lambda pts: ((3750.0 * pts**2 - 50.0) / u(pts) ** 3)[:, :, None],
         name="runge1d",
-        value_many=lambda pts: 1.0 / (1.0 + 25.0 * pts[:, 0] ** 2),
     )
 
 
@@ -160,19 +147,13 @@ _SQRT3 = math.sqrt(3.0)
 
 _STATIC = [
     FieldEntry(
-        "exp1d", 1, True,
-        lambda: ScalarField(
-            1, lambda x: math.exp(x[0]),
-            gradient=lambda x: np.array([math.exp(x[0])]),
-            hessian=lambda x: np.array([[math.exp(x[0])]]),
-            name="exp1d", value_many=lambda pts: np.exp(pts[:, 0]),
-        ),
+        "exp1d", 1, True, lambda: _exp_nd(1),
         _UNIT, E1, E1,
         (np.array([0.0]), np.array([1.0])),
         SegmentBounds(1.0, E1, 1.0, E1),
     ),
     FieldEntry(
-        "sin1d", 1, True, _sin1d,
+        "sin1d", 1, True, lambda: sine_product(1, 1.0, "sin1d"),
         ((0.0, PI),), 1.0, 1.0,
         (np.array([0.0]), np.array([PI])),
         SegmentBounds(-1.0, 0.0, -1.0, 1.0),
@@ -208,7 +189,7 @@ _STATIC = [
         SegmentBounds(2.0, 2.0 * E2, _SQRT2, _SQRT2 * E2),
     ),
     FieldEntry(
-        "sinsin2d", 2, True, _sinsin2d,
+        "sinsin2d", 2, True, lambda: sine_product(2, PI, "sinsin2d"),
         _UNIT * 2, PI, PI**2,
         (np.zeros(2), np.ones(2)),
         SegmentBounds(-(PI**2), PI**2, -PI / _SQRT2, PI / _SQRT2),
@@ -292,12 +273,10 @@ def registry_selftest(points_per_entry=25, seed=0):
         lo, hi = box[:, 0], box[:, 1]
         # keep probes off the box edge so central differences stay inside
         pts = lo + (0.05 + 0.9 * rng.random((points_per_entry, entry.dim))) * (hi - lo)
-        worst = 0.0
-        for x in pts:
-            h = 0.1 * (hi - lo) * (rng.random(entry.dim) - 0.5)
-            exact = float(f.grad(x) @ h)
-            step = 1e-6
-            fd = (f.value(x + step * h) - f.value(x - step * h)) / (2.0 * step)
-            worst = max(worst, abs(fd - exact) / (1.0 + abs(exact)))
+        hs = 0.1 * (hi - lo) * (rng.random((points_per_entry, entry.dim)) - 0.5)
+        exact = np.sum(f.grad_at(pts) * hs, axis=1)
+        step = 1e-6
+        fd = (f.value_at(pts + step * hs) - f.value_at(pts - step * hs)) / (2.0 * step)
+        worst = float(np.max(np.abs(fd - exact) / (1.0 + np.abs(exact))))
         report[entry.name] = worst
     return report

@@ -54,11 +54,9 @@ def _random_quadratic(rng, dim):
     const = rng.uniform(-2.0, 2.0)
     return ScalarField(
         dim,
-        lambda x: 0.5 * x @ hess @ x + lin @ x + const,
-        gradient=lambda x: hess @ x + lin,
-        hessian=lambda x: hess,
-        value_many=lambda pts: 0.5 * np.einsum("pi,ij,pj->p", pts, hess, pts) + pts @ lin + const,
-        gradient_many=lambda pts: pts @ hess + lin,
+        lambda pts: 0.5 * np.einsum("pi,ij,pj->p", pts, hess, pts) + pts @ lin + const,
+        grad=lambda pts: pts @ hess + lin,
+        hess=lambda pts: np.broadcast_to(hess, (len(pts), dim, dim)),
     ), hess
 
 

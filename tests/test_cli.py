@@ -78,11 +78,10 @@ def test_savings_node_factor_column(tmp_path):
     assert np.allclose(rows[:, 4], 2.0 ** -1.5, rtol=1e-15)
 
 
-def test_csv_bytes_deterministic(tmp_path, monkeypatch):
+def test_csv_bytes_deterministic(tmp_path):
     args = ["simplex", "--function", "exp2d", "--subdivisions", "1,2,4", "--seed", "11"]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert run_main(args + ["--output", str(a)]) == EXIT_OK
-    monkeypatch.setenv("REFTAYLOR_THREADS", "1")
     assert run_main(args + ["--output", str(b)]) == EXIT_OK
     assert a.read_bytes() == b.read_bytes()
 
@@ -168,11 +167,6 @@ def test_usage_errors(args, tmp_path):
 def test_unwritable_output_exits_io(tmp_path):
     code = run_main(["savings", "--output", str(tmp_path / "missing" / "x.csv")])
     assert code == EXIT_IO
-
-
-def test_bad_thread_env_exits_usage(tmp_path, monkeypatch):
-    monkeypatch.setenv("REFTAYLOR_THREADS", "zero")
-    assert run_main(["savings", "--output", str(tmp_path / "x.csv")]) == EXIT_USAGE
 
 
 def test_bound_violation_exits_numeric(tmp_path, monkeypatch):

@@ -20,18 +20,19 @@ from reftaylor.fields import DomainError, ScalarField
 
 
 def field_1d(value, deriv, deriv2, domain=None, name=""):
+    # value, deriv and deriv2 act elementwise on arrays (or return a constant)
     return ScalarField(
         1,
-        value=lambda x: value(x[0]),
-        gradient=lambda x: np.array([deriv(x[0])]),
-        hessian=lambda x: np.array([[deriv2(x[0])]]),
+        value=lambda pts: np.broadcast_to(value(pts[:, 0]), (len(pts),)),
+        grad=lambda pts: np.broadcast_to(deriv(pts), pts.shape),
+        hess=lambda pts: np.broadcast_to(deriv2(pts), pts.shape)[:, :, None],
         domain=domain,
         name=name,
     )
 
 
 def exp1d(domain=((-3.0, 3.0),)):
-    e = math.exp
+    e = np.exp
     return field_1d(e, e, e, domain=domain, name="exp")
 
 
@@ -50,9 +51,9 @@ def random_quadratic(rng, dim):
     const = rng.uniform(-1, 1)
     return ScalarField(
         dim,
-        value=lambda x: float(x @ quad @ x + lin @ x + const),
-        gradient=lambda x: 2 * quad @ x + lin,
-        hessian=lambda x: 2 * quad,
+        value=lambda pts: np.einsum("qi,ij,qj->q", pts, quad, pts) + pts @ lin + const,
+        grad=lambda pts: 2 * pts @ quad + lin,
+        hess=lambda pts: np.broadcast_to(2 * quad, (len(pts), dim, dim)),
         name="random-quadratic",
     )
 
@@ -278,7 +279,7 @@ def test_segment_bounds_exp_example():
 
 
 def test_segment_bounds_sin_example():
-    f = field_1d(math.sin, math.cos, lambda x: -math.sin(x),
+    f = field_1d(np.sin, np.cos, lambda x: -np.sin(x),
                  domain=((-10.0, 10.0),), name="sin")
     sb = estimate_segment_bounds(f, 0.0, math.pi, samples=1001)
     # second derivative along the segment: -sin(pi t), range [-1, 0]

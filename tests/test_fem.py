@@ -33,16 +33,16 @@ def parabola_problem():
     # u = x(1-x), f = 2: polynomial data, so quadrature is exact too
     u = ScalarField(
         1,
-        lambda x: x[0] * (1 - x[0]),
-        gradient=lambda x: np.array([1 - 2 * x[0]]),
-        hessian=lambda x: np.array([[-2.0]]),
+        lambda pts: pts[:, 0] * (1 - pts[:, 0]),
+        grad=lambda pts: 1 - 2 * pts,
+        hess=lambda pts: np.full((len(pts), 1, 1), -2.0),
     )
-    f = ScalarField(1, lambda x: 2.0, value_many=lambda pts: np.full(len(pts), 2.0))
+    f = ScalarField(1, lambda pts: np.full(len(pts), 2.0))
     return EllipticProblem(1, f, exact_solution=u)
 
 
 def zero_field(dim):
-    return ScalarField(dim, lambda x: 0.0, value_many=lambda pts: np.zeros(len(pts)))
+    return ScalarField(dim, lambda pts: np.zeros(len(pts)))
 
 
 # ------------------------------------------------------------ constants
@@ -223,11 +223,11 @@ def test_p2_beats_p1_on_smooth_data():
 
 def test_l2_norm_error_examples():
     m = uniform_mesh([(0.0, 1.0)], 1, 4)
-    x_field = ScalarField(1, lambda x: x[0], value_many=lambda pts: pts[:, 0])
+    x_field = ScalarField(1, lambda pts: pts[:, 0])
     assert l2_norm_error(m, x_field, x_field) <= 1e-13
     assert l2_norm_error(m, zero_field(1), x_field) == pytest.approx(1 / math.sqrt(3))
     sq = uniform_mesh(unit_box(2), 2, 1)
-    one = ScalarField(2, lambda x: 1.0, value_many=lambda pts: np.ones(len(pts)))
+    one = ScalarField(2, lambda pts: np.ones(len(pts)))
     assert l2_norm_error(sq, zero_field(2), one) == pytest.approx(1.0)
 
 

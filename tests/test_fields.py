@@ -7,30 +7,36 @@ from reftaylor.fields import (
     gradient_consistency_error,
     hessian_symmetry_error,
     sampled_derivative_norms,
-    spectral_norm,
 )
+from reftaylor.registry import registry
 
 
 def exp_field():
     return ScalarField(
         1,
-        value=lambda x: np.exp(x[0]),
-        gradient=lambda x: np.array([np.exp(x[0])]),
-        hessian=lambda x: np.array([[np.exp(x[0])]]),
+        value=lambda pts: np.exp(pts[:, 0]),
+        grad=lambda pts: np.exp(pts),
+        hess=lambda pts: np.exp(pts)[:, :, None],
         domain=[(-3.0, 3.0)],
         name="exp",
     )
 
 
+def quadratic_field(hess, name="quadratic"):
+    # f = x.hess.x / 2, constant Hessian `hess`
+    dim = len(hess)
+    return ScalarField(
+        dim,
+        value=lambda pts: 0.5 * np.einsum("qi,ij,qj->q", pts, hess, pts),
+        grad=lambda pts: pts @ hess,
+        hess=lambda pts: np.broadcast_to(hess, (len(pts), dim, dim)),
+        name=name,
+    )
+
+
 def quad2d_field():
     # f = x^2 + x y + y^2, constant Hessian [[2,1],[1,2]]
-    return ScalarField(
-        2,
-        value=lambda x: x[0] ** 2 + x[0] * x[1] + x[1] ** 2,
-        gradient=lambda x: np.array([2 * x[0] + x[1], x[0] + 2 * x[1]]),
-        hessian=lambda x: np.array([[2.0, 1.0], [1.0, 2.0]]),
-        name="quad2d",
-    )
+    return quadratic_field(np.array([[2.0, 1.0], [1.0, 2.0]]), name="quad2d")
 
 
 def test_box_membership():
@@ -40,6 +46,8 @@ def test_box_membership():
     assert box.contains([0.0, 0.0])
     assert box.contains([1.0 + 1e-13, 2.0])  # boundary slack
     assert not box.contains([1.1, 1.0])
+    assert box.inside(np.array([[0.5, 1.0], [1.1, 1.0], [1.0 + 1e-13, 2.0]])).tolist() == [
+        True, False, True]
     assert box.measure() == 2.0
     with pytest.raises(ValueError):
         Box([(1.0, 0.0)])
@@ -67,16 +75,50 @@ def test_hessian_symmetry_invariant():
         assert hessian_symmetry_error(f, x, h, k) <= 1e-12
 
 
-def test_finite_difference_fallbacks():
-    # value-only field: both derivative levels come from central differences
-    f = ScalarField(1, value=lambda x: np.exp(x[0]), name="exp-fd")
-    x = np.array([0.3])
-    assert abs(f.grad(x)[0] - np.exp(0.3)) < 1e-8
-    assert abs(f.hess(x)[0, 0] - np.exp(0.3)) < 1e-4
-    g = ScalarField(2, value=lambda x: x[0] ** 2 * x[1], name="fd2")
-    h = g.hess([0.7, -0.4])
-    assert abs(h[0, 1] - h[1, 0]) == 0.0  # symmetrised by construction
-    assert abs(h[0, 1] - 2 * 0.7) < 1e-5
+def test_missing_derivative_raises_naming_the_field():
+    f = ScalarField(2, value=lambda pts: pts[:, 0] ** 2 * pts[:, 1], name="value-only")
+    x = np.array([0.7, -0.4])
+    assert f.value(x) == pytest.approx(0.7**2 * -0.4)
+    for ask in (lambda: f.grad(x), lambda: f.grad_at(x[None]), lambda: f.d(x, x),
+                lambda: f.hess(x), lambda: f.hess_at(x[None]), lambda: f.d2(x, x)):
+        with pytest.raises(ValueError, match="value-only"):
+            ask()
+    g = ScalarField(1, value=lambda pts: pts[:, 0], hess=lambda pts: np.zeros((len(pts), 1, 1)),
+                    name="no-gradient")
+    assert g.hess([0.5])[0, 0] == 0.0
+    with pytest.raises(ValueError, match=r"no-gradient, dim=1\) has no gradient"):
+        g.grad([0.5])
+
+
+def test_batch_callable_with_wrong_shape_raises():
+    pts = np.zeros((4, 2))
+    wrong = ScalarField(
+        2,
+        value=lambda p: p,  # (N, 2) where (N,) is due
+        grad=lambda p: p[:, 0],  # (N,) where (N, 2) is due
+        hess=lambda p: np.zeros((len(p), 2)),  # (N, 2) where (N, 2, 2) is due
+        name="wrong",
+    )
+    for ask in (wrong.value_at, wrong.grad_at, wrong.hess_at):
+        with pytest.raises(ValueError, match="shape"):
+            ask(pts)
+    with pytest.raises(ValueError, match="shape"):
+        wrong.value(pts[0])
+    constant = ScalarField(1, value=lambda p: 1.0)  # a scalar, not one value per point
+    with pytest.raises(ValueError, match="shape"):
+        constant.value_at([[0.0], [1.0]])
+
+
+def test_scalar_views_are_row_zero_of_batch_calls():
+    rng = np.random.default_rng(5)
+    for entry in registry():
+        f = entry.field()
+        box = np.asarray(entry.box)
+        for x in box[:, 0] + rng.random((10, entry.dim)) * (box[:, 1] - box[:, 0]):
+            row = x[None]
+            assert f.value(x) == f.value_at(row)[0], entry.name
+            assert np.array_equal(f.grad(x), f.grad_at(row)[0]), entry.name
+            assert np.array_equal(f.hess(x), f.hess_at(row)[0]), entry.name
 
 
 def test_directional_forms():
@@ -89,44 +131,24 @@ def test_directional_forms():
     assert f.d2(x, h) == pytest.approx(2.0)  # k defaults to h
 
 
-def test_vectorised_and_loop_evaluation_agree():
-    f = ScalarField(
-        2,
-        value=lambda x: np.sin(x[0]) * x[1],
-        gradient=lambda x: np.array([np.cos(x[0]) * x[1], np.sin(x[0])]),
-        value_many=lambda pts: np.sin(pts[:, 0]) * pts[:, 1],
-        gradient_many=lambda pts: np.column_stack(
-            [np.cos(pts[:, 0]) * pts[:, 1], np.sin(pts[:, 0])]
-        ),
-    )
-    g = ScalarField(
-        2,
-        value=lambda x: np.sin(x[0]) * x[1],
-        gradient=lambda x: np.array([np.cos(x[0]) * x[1], np.sin(x[0])]),
-    )
-    pts = np.random.default_rng(2).uniform(-2, 2, size=(40, 2))
-    assert np.allclose(f.value_at(pts), g.value_at(pts), atol=1e-14)
-    assert np.allclose(f.grad_at(pts), g.grad_at(pts), atol=1e-14)
-
-
 def test_spectral_norm_matches_eigensolver():
-    # estimator accuracy: tight when the spectrum has a gap, and never more
-    # than a fraction of a percent off even on adversarial near-ties
+    # the sampled Hessian norm of a quadratic is the spectral norm of its
+    # constant Hessian, also on near-tied spectra
     rng = np.random.default_rng(3)
     for n in (1, 2, 3):
         for _ in range(25):
             a = rng.normal(size=(n, n))
             sym = 0.5 * (a + a.T)
             want = float(np.max(np.abs(np.linalg.eigvalsh(sym))))
-            got = spectral_norm(sym, iters=200)
-            assert abs(got - want) <= 5e-3 * (1.0 + want), (sym, got, want)
-            assert got <= want * (1.0 + 1e-12)  # Rayleigh quotient never overshoots
+            _, got = sampled_derivative_norms(quadratic_field(sym), rng.normal(size=(3, n)))
+            assert abs(got - want) <= 1e-12 * (1.0 + want), (sym, got, want)
+            assert got <= want * (1.0 + 1e-12)
 
 
 def test_spectral_norm_gapped_matrix_is_tight():
-    sym = np.diag([3.0, 1.0, -0.5])
-    assert abs(spectral_norm(sym) - 3.0) <= 1e-10
-    assert spectral_norm(np.zeros((2, 2))) == 0.0
+    _, got = sampled_derivative_norms(quadratic_field(np.diag([3.0, 1.0, -0.5])), np.ones((1, 3)))
+    assert abs(got - 3.0) <= 1e-10
+    assert sampled_derivative_norms(quadratic_field(np.zeros((2, 2))), np.ones((1, 2)))[1] == 0.0
 
 
 def test_sampled_derivative_norms():

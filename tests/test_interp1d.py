@@ -18,11 +18,12 @@ from reftaylor.interp1d import (
 
 
 def field_1d(value, deriv, deriv2, name=""):
+    # value, deriv and deriv2 act elementwise on arrays (or return a constant)
     return ScalarField(
         1,
-        value=lambda x: value(x[0]),
-        gradient=lambda x: np.array([deriv(x[0])]),
-        hessian=lambda x: np.array([[deriv2(x[0])]]),
+        value=lambda pts: np.broadcast_to(value(pts[:, 0]), (len(pts),)),
+        grad=lambda pts: np.broadcast_to(deriv(pts), pts.shape),
+        hess=lambda pts: np.broadcast_to(deriv2(pts), pts.shape)[:, :, None],
         name=name,
     )
 
@@ -50,9 +51,9 @@ def test_interpolant_reproduces_affine():
 
 
 def test_interpolant_constant_and_identity():
-    c = linear_interpolant(lambda x: 7.5, UNIT)
+    c = linear_interpolant(ScalarField(1, lambda pts: np.full(len(pts), 7.5)), UNIT)
     assert c(0.3) == pytest.approx(7.5)
-    ident = linear_interpolant(lambda x: x, UNIT)
+    ident = linear_interpolant(ScalarField(1, lambda pts: pts[:, 0]), UNIT)
     assert ident(0.25) == pytest.approx(0.25)
 
 
@@ -89,8 +90,8 @@ def test_compare_bounds_rejects_inconsistent_norms():
 
 def test_bounds_contain_measured_error_smooth_suite():
     suite = [
-        (field_1d(math.exp, math.exp, math.exp, "exp"), math.e, math.e),
-        (field_1d(math.sin, math.cos, lambda x: -math.sin(x), "sin"), 1.0, 1.0),
+        (field_1d(np.exp, np.exp, np.exp, "exp"), math.e, math.e),
+        (field_1d(np.sin, np.cos, lambda x: -np.sin(x), "sin"), 1.0, 1.0),
         (square(), 2.0, 2.0),
         (field_1d(lambda x: x**3, lambda x: 3 * x * x, lambda x: 6 * x, "cube"),
          3.0, 6.0),
@@ -189,8 +190,8 @@ def test_class_p_sup_norms_match_grid():
         iv = Interval(0.0, float(rng.uniform(0.5, 2.0)))
         f = class_p_field(p, iv)
         xs = iv.grid(10001)
-        g1 = max(abs(f.grad([x])[0]) for x in xs)
-        g2 = max(f.hess([x])[0, 0] for x in xs)
+        g1 = float(np.max(np.abs(f.grad_at(xs[:, None]))))
+        g2 = float(np.max(f.hess_at(xs[:, None])))
         f1, f2 = class_p_sup_norms(p, iv)
         assert f1 == pytest.approx(g1, rel=1e-12)
         assert f2 == pytest.approx(g2, rel=1e-12)

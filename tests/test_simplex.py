@@ -30,16 +30,16 @@ def unit_triangle():
 def quadratic_2d():
     return ScalarField(
         2,
-        lambda x: 1 + 2 * x[0] - x[1] + 3 * x[0] * x[1] - x[0] ** 2,
-        gradient=lambda x: np.array([2 + 3 * x[1] - 2 * x[0], -1 + 3 * x[0]]),
+        lambda p: 1 + 2 * p[:, 0] - p[:, 1] + 3 * p[:, 0] * p[:, 1] - p[:, 0] ** 2,
+        grad=lambda p: np.column_stack([2 + 3 * p[:, 1] - 2 * p[:, 0], -1 + 3 * p[:, 0]]),
     )
 
 
 def exp_sum(dim):
     return ScalarField(
         dim,
-        lambda x: math.exp(np.sum(x)),
-        gradient=lambda x: np.full(dim, math.exp(np.sum(x))),
+        lambda p: np.exp(p.sum(axis=1)),
+        grad=lambda p: np.repeat(np.exp(p.sum(axis=1))[:, None], dim, axis=1),
     )
 
 
@@ -109,7 +109,7 @@ def test_random_points_land_inside():
 
 def test_pi_reproduces_affine():
     tri = unit_triangle()
-    f = ScalarField(2, lambda x: 3.0 - x[0] + 2 * x[1])
+    f = ScalarField(2, lambda p: 3.0 - p[:, 0] + 2 * p[:, 1])
     rng = np.random.default_rng(11)
     for p in tri.random_points(rng, 25):
         assert pi_interp(tri, f, p) == pytest.approx(f.value(p), abs=1e-13)
@@ -118,7 +118,7 @@ def test_pi_reproduces_affine():
 def test_pi_square_at_centroid():
     # v = x^2: interpolant averages the vertex values 0, 1, 0
     tri = unit_triangle()
-    f = ScalarField(2, lambda x: x[0] ** 2)
+    f = ScalarField(2, lambda p: p[:, 0] ** 2)
     got = pi_interp(tri, f, [1 / 3, 1 / 3])
     assert got == pytest.approx(1 / 3, abs=1e-14)
     assert got - f.value([1 / 3, 1 / 3]) == pytest.approx(2 / 9, abs=1e-14)
@@ -126,7 +126,8 @@ def test_pi_square_at_centroid():
 
 def test_pi_star_square_at_centroid():
     tri = unit_triangle()
-    f = ScalarField(2, lambda x: x[0] ** 2, gradient=lambda x: np.array([2 * x[0], 0.0]))
+    f = ScalarField(2, lambda p: p[:, 0] ** 2,
+                    grad=lambda p: np.column_stack([2 * p[:, 0], np.zeros(len(p))]))
     assert pi_star_interp(tri, f, [1 / 3, 1 / 3]) == pytest.approx(1 / 9, abs=1e-14)
 
 
@@ -144,8 +145,8 @@ def test_pi_star_reproduces_quadratics():
         A = 0.5 * (A + A.T)
         f = ScalarField(
             dim,
-            lambda x, c0=c0, c1=c1, A=A: c0 + c1 @ x + x @ A @ x,
-            gradient=lambda x, c1=c1, A=A: c1 + 2.0 * A @ x,
+            lambda p, c0=c0, c1=c1, A=A: c0 + p @ c1 + np.einsum("qi,ij,qj->q", p, A, p),
+            grad=lambda p, c1=c1, A=A: c1 + 2.0 * p @ A,
         )
         scale = 1.0 + max(abs(f.value(v)) for v in s.vertices)
         for p in s.random_points(rng, 30):
@@ -155,7 +156,7 @@ def test_pi_star_reproduces_quadratics():
 
 def test_interp_outside_element_raises():
     tri = unit_triangle()
-    f = ScalarField(2, lambda x: x[0])
+    f = ScalarField(2, lambda p: p[:, 0])
     with pytest.raises(DomainError, match="outside"):
         pi_interp(tri, f, [0.7, 0.7])
     with pytest.raises(DomainError, match="outside"):
@@ -398,8 +399,8 @@ def test_corrected_interp_agrees_across_shared_diagonal():
     m = uniform_mesh([(0.0, 1.0), (0.0, 1.0)], 2, 1)
     f = ScalarField(
         2,
-        lambda x: x[0] * x[1],
-        gradient=lambda x: np.array([x[1], x[0]]),
+        lambda p: p[:, 0] * p[:, 1],
+        grad=lambda p: p[:, ::-1],
     )
     I = global_interp(m, f, corrected=True)
     ts = np.linspace(0.0, 1.0, 100)
