@@ -12,6 +12,11 @@ The package has four layers:
   the mesh-savings arithmetic.
 
 The cli module exposes all of it as reproducible CSV studies.
+
+Only the fem layer needs scipy, and it is loaded the first time it is used:
+by `import reftaylor.fem`, by any fem name taken from the package (such as
+`reftaylor.assemble_and_solve`), or by the `fem` and `savings` commands.
+Importing the package, the cli or the other layers leaves scipy unloaded.
 """
 
 from .fields import (
@@ -62,20 +67,6 @@ from .simplex import (
     uniform_mesh,
     write_mesh_text,
 )
-from .fem import (
-    EllipticProblem,
-    EstimateReport,
-    FemSolution,
-    SolverError,
-    assemble_and_solve,
-    cea_gap,
-    estimate_report,
-    h1_seminorm_error,
-    l2_norm_error,
-    mesh_savings,
-    poincare_constant,
-    sine_problem,
-)
 from .registry import (
     FieldEntry,
     UnknownFieldError,
@@ -86,3 +77,31 @@ from .registry import (
 )
 
 __version__ = "0.1.0"
+
+# The FEM layer needs scipy, which takes longer to import than everything
+# else together, so its names load on first access (PEP 562).
+_FEM_NAMES = frozenset({
+    "EllipticProblem",
+    "EstimateReport",
+    "FemSolution",
+    "SolverError",
+    "assemble_and_solve",
+    "cea_gap",
+    "estimate_report",
+    "h1_seminorm_error",
+    "l2_norm_error",
+    "mesh_savings",
+    "poincare_constant",
+    "sine_problem",
+})
+
+
+def __getattr__(name):
+    if name in _FEM_NAMES:
+        from . import fem
+        return getattr(fem, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _FEM_NAMES)

@@ -30,7 +30,6 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .expansion import estimate_segment_bounds, refined_expansion, taylor_first_order
-from .fem import SolverError, estimate_report, mesh_savings, sine_problem
 from .fields import sampled_derivative_norms
 from .interp1d import (
     ClassPParams,
@@ -75,7 +74,7 @@ class UsageError(Exception):
 
 
 class NumericFailure(RuntimeError):
-    """A measured value escaped its bound, or a table cell went non-finite."""
+    """A measured value escaped its bound, a cell went non-finite, or a solve failed."""
 
 
 @dataclass
@@ -279,6 +278,9 @@ def _simplex_rows(cfg):
 
 
 def _fem_rows(cfg):
+    # fem loads scipy; only this study and savings need it.
+    from .fem import SolverError, estimate_report, sine_problem
+
     problem = sine_problem(cfg.dim, diffusion=cfg.diffusion, reaction=cfg.reaction)
     factor = problem.stability_factor
 
@@ -301,10 +303,15 @@ def _fem_rows(cfg):
         )
 
     header = ["h", "measured_l2_error", "bound_classical", "bound_refined", "bound_corrected", "ratio"]
-    return header, _map_ordered(one, sorted(set(cfg.subdivisions)))
+    try:
+        return header, _map_ordered(one, sorted(set(cfg.subdivisions)))
+    except SolverError as exc:
+        raise NumericFailure(str(exc)) from exc
 
 
 def _savings_rows(cfg):
+    from .fem import mesh_savings
+
     def one(eps):
         s = mesh_savings(eps, cfg.d2_inf, cfg.big_c, cfg.alpha, cfg.dim)
         return (
@@ -574,7 +581,7 @@ def run_main(argv=None):
     except (UsageError, UnknownFieldError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (NumericFailure, SolverError) as exc:
+    except NumericFailure as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:

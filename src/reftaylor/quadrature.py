@@ -16,12 +16,27 @@ __all__ = [
 ]
 
 
+_GAUSS = {}  # order -> read-only (nodes, weights) on [0, 1]
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
 def gauss_legendre_01(order):
-    """Nodes and weights of the `order`-point Gauss-Legendre rule on [0, 1]."""
-    if order < 1:
-        raise ValueError(f"quadrature order must be >= 1, got {order}")
-    x, w = np.polynomial.legendre.leggauss(order)
-    return 0.5 * (x + 1.0), 0.5 * w
+    """Nodes and weights of the `order`-point Gauss-Legendre rule on [0, 1].
+
+    Each rule is computed once per order and shared: the arrays are read-only.
+    """
+    rule = _GAUSS.get(order)
+    if rule is None:
+        if order < 1:
+            raise ValueError(f"quadrature order must be >= 1, got {order}")
+        x, w = np.polynomial.legendre.leggauss(order)
+        rule = _GAUSS[order] = _read_only(0.5 * (x + 1.0), 0.5 * w)
+    return rule
 
 
 def gauss_panels(a, b, order, panels):
@@ -76,11 +91,14 @@ def _triangle_rule():
     return bary, w / w.sum()
 
 
-_RULES = {1: _interval_rule(), 2: _triangle_rule()}
+_RULES = {1: _read_only(*_interval_rule()), 2: _read_only(*_triangle_rule())}
 
 
 def simplex_rule(dim):
-    """Barycentric nodes and unit-sum weights for the reference simplex."""
+    """Barycentric nodes and unit-sum weights for the reference simplex.
+
+    The arrays are shared by every caller and read-only.
+    """
     try:
         return _RULES[dim]
     except KeyError:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import reftaylor.cli as cli
+import reftaylor.fem as fem
 from reftaylor.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, StudyConfig, run_main
 from reftaylor.registry import lookup
 
@@ -180,6 +181,17 @@ def test_bound_violation_exits_numeric(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "lookup", lambda name: lying)
     out = tmp_path / "x.csv"
     assert run_main(["expand", "--function", "exp1d", "--output", str(out)]) == EXIT_NUMERIC
+    assert not out.exists()
+
+
+def test_solver_failure_exits_numeric(tmp_path, monkeypatch, capsys):
+    def fail(problem, mesh, space="P1"):
+        raise fem.SolverError("x")
+
+    monkeypatch.setattr(fem, "assemble_and_solve", fail)
+    out = tmp_path / "x.csv"
+    assert run_main(["fem", "--dim", "1", "--subdivisions", "4", "--output", str(out)]) == EXIT_NUMERIC
+    assert "numeric failure: x" in capsys.readouterr().err
     assert not out.exists()
 
 
