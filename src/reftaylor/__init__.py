@@ -6,8 +6,9 @@ The package has four layers:
   enclosures that shrink like 1/(2m) relative to the classical ones;
 - interp1d: consequences for linear interpolation on an interval, including
   the convex exponential family on which the mixed bound provably wins;
-- simplex: barycentric interpolation on simplices and meshes, with the
-  half-constant corrected interpolant;
+- simplex: barycentric interpolation on simplices and meshes (a simplex is
+  a one-element mesh), with the half-constant corrected interpolant and the
+  interpolation bounds at the largest element diameter;
 - fem: P1/P2 elliptic model problems, quasi-optimality gap measurements and
   the mesh-savings arithmetic.
 

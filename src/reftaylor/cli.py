@@ -259,7 +259,7 @@ def _simplex_rows(cfg):
 
     def one(k):
         mesh = uniform_mesh(entry.box, entry.dim, k)
-        bounds = interp_error_bounds(mesh.simplex(0), d1, d2)
+        bounds = interp_error_bounds(mesh, d1, d2)
         plain = global_interp(mesh, f)
         star = global_interp(mesh, f, corrected=True)
         rng = np.random.default_rng([cfg.seed, k])
@@ -451,19 +451,20 @@ def _build_parser():
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def common(sub, default_output):
-        sub.add_argument("--output", default=default_output, help="CSV output path")
+        sub.add_argument("--output", dest="output_path", default=default_output, help="CSV output path")
         sub.add_argument("--seed", type=int, default=0, help="seed for sampled suites")
         sub.add_argument("--config", default=None, help="flat key=value config file")
 
     sub = subs.add_parser("expand", help="m-point expansion remainder sweep")
     sub.add_argument("--function", default=None, help="registry field name")
-    sub.add_argument("--m", type=_int_list, default=[1, 2, 4, 8], help="comma list of point counts")
+    sub.add_argument("--m", dest="m_values", type=_int_list, default=[1, 2, 4, 8],
+                     help="comma list of point counts")
     sub.add_argument("--kind", default="closed", help="weight family: closed or open")
     sub.add_argument("--samples", type=int, default=201, help="samples for non-analytic bounds")
     common(sub, "expand.csv")
 
     sub = subs.add_parser("interp1d", help="1D interpolation bound sweep over beta")
-    sub.add_argument("--beta", type=_float_list, default=[0.6, 0.75, 0.9, 1.0])
+    sub.add_argument("--beta", dest="beta_values", type=_float_list, default=[0.6, 0.75, 0.9, 1.0])
     sub.add_argument("--forcing", type=float, default=1.0)
     sub.add_argument("--slope", type=float, default=0.0)
     sub.add_argument("--interval", type=_pair, default=(0.0, 1.0), help="a,b with a < b")
@@ -485,10 +486,11 @@ def _build_parser():
     common(sub, "fem.csv")
 
     sub = subs.add_parser("savings", help="mesh coarsening arithmetic")
-    sub.add_argument("--eps", type=_float_list, default=[1e-4], help="target tolerances")
+    sub.add_argument("--eps", dest="eps_values", type=_float_list, default=[1e-4],
+                     help="target tolerances")
     sub.add_argument("--dim", type=int, default=3)
-    sub.add_argument("--d2", type=float, default=1.0, help="sup |D2 u|")
-    sub.add_argument("--C", type=float, default=1.0, help="continuity constant")
+    sub.add_argument("--d2", dest="d2_inf", type=float, default=1.0, help="sup |D2 u|")
+    sub.add_argument("--C", dest="big_c", type=float, default=1.0, help="continuity constant")
     sub.add_argument("--alpha", type=float, default=1.0, help="ellipticity constant")
     common(sub, "savings.csv")
 
@@ -540,37 +542,11 @@ def _argv_with_config(argv):
     return spliced
 
 
-_NS_TO_CONFIG = {
-    "expand": lambda ns: StudyConfig(
-        command="expand", function=ns.function, m_values=ns.m, kind=ns.kind,
-        samples=ns.samples, output_path=ns.output, seed=ns.seed,
-    ),
-    "interp1d": lambda ns: StudyConfig(
-        command="interp1d", beta_values=ns.beta, forcing=ns.forcing, slope=ns.slope,
-        interval=ns.interval, grid=ns.grid, output_path=ns.output, seed=ns.seed,
-    ),
-    "simplex": lambda ns: StudyConfig(
-        command="simplex", function=ns.function, subdivisions=ns.subdivisions,
-        points=ns.points, output_path=ns.output, seed=ns.seed,
-    ),
-    "fem": lambda ns: StudyConfig(
-        command="fem", dim=ns.dim, space=ns.space, subdivisions=ns.subdivisions,
-        diffusion=ns.diffusion, reaction=ns.reaction, output_path=ns.output, seed=ns.seed,
-    ),
-    "savings": lambda ns: StudyConfig(
-        command="savings", eps_values=ns.eps, dim=ns.dim, d2_inf=ns.d2,
-        big_c=ns.C, alpha=ns.alpha, output_path=ns.output, seed=ns.seed,
-    ),
-    "registry": lambda ns: StudyConfig(
-        command="registry", selftest=ns.selftest, output_path=ns.output, seed=ns.seed,
-    ),
-}
-
-
 def parse_argv(argv):
     argv = _argv_with_config(list(argv))
-    ns = _build_parser().parse_args(argv)
-    return _NS_TO_CONFIG[ns.command](ns)
+    knobs = vars(_build_parser().parse_args(argv))
+    del knobs["config"]
+    return StudyConfig(**knobs)
 
 
 def run_main(argv=None):

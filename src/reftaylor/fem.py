@@ -29,7 +29,7 @@ from scipy.sparse.linalg import cg
 from .fields import ScalarField
 from .quadrature import simplex_rule
 from .registry import sine_product
-from .simplex import _unique_rows, global_interp
+from .simplex import _unique_rows, global_interp, interp_error_bounds
 
 __all__ = [
     "SolverError",
@@ -372,28 +372,23 @@ def estimate_report(problem, mesh, space, d1_inf, d2_inf):
 
     d1_inf and d2_inf are the analytic sup norms of the exact solution's
     first and second derivatives over the domain; with sampled stand-ins
-    the containment claims are only as good as the sampling.  The bounds
-    all carry the stability factor C/alpha and sqrt of the domain measure:
-
-        classical  (C/a) * d2/2 * h^2 * sqrt(mu)
-        refined    (C/a) * (d1/2 * h + d2/4 * h^2) * sqrt(mu)
-        corrected  (C/a) * d2/4 * h^2 * sqrt(mu)
+    the containment claims are only as good as the sampling.  Each chain is
+    an interp_error_bounds value, taken at the largest element diameter
+    h = mesh_size, times the stability factor C/alpha and sqrt of the domain
+    measure mu: (C/a) * sqrt(mu) * bound.
     """
     if problem.exact_solution is None:
         raise ValueError("estimate_report needs a manufactured exact solution")
-    if d1_inf < 0 or d2_inf < 0:
-        raise ValueError("derivative sup norms must be nonnegative")
+    b = interp_error_bounds(mesh, d1_inf, d2_inf)
     sol = assemble_and_solve(problem, mesh, space)
-    h = mesh.mesh_size
-    sqrt_mu = math.sqrt(sum(mesh.volumes.tolist()))
-    factor = problem.stability_factor
+    scale = problem.stability_factor * math.sqrt(sum(mesh.volumes.tolist()))
     return EstimateReport(
-        h=h,
+        h=mesh.mesh_size,
         measured_solution_error=sol.l2_error,
         measured_interp_error=sol.interp_l2_error,
-        cea_rhs_classical=factor * (d2_inf / 2.0) * h**2 * sqrt_mu,
-        cea_rhs_refined=factor * (d1_inf / 2.0 * h + d2_inf / 4.0 * h**2) * sqrt_mu,
-        cea_rhs_corrected=factor * (d2_inf / 4.0) * h**2 * sqrt_mu,
+        cea_rhs_classical=scale * b.classical,
+        cea_rhs_refined=scale * b.refined,
+        cea_rhs_corrected=scale * b.corrected,
     )
 
 

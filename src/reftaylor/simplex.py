@@ -1,12 +1,15 @@
 """Simplices, barycentric interpolation and conforming simplicial meshes.
 
-The degree-1 interpolant on a simplex S with vertices A_i is
+A Simplex is a one-element Triangulation, so one class builds all element
+geometry.  The degree-1 interpolant on a simplex S with vertices A_i is
 pi(v)(P) = sum_i lambda_i(P) v(A_i).  Its sup error admits two bounds,
 
     classical = |D2v|_inf / 2 * diam^2
     refined   = |Dv|_inf / 2 * diam + |D2v|_inf / 4 * diam^2,
 
 and neither dominates the other, so the useful bound is their minimum.
+On a mesh, diam is the largest element diameter (mesh_size), which covers
+every element at once; a single simplex is the one-element case.
 Subtracting half the first-order mismatch at the vertices,
 
     pi*(v)(P) = pi(v)(P) - 1/2 sum_i lambda_i(P) Dv(A_i).(A_i - P),
@@ -24,8 +27,7 @@ import math
 
 import numpy as np
 
-from .fields import DomainError, ScalarField
-from .quadrature import simplex_rule
+from .fields import DomainError
 
 __all__ = [
     "GeometryError",
@@ -88,79 +90,17 @@ def _unique_rows(rows):
     return uniq[order], rank[inverse.reshape(-1)], counts[order]
 
 
-class Simplex:
-    """Nondegenerate n-simplex in R^n, n in {1, 2, 3}.
-
-    vertices is an (n+1, n) array.  Degeneracy is measured against the scale
-    of the simplex: the volume must exceed 1e-12 * diameter^n.
-    """
-
-    def __init__(self, vertices):
-        v = np.asarray(vertices, dtype=float)
-        if v.ndim != 2 or v.shape[0] != v.shape[1] + 1:
-            raise GeometryError(f"need n+1 vertices in R^n, got shape {v.shape}")
-        n = v.shape[1]
-        if n not in (1, 2, 3):
-            raise GeometryError(f"dim must be 1, 2 or 3, got {n}")
-        self.vertices = v.copy()
-        self.vertices.flags.writeable = False
-        self.dim = n
-        volumes, diameters, bary_matrices = _simplex_geometry(v[None])
-        self.volume = float(volumes[0])
-        self.diameter = float(diameters[0])
-        self._bary_matrix = bary_matrices[0]
-
-    @property
-    def centroid(self):
-        return self.vertices.mean(axis=0)
-
-    @property
-    def barycentric_gradients(self):
-        """Constant gradients of the barycentric coordinates, shape (n+1, n)."""
-        return self._bary_matrix[:, 1:]
-
-    def barycentric(self, point):
-        point = np.atleast_1d(np.asarray(point, dtype=float))
-        if point.size != self.dim:
-            raise ValueError(f"point has dim {point.size}, simplex has {self.dim}")
-        return self._bary_matrix @ np.concatenate([[1.0], point])
-
-    def barycentric_many(self, points):
-        points = np.asarray(points, dtype=float).reshape(-1, self.dim)
-        ones = np.ones((len(points), 1))
-        return np.hstack([ones, points]) @ self._bary_matrix.T
-
-    def contains(self, point, tol=INSIDE_TOL):
-        return bool(np.min(self.barycentric(point)) >= -tol)
-
-    def random_points(self, rng, count):
-        """Uniform samples inside the simplex (flat Dirichlet weights)."""
-        w = rng.exponential(size=(count, self.dim + 1))
-        w /= w.sum(axis=1, keepdims=True)
-        return w @ self.vertices
-
-    def __repr__(self):
-        return f"Simplex(dim={self.dim}, diam={self.diameter:.3g})"
-
-
 def barycentric(s, point):
     """Barycentric coordinates of a point: solve sum lambda_i A_i = P, sum = 1."""
     return s.barycentric(point)
 
 
-def _inside_or_raise(s, point, tol=INSIDE_TOL):
-    lam = s.barycentric(point)
-    if np.min(lam) < -tol:
-        raise DomainError(
-            f"point {np.atleast_1d(point).tolist()} lies outside the element "
-            f"(min barycentric coordinate {np.min(lam):.3e})"
-        )
-    return lam
-
-
 def pi_interp(s, v, point):
-    """Degree-1 interpolation sum_i lambda_i(P) v(A_i); exact for affine v."""
-    lam = _inside_or_raise(s, point)
+    """Degree-1 interpolation sum_i lambda_i(P) v(A_i) on a Simplex s.
+
+    Exact for affine v; a point outside s raises DomainError.
+    """
+    _, lam = s.locate(point)
     vals = v.value_at(s.vertices)
     return float(lam @ vals)
 
@@ -171,7 +111,7 @@ def pi_star_interp(s, v, point):
     pi*(v)(P) = pi(v)(P) - 1/2 sum_i lambda_i(P) Dv(A_i).(A_i - P).
     Reproduces polynomials of degree <= 2 exactly.
     """
-    lam = _inside_or_raise(s, point)
+    _, lam = s.locate(point)
     point = np.atleast_1d(np.asarray(point, dtype=float))
     vals = v.value_at(s.vertices)
     grads = v.grad_at(s.vertices)
@@ -180,7 +120,7 @@ def pi_star_interp(s, v, point):
 
 
 class InterpBounds:
-    """The three sup-error bounds on one simplex, plus their minimum."""
+    """The three sup-error bounds over a triangulation, plus their minimum."""
 
     __slots__ = ("classical", "refined", "corrected", "combined")
 
@@ -197,15 +137,18 @@ class InterpBounds:
         )
 
 
-def interp_error_bounds(s, d1_inf, d2_inf):
+def interp_error_bounds(mesh, d1_inf, d2_inf):
     """Error bounds for pi (classical/refined/combined) and pi* (corrected).
 
-    d1_inf and d2_inf bound the operator norms of Dv and D2v over the
-    simplex; certified inputs give certified bounds.
+    mesh is any Triangulation, a single Simplex included, and h is its
+    largest element diameter (mesh_size), so the bounds hold on every
+    element.  d1_inf and d2_inf bound the operator norms of Dv and D2v over
+    the mesh; certified inputs give certified bounds.  This is the only
+    place the three formulas are written; the FEM chains scale these.
     """
     if d1_inf < 0 or d2_inf < 0:
         raise ValueError("operator-norm bounds must be nonnegative")
-    h = s.diameter
+    h = mesh.mesh_size
     return InterpBounds(
         classical=d2_inf / 2.0 * h**2,
         refined=d1_inf / 2.0 * h + d2_inf / 4.0 * h**2,
@@ -222,10 +165,12 @@ class Triangulation:
     The element geometry is stacked once at construction, element k in
     row k: volumes (M,), diameters (M,) and bary_matrices (M, n+1, n+1),
     where row i of bary_matrices[k] maps (1, P) to lambda_i(P) on element k
-    and its columns 1: are the barycentric gradients.  simplex(k) builds one
-    Simplex on demand.  The face table is built on the first face_counts()
-    call and cached, so vertices and elements are read-only copies.  locate
-    tests every element at once; the lowest containing index wins.
+    and its columns 1: are the barycentric gradients; mesh_size is the
+    largest diameter.  A Simplex is the one-element case, and simplex(k)
+    builds element k as one on demand.  The face table is built on the
+    first face_counts() call and cached, so vertices and elements are
+    read-only copies.  locate tests every element at once; the lowest
+    containing index wins.
     """
 
     def __init__(self, vertices, elements):
@@ -313,6 +258,55 @@ class Triangulation:
             raise DomainError(f"point {point.tolist()} lies outside the mesh")
         k = int(inside[0])
         return k, lam[k]
+
+
+class Simplex(Triangulation):
+    """Nondegenerate n-simplex in R^n, n in {1, 2, 3}: a one-element Triangulation.
+
+    vertices is an (n+1, n) array.  Degeneracy is measured against the scale
+    of the simplex: the volume must exceed 1e-12 * diameter^n.
+    """
+
+    def __init__(self, vertices):
+        v = np.asarray(vertices, dtype=float)
+        if v.ndim != 2 or v.shape[0] != v.shape[1] + 1:
+            raise GeometryError(f"need n+1 vertices in R^n, got shape {v.shape}")
+        super().__init__(v, [range(len(v))])
+
+    @property
+    def volume(self):
+        return float(self.volumes[0])
+
+    @property
+    def diameter(self):
+        return self.mesh_size
+
+    @property
+    def centroid(self):
+        return self.vertices.mean(axis=0)
+
+    @property
+    def barycentric_gradients(self):
+        """Constant gradients of the barycentric coordinates, shape (n+1, n)."""
+        return self.bary_matrices[0][:, 1:]
+
+    def barycentric(self, point):
+        point = np.atleast_1d(np.asarray(point, dtype=float))
+        if point.size != self.dim:
+            raise ValueError(f"point has dim {point.size}, simplex has {self.dim}")
+        return self.bary_matrices[0] @ np.concatenate([[1.0], point])
+
+    def contains(self, point, tol=INSIDE_TOL):
+        return bool(np.min(self.barycentric(point)) >= -tol)
+
+    def random_points(self, rng, count):
+        """Uniform samples inside the simplex (flat Dirichlet weights)."""
+        w = rng.exponential(size=(count, self.dim + 1))
+        w /= w.sum(axis=1, keepdims=True)
+        return w @ self.vertices
+
+    def __repr__(self):
+        return f"Simplex(dim={self.dim}, diam={self.diameter:.3g})"
 
 
 class MeshInterpolant:

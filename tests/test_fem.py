@@ -19,7 +19,7 @@ from reftaylor.fem import (
     sine_problem,
 )
 from reftaylor.fields import ScalarField
-from reftaylor.simplex import Triangulation, uniform_mesh
+from reftaylor.simplex import Triangulation, interp_error_bounds, uniform_mesh
 
 SINE_D1 = math.pi       # sup |grad u| for u = prod sin(pi x_i), dims 1 and 2
 SINE_D2 = math.pi**2    # sup |D2 u| (spectral), both dims
@@ -210,6 +210,18 @@ def test_p1_convergence_2d():
     assert all(0.60 <= e / h**2 <= 0.75 for e, h in zip(errs, hs))
 
 
+@pytest.mark.parametrize("dim,ks", [(1, (4, 8, 16, 32, 64)), (2, (4, 8, 16, 32))])
+def test_p2_convergence_order(dim, ks):
+    p = sine_problem(dim)
+    errs, hs = [], []
+    for k in ks:
+        m = uniform_mesh(unit_box(dim), dim, k)
+        errs.append(assemble_and_solve(p, m, "P2").l2_error)
+        hs.append(m.mesh_size)
+    slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
+    assert slope == pytest.approx(3.0, abs=0.1)
+
+
 def test_p2_beats_p1_on_smooth_data():
     p = sine_problem(1, reaction=1.0)
     m = uniform_mesh([(0.0, 1.0)], 1, 16)
@@ -282,6 +294,12 @@ def test_estimate_report_containments(dim, space):
             solution_bound = rep.cea_rhs_corrected
         assert rep.measured_interp_error <= interp_bound
         assert rep.measured_solution_error <= solution_bound
+        # every chain is the one interp_error_bounds value, scaled
+        scale = fac * math.sqrt(sum(m.volumes.tolist()))
+        b = interp_error_bounds(m, SINE_D1, SINE_D2)
+        assert rep.cea_rhs_classical == scale * b.classical
+        assert rep.cea_rhs_refined == scale * b.refined
+        assert rep.cea_rhs_corrected == scale * b.corrected
 
 
 def test_corrected_rhs_is_half_classical():

@@ -309,6 +309,12 @@ def test_stacked_geometry_equals_per_element_simplices():
             m.bary_matrices[:, :, 1:], [s.barycentric_gradients for s in simplices]
         )
         assert m.mesh_size == max(s.diameter for s in simplices)
+        # a whole mesh takes the bounds at its largest element diameter
+        assert interp_error_bounds(m, 1.5, 2.5).classical == 2.5 / 2.0 * m.mesh_size**2
+        # and a Simplex is the one-element triangulation
+        for s in simplices:
+            assert isinstance(s, Triangulation) and len(s) == 1
+            assert s.volume == s.volumes[0] and s.diameter == s.mesh_size
 
 
 def test_zero_subdivisions_rejected():
