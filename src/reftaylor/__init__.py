@@ -7,16 +7,17 @@ The package has four layers:
 - interp1d: consequences for linear interpolation on an interval, including
   the convex exponential family on which the mixed bound provably wins;
 - simplex: barycentric interpolation on simplices and meshes (a simplex is
-  a one-element mesh), with the half-constant corrected interpolant and the
-  interpolation bounds at the largest element diameter;
+  a one-element mesh), with the half-constant corrected interpolant, the
+  one InterpBounds formula for the interpolation bounds at a size h, and
+  the mesh-savings arithmetic that inverts it;
 - fem: P1/P2 elliptic model problems, quasi-optimality gap measurements and
-  the mesh-savings arithmetic.
+  the a-priori bound chains.
 
 The cli module exposes all of it as reproducible CSV studies.
 
 Only the fem layer needs scipy, and it is loaded the first time it is used:
 by `import reftaylor.fem`, by any fem name taken from the package (such as
-`reftaylor.assemble_and_solve`), or by the `fem` and `savings` commands.
+`reftaylor.assemble_and_solve`), or by the `fem` command.
 Importing the package, the cli or the other layers leaves scipy unloaded.
 """
 
@@ -58,10 +59,8 @@ from .simplex import (
     MeshInterpolant,
     Simplex,
     Triangulation,
-    barycentric,
     face_jumps,
-    global_interp,
-    interp_error_bounds,
+    mesh_savings,
     pi_interp,
     pi_star_interp,
     read_mesh_text,
@@ -91,7 +90,6 @@ _FEM_NAMES = frozenset({
     "estimate_report",
     "h1_seminorm_error",
     "l2_norm_error",
-    "mesh_savings",
     "poincare_constant",
     "sine_problem",
 })

@@ -40,7 +40,7 @@ from .interp1d import (
     rate_for_beta,
 )
 from .registry import UnknownFieldError, lookup, registry, registry_selftest
-from .simplex import global_interp, interp_error_bounds, uniform_mesh
+from .simplex import InterpBounds, MeshInterpolant, mesh_savings, uniform_mesh
 
 __all__ = [
     "StudyConfig",
@@ -259,9 +259,9 @@ def _simplex_rows(cfg):
 
     def one(k):
         mesh = uniform_mesh(entry.box, entry.dim, k)
-        bounds = interp_error_bounds(mesh, d1, d2)
-        plain = global_interp(mesh, f)
-        star = global_interp(mesh, f, corrected=True)
+        bounds = InterpBounds(mesh.mesh_size, d1, d2)
+        plain = MeshInterpolant(mesh, f)
+        star = MeshInterpolant(mesh, f, corrected=True)
         rng = np.random.default_rng([cfg.seed, k])
         pts = lo + rng.random((cfg.points, entry.dim)) * span
         vals = f.value_at(pts)
@@ -278,7 +278,7 @@ def _simplex_rows(cfg):
 
 
 def _fem_rows(cfg):
-    # fem loads scipy; only this study and savings need it.
+    # fem loads scipy; only this study needs it.
     from .fem import SolverError, estimate_report, sine_problem
 
     problem = sine_problem(cfg.dim, diffusion=cfg.diffusion, reaction=cfg.reaction)
@@ -310,8 +310,6 @@ def _fem_rows(cfg):
 
 
 def _savings_rows(cfg):
-    from .fem import mesh_savings
-
     def one(eps):
         s = mesh_savings(eps, cfg.d2_inf, cfg.big_c, cfg.alpha, cfg.dim)
         return (

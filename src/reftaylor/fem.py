@@ -5,10 +5,10 @@ on meshed boxes in one and two dimensions, in P1 or P2 spaces.  The point is
 not the solver, which is deliberately desk scale, but the error-estimate
 chain around it: with continuity C and ellipticity alpha for the bilinear
 form, the quasi-optimality constant C/alpha multiplies an interpolation
-bound, and the three interpolation bounds (classical curvature-only, refined
-slope+curvature, corrected) give three right-hand sides.  The corrected
-chain carries half the classical constant, which buys a sqrt(2) coarser
-mesh for the same tolerance; mesh_savings does that arithmetic.
+bound, and the three simplex.InterpBounds values (classical curvature-only,
+refined slope+curvature, corrected) give three right-hand sides.  The
+corrected chain carries half the classical constant, which buys a sqrt(2)
+coarser mesh for the same tolerance (simplex.mesh_savings).
 
 C and alpha are inputs with documented defaults, reported rather than
 certified: C = max(1 + diffusion, reaction), which bounds the form since
@@ -29,7 +29,7 @@ from scipy.sparse.linalg import cg
 from .fields import ScalarField
 from .quadrature import simplex_rule
 from .registry import sine_product
-from .simplex import _unique_rows, global_interp, interp_error_bounds
+from .simplex import InterpBounds, MeshInterpolant, _unique_rows
 
 __all__ = [
     "SolverError",
@@ -42,7 +42,6 @@ __all__ = [
     "h1_seminorm_error",
     "cea_gap",
     "estimate_report",
-    "mesh_savings",
     "sine_problem",
 ]
 
@@ -203,34 +202,24 @@ class FemSolution:
         exact = problem.exact_solution
         if exact is not None:
             self.l2_error = l2_norm_error(mesh, self, exact)
-            interp = global_interp(mesh, exact, corrected=(space == "P2"))
+            interp = MeshInterpolant(mesh, exact, corrected=(space == "P2"))
             self.interp_l2_error = l2_norm_error(mesh, interp, exact)
 
-    def eval_on_element(self, k, bary):
-        """Values at barycentric points of element k; bary is (Q, n+1).
+    def eval_on_element(self, ks, bary):
+        """Values (K, Q) at barycentric points of the elements ks (K,).
 
-        k may also be an index array (K,); bary is then (Q, n+1), shared by
-        all K elements, or (K, Q, n+1), and the values come back as (K, Q).
+        bary is (Q, n+1), shared by all K elements, or (K, Q, n+1).
         """
-        ks = np.atleast_1d(k)
         N, _ = _basis(self.space, self.mesh.dim, bary)
-        out = (N @ self.dof_values[self.elem_dofs[ks]][:, :, None])[..., 0]
-        return out if np.ndim(k) else out[0]
+        return (N @ self.dof_values[self.elem_dofs[ks]][:, :, None])[..., 0]
 
-    def grad_on_element(self, k, bary):
-        """Gradients at barycentric points bary (Q, n+1) of element k, (Q, n).
-
-        As in eval_on_element, an index array k gives shape (K, Q, n).
-        """
-        ks = np.atleast_1d(k)
+    def grad_on_element(self, ks, bary):
+        """Gradients (K, Q, n) at barycentric points bary (Q, n+1) of the elements ks."""
         _, D = _basis(self.space, self.mesh.dim, bary)
         G = np.einsum("qlb,kbn->kqln", D, self.mesh.bary_matrices[ks, :, 1:])
-        out = np.einsum("kqln,kl->kqn", G, self.dof_values[self.elem_dofs[ks]])
-        return out if np.ndim(k) else out[0]
+        return np.einsum("kqln,kl->kqn", G, self.dof_values[self.elem_dofs[ks]])
 
-    def __call__(self, point):
-        k, lam = self.mesh.locate(point)
-        return float(self.eval_on_element(k, lam.reshape(1, -1))[0])
+    __call__ = MeshInterpolant.__call__
 
 
 def assemble_and_solve(problem, mesh, space="P1"):
@@ -343,6 +332,14 @@ def h1_seminorm_error(mesh, sol, exact):
     return _quadrature_norm(mesh, w, np.sum(diff**2, axis=2))
 
 
+def _check_reportable(problem, mesh, caller):
+    """The error reports need an exact solution and a mesh inside problem.box."""
+    if problem.exact_solution is None:
+        raise ValueError(f"{caller} needs a manufactured exact solution")
+    if np.any(mesh.vertices < problem.box[:, 0]) or np.any(mesh.vertices > problem.box[:, 1]):
+        raise ValueError(f"{caller}: mesh leaves the problem box {problem.box.tolist()}")
+
+
 def cea_gap(sol, problem):
     """Measured quasi-optimality pair (lhs, rhs).
 
@@ -350,8 +347,7 @@ def cea_gap(sol, problem):
     from u to its interpolant in the solution space, the chain a Galerkin
     solution can never beat by more than the constants allow.
     """
-    if problem.exact_solution is None:
-        raise ValueError("cea_gap needs a manufactured exact solution")
+    _check_reportable(problem, sol.mesh, "cea_gap")
     return sol.l2_error, problem.stability_factor * sol.interp_l2_error
 
 
@@ -373,13 +369,12 @@ def estimate_report(problem, mesh, space, d1_inf, d2_inf):
     d1_inf and d2_inf are the analytic sup norms of the exact solution's
     first and second derivatives over the domain; with sampled stand-ins
     the containment claims are only as good as the sampling.  Each chain is
-    an interp_error_bounds value, taken at the largest element diameter
+    an InterpBounds value, taken at the largest element diameter
     h = mesh_size, times the stability factor C/alpha and sqrt of the domain
     measure mu: (C/a) * sqrt(mu) * bound.
     """
-    if problem.exact_solution is None:
-        raise ValueError("estimate_report needs a manufactured exact solution")
-    b = interp_error_bounds(mesh, d1_inf, d2_inf)
+    _check_reportable(problem, mesh, "estimate_report")
+    b = InterpBounds(mesh.mesh_size, d1_inf, d2_inf)
     sol = assemble_and_solve(problem, mesh, space)
     scale = problem.stability_factor * math.sqrt(sum(mesh.volumes.tolist()))
     return EstimateReport(
@@ -390,26 +385,6 @@ def estimate_report(problem, mesh, space, d1_inf, d2_inf):
         cea_rhs_refined=scale * b.refined,
         cea_rhs_corrected=scale * b.corrected,
     )
-
-
-def mesh_savings(eps, d2_inf, C, alpha, dim):
-    """Largest mesh sizes meeting a tolerance, classical versus corrected.
-
-    Solving (C/alpha) * d2/2 * h^2 = eps and the corrected variant with the
-    /4 constant gives h_corrected = sqrt(2) * h_classical for free, so a
-    corrected build needs (1/sqrt(2))^dim as many nodes.
-    """
-    if eps <= 0 or d2_inf <= 0 or C <= 0 or alpha <= 0:
-        raise ValueError("eps, d2_inf, C and alpha must all be positive")
-    if dim not in (1, 2, 3):
-        raise ValueError(f"dim must be 1, 2 or 3, got {dim}")
-    h_classical = math.sqrt(2.0 * alpha * eps / (C * d2_inf))
-    h_corrected = math.sqrt(4.0 * alpha * eps / (C * d2_inf))
-    return {
-        "h_classical": h_classical,
-        "h_corrected": h_corrected,
-        "node_factor": (1.0 / math.sqrt(2.0)) ** dim,
-    }
 
 
 def sine_problem(dim, diffusion=1.0, reaction=0.0):

@@ -11,7 +11,8 @@ tightens the remainder and yields the mixed bound
     refined = (b - a) |f'|_inf / 4 + (b - a)^2 |f''|_inf / 16,
 
 which wins exactly when |f'|_inf < (b - a) |f''|_inf / 4, i.e. for functions
-whose slope stays small relative to their curvature.  The quotient
+whose slope stays small relative to their curvature.  Both are
+simplex.InterpBounds at the circumradius h = (b - a) / 2.  The quotient
 beta = refined / classical measures the gain.
 
 The convex exponential family below realises any target beta in (1/2, 1]:
@@ -27,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import ScalarField
+from .simplex import InterpBounds
 
 __all__ = [
     "Interval",
@@ -122,12 +124,14 @@ def compare_bounds(f, iv, f1_sup, f2_sup, grid=1001):
     f1_sup and f2_sup are sup-norm bounds for f' and f'' on iv; they must be
     certified by the caller for the resulting bounds to be certified.  A zero
     f2_sup is only consistent with an affine f, which is checked on the grid.
+
+    The bounds are InterpBounds at the circumradius L/2, where the classical
+    bound is sharp (Waldron, SIAM J. Numer. Anal. 35, 1998).  The mesh layer
+    reads them at the diameter L, 4x these on one interval (2x to 4x refined).
     """
-    if f1_sup < 0 or f2_sup < 0:
-        raise ValueError("derivative sup-norms must be nonnegative")
+    bounds = InterpBounds(iv.length / 2.0, f1_sup, f2_sup)
     if grid < 3:
         raise ValueError(f"grid must have at least 3 points, got {grid}")
-    length = iv.length
     xs = iv.grid(grid)
     vals = f.value_at(xs.reshape(-1, 1))
     interp = linear_interpolant(f, iv)
@@ -141,8 +145,7 @@ def compare_bounds(f, iv, f1_sup, f2_sup, grid=1001):
                 f"from the endpoint line is {measured:.3e}"
             )
 
-    classical = length**2 * f2_sup / 8.0
-    refined = length * f1_sup / 4.0 + length**2 * f2_sup / 16.0
+    classical, refined = bounds.classical, bounds.refined
     beta = refined / classical if classical > 0.0 else math.inf
     return BoundComparison(
         classical=classical, refined=refined, beta=beta, measured_sup_error=measured
@@ -155,11 +158,17 @@ def rate_for_beta(beta, iv):
     Functions obeying |f'|_inf <= |f''|_inf / rate on an interval of length L
     have refined <= beta * classical exactly when rate >= 4 / ((2 beta - 1) L);
     this returns that threshold.  Only beta > 1/2 is reachable: the curvature
-    half of the mixed bound alone is already classical / 2.
+    half of the mixed bound alone is already classical / 2.  A beta whose
+    exp(rate * L) = exp(4 / (2 beta - 1)) overflows a float is rejected too.
     """
     if not beta > 0.5:
         raise ValueError(f"beta must exceed 1/2, got {beta}")
-    return 4.0 / ((2.0 * beta - 1.0) * iv.length)
+    rate = 4.0 / ((2.0 * beta - 1.0) * iv.length)
+    limit = math.log(np.finfo(float).max)
+    if rate * iv.length > limit:
+        raise ValueError(f"beta={beta:g} overflows exp(rate * length); "
+                         f"the smallest usable beta is {0.5 + 2.0 / limit:.6f}")
+    return rate
 
 
 def _class_p_parts(params, a):
@@ -210,12 +219,14 @@ def class_p_sup_norms(params, iv):
     """Analytic (|f'|_inf, |f''|_inf) over iv for a family member.
 
     f'' is nonnegative and increasing, so its sup sits at the right endpoint;
-    f' is nondecreasing, so |f'| peaks at one of the endpoints.
+    f' is nondecreasing, so |f'| peaks at one of the endpoints.  A norm that
+    overflows a float raises ValueError rather than being dropped by max.
     """
     _, deriv, deriv2 = _class_p_parts(params, iv.a)
-    f1 = max(abs(float(deriv(iv.a))), abs(float(deriv(iv.b))))
-    f2 = float(deriv2(iv.b))
-    return f1, f2
+    ends = (abs(float(deriv(iv.a))), abs(float(deriv(iv.b))), float(deriv2(iv.b)))
+    if not all(map(math.isfinite, ends)):
+        raise ValueError(f"sup norms at rate {params.rate:g} overflow a float")
+    return max(ends[:2]), ends[2]
 
 
 def class_p_lower_envelope(params, iv, x):

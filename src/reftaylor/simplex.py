@@ -2,24 +2,25 @@
 
 A Simplex is a one-element Triangulation, so one class builds all element
 geometry.  The degree-1 interpolant on a simplex S with vertices A_i is
-pi(v)(P) = sum_i lambda_i(P) v(A_i).  Its sup error admits two bounds,
+pi(v)(P) = sum_i lambda_i(P) v(A_i).  At a size h its sup error admits two bounds,
 
-    classical = |D2v|_inf / 2 * diam^2
-    refined   = |Dv|_inf / 2 * diam + |D2v|_inf / 4 * diam^2,
+    classical = |D2v|_inf / 2 * h^2
+    refined   = |Dv|_inf / 2 * h + |D2v|_inf / 4 * h^2,
 
 and neither dominates the other, so the useful bound is their minimum.
-On a mesh, diam is the largest element diameter (mesh_size), which covers
-every element at once; a single simplex is the one-element case.
+InterpBounds writes these formulas once: a mesh reads them at its largest
+element diameter (mesh_size), interp1d at an interval's circumradius.
 Subtracting half the first-order mismatch at the vertices,
 
     pi*(v)(P) = pi(v)(P) - 1/2 sum_i lambda_i(P) Dv(A_i).(A_i - P),
 
 cancels the averaged-derivative remainder: pi* reproduces quadratics exactly
-and satisfies the curvature-only bound |D2v|_inf / 4 * diam^2, half the
-classical constant.  On a shared mesh face only face-vertex terms survive in
-the correction and vertex data is global, so the two-sided values agree in
-exact arithmetic; face_jumps measures the actual floating-point disagreement
-rather than assuming it away.
+and satisfies the curvature-only bound |D2v|_inf / 4 * h^2, half the
+classical constant, so mesh_savings allows a sqrt(2) coarser mesh.  On a
+shared mesh face only face-vertex terms survive in the correction and vertex
+data is global, so the two-sided values agree in exact arithmetic;
+face_jumps measures the actual floating-point disagreement rather than
+assuming it away.
 """
 
 import itertools
@@ -34,11 +35,9 @@ __all__ = [
     "Simplex",
     "Triangulation",
     "InterpBounds",
-    "barycentric",
     "pi_interp",
     "pi_star_interp",
-    "interp_error_bounds",
-    "global_interp",
+    "mesh_savings",
     "MeshInterpolant",
     "uniform_mesh",
     "write_mesh_text",
@@ -90,11 +89,6 @@ def _unique_rows(rows):
     return uniq[order], rank[inverse.reshape(-1)], counts[order]
 
 
-def barycentric(s, point):
-    """Barycentric coordinates of a point: solve sum lambda_i A_i = P, sum = 1."""
-    return s.barycentric(point)
-
-
 def pi_interp(s, v, point):
     """Degree-1 interpolation sum_i lambda_i(P) v(A_i) on a Simplex s.
 
@@ -120,15 +114,23 @@ def pi_star_interp(s, v, point):
 
 
 class InterpBounds:
-    """The three sup-error bounds over a triangulation, plus their minimum."""
+    """Sup-error bounds of linear interpolation at size h, plus their minimum.
+
+    d1_inf and d2_inf bound the operator norms of Dv and D2v; certified
+    inputs give certified bounds.  classical and refined bound pi, corrected
+    bounds pi*.  A mesh passes h = mesh_size, so the bounds hold on every
+    element; interp1d passes the interval's circumradius, half its length.
+    """
 
     __slots__ = ("classical", "refined", "corrected", "combined")
 
-    def __init__(self, classical, refined, corrected):
-        self.classical = classical
-        self.refined = refined
-        self.corrected = corrected
-        self.combined = min(classical, refined)
+    def __init__(self, h, d1_inf, d2_inf):
+        if d1_inf < 0 or d2_inf < 0:
+            raise ValueError("operator-norm bounds must be nonnegative")
+        self.classical = d2_inf / 2.0 * h**2
+        self.refined = d1_inf / 2.0 * h + d2_inf / 4.0 * h**2
+        self.corrected = d2_inf / 4.0 * h**2
+        self.combined = min(self.classical, self.refined)
 
     def __repr__(self):
         return (
@@ -137,23 +139,24 @@ class InterpBounds:
         )
 
 
-def interp_error_bounds(mesh, d1_inf, d2_inf):
-    """Error bounds for pi (classical/refined/combined) and pi* (corrected).
+def mesh_savings(eps, d2_inf, C, alpha, dim):
+    """Largest mesh sizes meeting a tolerance, classical versus corrected.
 
-    mesh is any Triangulation, a single Simplex included, and h is its
-    largest element diameter (mesh_size), so the bounds hold on every
-    element.  d1_inf and d2_inf bound the operator norms of Dv and D2v over
-    the mesh; certified inputs give certified bounds.  This is the only
-    place the three formulas are written; the FEM chains scale these.
+    Solves (C/alpha) * bound * h^2 = eps for the classical and corrected
+    bounds of InterpBounds at h = 1.  The corrected constant is half the
+    classical one, so h_corrected = sqrt(2) * h_classical for free and a
+    corrected build needs (1/sqrt(2))^dim as many nodes.
     """
-    if d1_inf < 0 or d2_inf < 0:
-        raise ValueError("operator-norm bounds must be nonnegative")
-    h = mesh.mesh_size
-    return InterpBounds(
-        classical=d2_inf / 2.0 * h**2,
-        refined=d1_inf / 2.0 * h + d2_inf / 4.0 * h**2,
-        corrected=d2_inf / 4.0 * h**2,
-    )
+    if eps <= 0 or d2_inf <= 0 or C <= 0 or alpha <= 0:
+        raise ValueError("eps, d2_inf, C and alpha must all be positive")
+    if dim not in (1, 2, 3):
+        raise ValueError(f"dim must be 1, 2 or 3, got {dim}")
+    unit = InterpBounds(1.0, 0.0, d2_inf)
+    return {
+        "h_classical": math.sqrt(alpha * eps / (C * unit.classical)),
+        "h_corrected": math.sqrt(alpha * eps / (C * unit.corrected)),
+        "node_factor": (1.0 / math.sqrt(2.0)) ** dim,
+    }
 
 
 # --------------------------------------------------------------- meshes
@@ -323,13 +326,11 @@ class MeshInterpolant:
         self.vertex_values = v.value_at(mesh.vertices)
         self.vertex_grads = v.grad_at(mesh.vertices) if corrected else None
 
-    def eval_on_element(self, k, bary):
-        """Values at barycentric points of element k; bary is (Q, n+1).
+    def eval_on_element(self, ks, bary):
+        """Values (K, Q) at barycentric points of the elements ks (K,).
 
-        k may also be an index array (K,); bary is then (Q, n+1), shared by
-        all K elements, or (K, Q, n+1), and the values come back as (K, Q).
+        bary is (Q, n+1), shared by all K elements, or (K, Q, n+1).
         """
-        ks = np.atleast_1d(k)
         bary = np.asarray(bary, dtype=float)
         idx = self.mesh.elements[ks]
         out = (bary @ self.vertex_values[idx][:, :, None])[..., 0]
@@ -341,16 +342,11 @@ class MeshInterpolant:
             dots = np.einsum("kin,kqn->kqi", grads, -points) + (grads * verts).sum(axis=2)[:, None]
             bary = np.broadcast_to(bary, dots.shape)
             out = out - 0.5 * np.einsum("kqi,kqi->kq", bary, dots)
-        return out if np.ndim(k) else out[0]
+        return out
 
     def __call__(self, point):
         k, lam = self.mesh.locate(point)
-        return float(self.eval_on_element(k, lam.reshape(1, -1))[0])
-
-
-def global_interp(mesh, v, corrected=False):
-    """Interpolate a field over a whole mesh; see MeshInterpolant."""
-    return MeshInterpolant(mesh, v, corrected=corrected)
+        return float(self.eval_on_element([k], lam[None])[0, 0])
 
 
 def face_jumps(mesh, interp, samples_per_face=8, rng=None):

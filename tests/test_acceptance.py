@@ -22,7 +22,7 @@ from reftaylor.expansion import (
     summation_identity_check,
     taylor_first_order,
 )
-from reftaylor.fem import assemble_and_solve, cea_gap, estimate_report, mesh_savings, sine_problem
+from reftaylor.fem import assemble_and_solve, cea_gap, estimate_report, sine_problem
 from reftaylor.fields import ScalarField
 from reftaylor.interp1d import (
     ClassPParams,
@@ -34,7 +34,9 @@ from reftaylor.interp1d import (
     rate_for_beta,
 )
 from reftaylor.registry import lookup
-from reftaylor.simplex import Simplex, interp_error_bounds, pi_interp, pi_star_interp, uniform_mesh
+from reftaylor.simplex import (
+    InterpBounds, Simplex, mesh_savings, pi_interp, pi_star_interp, uniform_mesh,
+)
 
 
 def _finish(num, label, start, budget, failures):
@@ -248,7 +250,7 @@ def test_criterion_08_simplex_interpolation_bounds():
         f = entry.field()
         for _ in range(2):
             s = _shrunk_random_simplex(rng, entry.box)
-            bounds = interp_error_bounds(s, entry.d1_inf, entry.d2_inf)
+            bounds = InterpBounds(s.mesh_size, entry.d1_inf, entry.d2_inf)
             points = s.random_points(rng, 1000)
             exact = f.value_at(points)
             for point, truth in zip(points, exact):

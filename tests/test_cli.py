@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from reftaylor.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, StudyConfi
 from reftaylor.registry import lookup
 
 DIGESTS = Path(__file__).resolve().parent.parent / "perfbench" / "digests.json"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def _read_csv(path):
@@ -163,6 +165,33 @@ def test_unknown_function_exits_usage_and_lists_registry(tmp_path, capsys):
 )
 def test_usage_errors(args, tmp_path):
     assert run_main(args + ["--output", str(tmp_path / "x.csv")]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["expand", "--function", "classP(beta=0.502)"],
+        ["simplex", "--function", "classP(beta=0.502)"],
+        ["interp1d", "--beta", "0.502,0.75"],
+    ],
+)
+def test_overflowing_class_p_beta_exits_usage(args, tmp_path, capsys):
+    assert run_main(args + ["--output", str(tmp_path / "x.csv")]) == EXIT_USAGE
+    assert "error: " in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_readme_command_line_examples_run(tmp_path, monkeypatch, capsys):
+    section = README.read_text().split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.splitlines() if line.strip()]
+    assert commands and all(argv[0] == "reftaylor" for argv in commands)
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert run_main(argv[1:]) == EXIT_OK, argv
+    assert "PASS" in capsys.readouterr().out  # the registry self-test
+    studies = {argv[1] for argv in commands} - {"registry"}
+    assert {p.name for p in tmp_path.glob("*.csv")} == {f"{s}.csv" for s in studies}
 
 
 def test_unwritable_output_exits_io(tmp_path):

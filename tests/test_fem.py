@@ -14,12 +14,11 @@ from reftaylor.fem import (
     estimate_report,
     h1_seminorm_error,
     l2_norm_error,
-    mesh_savings,
     poincare_constant,
     sine_problem,
 )
 from reftaylor.fields import ScalarField
-from reftaylor.simplex import Triangulation, interp_error_bounds, uniform_mesh
+from reftaylor.simplex import InterpBounds, Triangulation, mesh_savings, uniform_mesh
 
 SINE_D1 = math.pi       # sup |grad u| for u = prod sin(pi x_i), dims 1 and 2
 SINE_D2 = math.pi**2    # sup |D2 u| (spectral), both dims
@@ -294,9 +293,9 @@ def test_estimate_report_containments(dim, space):
             solution_bound = rep.cea_rhs_corrected
         assert rep.measured_interp_error <= interp_bound
         assert rep.measured_solution_error <= solution_bound
-        # every chain is the one interp_error_bounds value, scaled
+        # every chain is the one InterpBounds value, scaled
         scale = fac * math.sqrt(sum(m.volumes.tolist()))
-        b = interp_error_bounds(m, SINE_D1, SINE_D2)
+        b = InterpBounds(m.mesh_size, SINE_D1, SINE_D2)
         assert rep.cea_rhs_classical == scale * b.classical
         assert rep.cea_rhs_refined == scale * b.refined
         assert rep.cea_rhs_corrected == scale * b.corrected
@@ -328,6 +327,21 @@ def test_estimate_report_needs_exact_solution():
     p = EllipticProblem(1, zero_field(1))
     with pytest.raises(ValueError, match="exact"):
         estimate_report(p, uniform_mesh([(0.0, 1.0)], 1, 4), "P1", 1.0, 1.0)
+
+
+def test_error_reports_reject_a_mesh_outside_the_problem_box():
+    # the default ellipticity constant comes from the unit box's Poincare
+    # constant (alpha 0.908); on [0, 2] the valid value is 0.712
+    p = sine_problem(1)
+    assert p.ellipticity == pytest.approx(1.0 / (1.0 + 1.0 / math.pi**2))
+    wide = uniform_mesh([(0.0, 2.0)], 1, 8)
+    with pytest.raises(ValueError, match="problem box"):
+        estimate_report(p, wide, "P1", SINE_D1, SINE_D2)
+    with pytest.raises(ValueError, match="problem box"):
+        cea_gap(assemble_and_solve(p, wide, "P1"), p)
+    inner = uniform_mesh([(0.25, 0.75)], 1, 4)
+    lhs, rhs = cea_gap(assemble_and_solve(p, inner, "P1"), p)
+    assert math.isfinite(lhs) and math.isfinite(rhs)
 
 
 # ----------------------------------------------------------- mesh savings

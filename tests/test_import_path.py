@@ -15,31 +15,38 @@ import reftaylor.fem as fem
 
 SRC = str(Path(reftaylor.__file__).resolve().parent.parent)
 
-PROBE = textwrap.dedent(
+LOADED = textwrap.dedent(
     """
     import sys
-    import reftaylor, reftaylor.cli, reftaylor.expansion, reftaylor.simplex
 
     def loaded():
         return sorted(m for m in sys.modules
                       if m == "reftaylor.fem" or m == "scipy" or m.startswith("scipy."))
-
-    assert not loaded(), loaded()
-    from reftaylor import sine_problem
-    assert "reftaylor.fem" in sys.modules
-    assert sine_problem is sys.modules["reftaylor.fem"].sine_problem
-    print("ok")
     """
 )
 
 
-def test_fem_layer_loads_on_first_use():
+def _probe(code, *args):
+    """Run code after LOADED in a fresh interpreter; it must print ok last."""
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": SRC + (os.pathsep + path if path else "")}
-    done = subprocess.run([sys.executable, "-c", PROBE], env=env,
-                          capture_output=True, text=True, timeout=60)
+    done = subprocess.run([sys.executable, "-c", LOADED + textwrap.dedent(code), *args],
+                          env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "ok"
+    assert done.stdout.splitlines()[-1] == "ok"
+
+
+def test_fem_layer_loads_on_first_use():
+    _probe(
+        """
+        import reftaylor, reftaylor.cli, reftaylor.expansion, reftaylor.simplex
+        assert not loaded(), loaded()
+        from reftaylor import sine_problem
+        assert "reftaylor.fem" in sys.modules
+        assert sine_problem is sys.modules["reftaylor.fem"].sine_problem
+        print("ok")
+        """
+    )
 
     for name in fem.__all__:
         assert getattr(reftaylor, name) is getattr(fem, name)
@@ -51,3 +58,19 @@ def test_fem_layer_loads_on_first_use():
     assert vars(fem)["lu_factor"] is scipy.linalg.lu_factor
     assert vars(fem)["lu_solve"] is scipy.linalg.lu_solve
     assert vars(fem)["cg"] is scipy.sparse.linalg.cg
+
+
+def test_savings_command_leaves_scipy_unloaded(tmp_path):
+    # mesh_savings lives in the simplex layer, so the savings study needs no fem
+    out = tmp_path / "savings.csv"
+    _probe(
+        """
+        from reftaylor.cli import run_main
+        argv = ["savings", "--eps", "1e-2,1e-4", "--dim", "2", "--output", sys.argv[1]]
+        assert run_main(argv) == 0
+        assert not loaded(), loaded()
+        print("ok")
+        """,
+        str(out),
+    )
+    assert out.read_text().startswith("eps,h_classical,h_corrected,ratio,node_factor\n")

@@ -121,6 +121,17 @@ def test_rate_for_beta_values():
         rate_for_beta(0.5, UNIT)
     with pytest.raises(ValueError):
         rate_for_beta(0.0, UNIT)
+    # the overflow limit is on exp(rate * L) = exp(4 / (2 beta - 1)), whatever L
+    for iv in (UNIT, Interval(-1.0, 2.0), Interval(0.0, 1e-3)):
+        with pytest.raises(ValueError, match="smallest usable beta"):
+            rate_for_beta(0.502, iv)
+        assert rate_for_beta(0.503, iv) * iv.length == pytest.approx(4.0 / 0.006)
+
+
+def test_class_p_sup_norms_refuse_overflow():
+    params = ClassPParams(rate=1000.0, forcing=1.0)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="overflow"):
+        class_p_sup_norms(params, UNIT)
 
 
 def test_class_p_params_validation():

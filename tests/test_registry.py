@@ -58,6 +58,15 @@ def test_classp_lookup_is_parametric():
         lookup("classP(beta=oops)")
 
 
+def test_classp_lookup_rejects_beta_whose_exponential_overflows():
+    # exp(4 / (2 beta - 1)) = exp(1000) at beta = 0.502 is beyond a float
+    with pytest.raises(ValueError, match="smallest usable beta is 0.502818"):
+        lookup("classP(beta=0.502)")
+    entry = lookup("classP(beta=0.502818)")
+    assert math.isfinite(entry.d1_inf) and entry.d1_inf > 0.0
+    assert math.isfinite(entry.d2_inf) and math.isfinite(entry.segment_bounds.M1)
+
+
 def test_known_names_mentions_parametric_family():
     assert known_names()[-1] == "classP(beta=<b>)"
 

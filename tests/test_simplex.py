@@ -9,12 +9,11 @@ import pytest
 from reftaylor.fields import DomainError, ScalarField
 from reftaylor.simplex import (
     GeometryError,
+    InterpBounds,
+    MeshInterpolant,
     Simplex,
     Triangulation,
-    barycentric,
     face_jumps,
-    global_interp,
-    interp_error_bounds,
     pi_interp,
     pi_star_interp,
     read_mesh_text,
@@ -47,12 +46,12 @@ def exp_sum(dim):
 
 
 def test_barycentric_centroid():
-    lam = barycentric(unit_triangle(), [1 / 3, 1 / 3])
+    lam = unit_triangle().barycentric([1 / 3, 1 / 3])
     np.testing.assert_allclose(lam, [1 / 3, 1 / 3, 1 / 3], atol=1e-14)
 
 
 def test_barycentric_interior_point():
-    lam = barycentric(unit_triangle(), [0.5, 0.25])
+    lam = unit_triangle().barycentric([0.5, 0.25])
     np.testing.assert_allclose(lam, [0.25, 0.5, 0.25], atol=1e-14)
 
 
@@ -169,7 +168,7 @@ def test_interp_outside_element_raises():
 def test_bounds_unit_diameter_example():
     # diam 1, |D2v| = 2, |Dv| = 0: curvature-only data, refined halves classical
     seg = Simplex([[0.0], [1.0]])
-    b = interp_error_bounds(seg, 0.0, 2.0)
+    b = InterpBounds(seg.mesh_size, 0.0, 2.0)
     assert b.classical == pytest.approx(1.0)
     assert b.refined == pytest.approx(0.5)
     assert b.corrected == pytest.approx(0.5)
@@ -181,23 +180,23 @@ def test_corrected_is_half_classical():
     for _ in range(10):
         seg = Simplex([[0.0], [float(rng.uniform(0.1, 5.0))]])
         d1, d2 = rng.uniform(0.0, 4.0), rng.uniform(0.1, 4.0)
-        b = interp_error_bounds(seg, d1, d2)
+        b = InterpBounds(seg.mesh_size, d1, d2)
         assert b.corrected == pytest.approx(0.5 * b.classical, rel=1e-15)
 
 
 def test_combined_picks_smaller_bound():
     seg = Simplex([[0.0], [1.0]])
-    b = interp_error_bounds(seg, 10.0, 2.0)  # large slope: classical wins
+    b = InterpBounds(seg.mesh_size, 10.0, 2.0)  # large slope: classical wins
     assert b.combined == b.classical == pytest.approx(1.0)
-    b = interp_error_bounds(seg, 0.1, 2.0)  # small slope: refined wins
+    b = InterpBounds(seg.mesh_size, 0.1, 2.0)  # small slope: refined wins
     assert b.combined == b.refined == pytest.approx(0.55)
 
 
 def test_bounds_reject_negative_norms():
     with pytest.raises(ValueError, match="nonnegative"):
-        interp_error_bounds(unit_triangle(), -1.0, 2.0)
+        InterpBounds(unit_triangle().mesh_size, -1.0, 2.0)
     with pytest.raises(ValueError, match="nonnegative"):
-        interp_error_bounds(unit_triangle(), 1.0, -2.0)
+        InterpBounds(unit_triangle().mesh_size, 1.0, -2.0)
 
 
 def test_measured_errors_sit_under_bounds():
@@ -206,7 +205,7 @@ def test_measured_errors_sit_under_bounds():
     f = exp_sum(2)
     d1 = math.sqrt(2.0) * math.e
     d2 = 2.0 * math.e
-    b = interp_error_bounds(tri, d1, d2)
+    b = InterpBounds(tri.mesh_size, d1, d2)
     rng = np.random.default_rng(29)
     pts = tri.random_points(rng, 400)
     err_pi = max(abs(pi_interp(tri, f, p) - f.value(p)) for p in pts)
@@ -310,7 +309,7 @@ def test_stacked_geometry_equals_per_element_simplices():
         )
         assert m.mesh_size == max(s.diameter for s in simplices)
         # a whole mesh takes the bounds at its largest element diameter
-        assert interp_error_bounds(m, 1.5, 2.5).classical == 2.5 / 2.0 * m.mesh_size**2
+        assert InterpBounds(m.mesh_size, 1.5, 2.5).classical == 2.5 / 2.0 * m.mesh_size**2
         # and a Simplex is the one-element triangulation
         for s in simplices:
             assert isinstance(s, Triangulation) and len(s) == 1
@@ -363,8 +362,8 @@ def test_locate_outside_raises():
 def test_global_interp_matches_elementwise():
     m = uniform_mesh([(0.0, 1.0), (0.0, 1.0)], 2, 3)
     f = exp_sum(2)
-    I = global_interp(m, f)
-    Istar = global_interp(m, f, corrected=True)
+    I = MeshInterpolant(m, f)
+    Istar = MeshInterpolant(m, f, corrected=True)
     rng = np.random.default_rng(31)
     for p in rng.random((25, 2)):
         k, _ = m.locate(p)
@@ -376,7 +375,7 @@ def test_global_interp_matches_elementwise():
 def test_global_pi_star_quadratic_exactness():
     m = uniform_mesh([(0.0, 1.0), (0.0, 1.0)], 2, 3)
     f = quadratic_2d()
-    I = global_interp(m, f, corrected=True)
+    I = MeshInterpolant(m, f, corrected=True)
     rng = np.random.default_rng(37)
     scale = 1.0 + np.max(np.abs(f.value_at(m.vertices)))
     for p in rng.random((50, 2)):
@@ -386,7 +385,7 @@ def test_global_pi_star_quadratic_exactness():
 def test_interpolants_match_vertex_values():
     m = uniform_mesh([(0.0, 1.0), (0.0, 1.0)], 2, 2)
     f = exp_sum(2)
-    for interp in (global_interp(m, f), global_interp(m, f, corrected=True)):
+    for interp in (MeshInterpolant(m, f), MeshInterpolant(m, f, corrected=True)):
         for p in m.vertices:
             assert interp(p) == pytest.approx(f.value(p), abs=1e-12)
 
@@ -396,8 +395,8 @@ def test_face_jumps_stay_at_roundoff():
     # restricted to a face uses face-vertex data only, so both stay tiny
     m = uniform_mesh([(0.0, 1.0), (0.0, 1.0)], 2, 3)
     f = exp_sum(2)
-    assert face_jumps(m, global_interp(m, f)) <= 1e-12
-    assert face_jumps(m, global_interp(m, f, corrected=True)) <= 1e-12
+    assert face_jumps(m, MeshInterpolant(m, f)) <= 1e-12
+    assert face_jumps(m, MeshInterpolant(m, f, corrected=True)) <= 1e-12
 
 
 def test_corrected_interp_agrees_across_shared_diagonal():
@@ -408,7 +407,7 @@ def test_corrected_interp_agrees_across_shared_diagonal():
         lambda p: p[:, 0] * p[:, 1],
         grad=lambda p: p[:, ::-1],
     )
-    I = global_interp(m, f, corrected=True)
+    I = MeshInterpolant(m, f, corrected=True)
     ts = np.linspace(0.0, 1.0, 100)
     for t in ts:
         p = np.array([t, t])
@@ -416,15 +415,15 @@ def test_corrected_interp_agrees_across_shared_diagonal():
         for k in range(2):
             lam = np.clip(m.simplex(k).barycentric(p), 0.0, None)
             lam /= lam.sum()
-            vals.append(float(I.eval_on_element(k, lam.reshape(1, -1))[0]))
+            vals.append(float(I.eval_on_element([k], lam.reshape(1, -1))[0, 0]))
         assert abs(vals[0] - vals[1]) <= 1e-13
 
 
 def test_corrected_mesh_interp_beats_plain_on_smooth_field():
     m = uniform_mesh([(0.0, 1.0), (0.0, 1.0)], 2, 4)
     f = exp_sum(2)
-    I = global_interp(m, f)
-    Istar = global_interp(m, f, corrected=True)
+    I = MeshInterpolant(m, f)
+    Istar = MeshInterpolant(m, f, corrected=True)
     rng = np.random.default_rng(41)
     pts = rng.random((300, 2))
     err = max(abs(I(p) - f.value(p)) for p in pts)
