@@ -144,19 +144,18 @@ def mesh_savings(eps, d2_inf, C, alpha, dim):
 
     Solves (C/alpha) * bound * h^2 = eps for the classical and corrected
     bounds of InterpBounds at h = 1.  The corrected constant is half the
-    classical one, so h_corrected = sqrt(2) * h_classical for free and a
-    corrected build needs (1/sqrt(2))^dim as many nodes.
+    classical one, so h_corrected = sqrt(2) * h_classical for free, and a
+    corrected build needs (h_classical/h_corrected)^dim = 2^(-dim/2) as many nodes.
     """
     if eps <= 0 or d2_inf <= 0 or C <= 0 or alpha <= 0:
         raise ValueError("eps, d2_inf, C and alpha must all be positive")
     if dim not in (1, 2, 3):
         raise ValueError(f"dim must be 1, 2 or 3, got {dim}")
     unit = InterpBounds(1.0, 0.0, d2_inf)
-    return {
-        "h_classical": math.sqrt(alpha * eps / (C * unit.classical)),
-        "h_corrected": math.sqrt(alpha * eps / (C * unit.corrected)),
-        "node_factor": (1.0 / math.sqrt(2.0)) ** dim,
-    }
+    h_classical = math.sqrt(alpha * eps / (C * unit.classical))
+    h_corrected = math.sqrt(alpha * eps / (C * unit.corrected))
+    node_factor = (h_classical / h_corrected) ** dim
+    return {"h_classical": h_classical, "h_corrected": h_corrected, "node_factor": node_factor}
 
 
 # --------------------------------------------------------------- meshes

@@ -27,17 +27,17 @@ LOADED = textwrap.dedent(
 
 
 def _probe(code, *args):
-    """Run code after LOADED in a fresh interpreter; it must print ok last."""
+    """Run code after LOADED in a fresh interpreter; returns its stripped stdout."""
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": SRC + (os.pathsep + path if path else "")}
     done = subprocess.run([sys.executable, "-c", LOADED + textwrap.dedent(code), *args],
                           env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "ok"
+    return done.stdout.strip()
 
 
 def test_fem_layer_loads_on_first_use():
-    _probe(
+    stdout = _probe(
         """
         import reftaylor, reftaylor.cli, reftaylor.expansion, reftaylor.simplex
         assert not loaded(), loaded()
@@ -47,6 +47,7 @@ def test_fem_layer_loads_on_first_use():
         print("ok")
         """
     )
+    assert stdout == "ok"
 
     for name in fem.__all__:
         assert getattr(reftaylor, name) is getattr(fem, name)
@@ -63,7 +64,7 @@ def test_fem_layer_loads_on_first_use():
 def test_savings_command_leaves_scipy_unloaded(tmp_path):
     # mesh_savings lives in the simplex layer, so the savings study needs no fem
     out = tmp_path / "savings.csv"
-    _probe(
+    stdout = _probe(
         """
         from reftaylor.cli import run_main
         argv = ["savings", "--eps", "1e-2,1e-4", "--dim", "2", "--output", sys.argv[1]]
@@ -73,4 +74,5 @@ def test_savings_command_leaves_scipy_unloaded(tmp_path):
         """,
         str(out),
     )
+    assert stdout == f"wrote 2 rows to {out}\nok"
     assert out.read_text().startswith("eps,h_classical,h_corrected,ratio,node_factor\n")

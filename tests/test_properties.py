@@ -116,4 +116,4 @@ def test_mesh_savings_sizes_meet_the_tolerance_exactly(log_eps, log_d2, log_c, l
         chain = C / alpha * getattr(InterpBounds(s[key], 0.0, d2), bound)
         assert chain == pytest.approx(eps, rel=1e-13)
     assert s["h_corrected"] / s["h_classical"] == pytest.approx(math.sqrt(2.0), rel=1e-14)
-    assert s["node_factor"] == pytest.approx((s["h_classical"] / s["h_corrected"]) ** dim)
+    assert s["node_factor"] == pytest.approx(2.0 ** (-dim / 2), rel=1e-14)
