@@ -15,6 +15,12 @@ certified: C = max(1 + diffusion, reaction), which bounds the form since
 |a(u,v)| <= max(diffusion, reaction) |u|_H1 |v|_H1, and alpha the better of
 min(diffusion, reaction) and diffusion/(1 + poincare^2).  Pass explicit
 values when the defaults are too loose.
+
+Assembly accumulates shape gradients, local stiffness matrices and
+quadrature points explicitly, one term at a time in a fixed order: the
+order np.einsum adds the same products in.  That order keeps the outputs
+bit-identical to the einsum formulas, and so the CSV tables byte-identical,
+while the short contracted axes no longer pay for einsum's general loops.
 """
 
 import itertools
@@ -216,10 +222,78 @@ class FemSolution:
     def grad_on_element(self, ks, bary):
         """Gradients (K, Q, n) at barycentric points bary (Q, n+1) of the elements ks."""
         _, D = _basis(self.space, self.mesh.dim, bary)
-        G = np.einsum("qlb,kbn->kqln", D, self.mesh.bary_matrices[ks, :, 1:])
+        G = _combine(D, self.mesh.bary_matrices[ks, :, 1:]).transpose(3, 1, 2, 0)
         return np.einsum("kqln,kl->kqn", G, self.dof_values[self.elem_dofs[ks]])
 
     __call__ = MeshInterpolant.__call__
+
+
+# ------------------------------------------------------------- assembly
+#
+# The kernels keep the element index last, so every inner loop runs over all
+# M elements rather than over a contracted axis of two to six terms.
+
+
+def _combine(coef, table):
+    """sum_b coef[..., b] * table[m, b, i], added in b order, as an (n, ..., M) array.
+
+    coef is (..., B) and table (M, B, n).  Transposed to (M, ..., n) the result
+    is bit-identical to np.einsum("...b,mbn->m...n", coef, table).
+    """
+    lead = coef.shape[:-1]
+    coef = coef.reshape(-1, coef.shape[-1])[None, :, :, None]
+    table = np.ascontiguousarray(table.transpose(2, 1, 0))[:, None]
+    out = coef[:, :, 0] * table[:, :, 0]
+    term = np.empty_like(out)
+    for b in range(1, coef.shape[2]):
+        out += np.multiply(coef[:, :, b], table[:, :, b], out=term)
+    return out.reshape(table.shape[:1] + lead + table.shape[-1:])
+
+
+def _stiffness(w, grads):
+    """sum_q w_q sum_i grads[i, q, l, m] grads[i, q, k, m] as an (M, L, L) array.
+
+    grads is (n, Q, L, M), as _combine builds it.  Each quadrature point's sum
+    over i is formed first and then added to the total, the order of
+    np.einsum("q,mqli,mqki->mlk", w, g, g) on g (M, Q, L, n); adding every
+    (q, i) term straight into the total gives different bits.
+    """
+    n, Q, L, M = grads.shape
+    stiff = np.zeros((L, L, M))
+    acc = np.empty_like(stiff)
+    term = np.empty_like(stiff)
+    for q in range(Q):
+        g = grads[:, q]
+        np.multiply(w[q] * g[0, :, None], g[0, None, :], out=acc)
+        for i in range(1, n):
+            acc += np.multiply(w[q] * g[i, :, None], g[i, None, :], out=term)
+        stiff += acc
+    return stiff.transpose(2, 0, 1)
+
+
+def _assemble(problem, mesh, space, elem_dofs, ndof):
+    """Global stiffness-plus-mass matrix (CSR) and load vector over all DOFs."""
+    bary, w = simplex_rule(mesh.dim)
+    vols = mesh.volumes
+    N, D = _basis(space, mesh.dim, bary)
+
+    local = problem.diffusion * _stiffness(w, _combine(D, mesh.bary_matrices[:, :, 1:]))
+    if problem.reaction:
+        mass_ref = np.einsum("q,ql,qk->lk", w, N, N)
+        local = local + problem.reaction * mass_ref[None, :, :]
+    local = local * vols[:, None, None]
+
+    pts = _combine(bary, mesh.vertices[mesh.elements]).T.reshape(-1, mesh.dim)
+    fvals = problem.rhs.value_at(pts).reshape(len(vols), len(w))
+    load = vols[:, None] * np.einsum("mq,q,ql->ml", fvals, w, N)
+
+    nloc = elem_dofs.shape[1]
+    rows = np.repeat(elem_dofs, nloc, axis=1).ravel()
+    cols = np.tile(elem_dofs, (1, nloc)).ravel()
+    A = coo_matrix((local.ravel(), (rows, cols)), shape=(ndof, ndof)).tocsr()
+    # bincount adds in input order, as np.add.at does, so b has the same bits
+    b = np.bincount(elem_dofs.ravel(), weights=load.ravel(), minlength=ndof)
+    return A, b
 
 
 def assemble_and_solve(problem, mesh, space="P1"):
@@ -242,30 +316,7 @@ def assemble_and_solve(problem, mesh, space="P1"):
     free = ~bmask
     if not bmask.any() and problem.reaction == 0.0:
         raise SolverError("singular system: zero reaction and no boundary constraints")
-
-    bary, w = simplex_rule(mesh.dim)
-    verts = mesh.vertices[mesh.elements]
-    vols = mesh.volumes
-    G0 = mesh.bary_matrices[:, :, 1:]
-    N, D = _basis(space, mesh.dim, bary)
-
-    grads = np.einsum("qlb,mbn->mqln", D, G0)
-    local = problem.diffusion * np.einsum("q,mqln,mqkn->mlk", w, grads, grads)
-    if problem.reaction:
-        mass_ref = np.einsum("q,ql,qk->lk", w, N, N)
-        local = local + problem.reaction * mass_ref[None, :, :]
-    local = local * vols[:, None, None]
-
-    pts = np.einsum("qb,mbn->mqn", bary, verts).reshape(-1, mesh.dim)
-    fvals = problem.rhs.value_at(pts).reshape(len(vols), len(w))
-    load = vols[:, None] * np.einsum("mq,q,ql->ml", fvals, w, N)
-
-    nloc = elem_dofs.shape[1]
-    rows = np.repeat(elem_dofs, nloc, axis=1).ravel()
-    cols = np.tile(elem_dofs, (1, nloc)).ravel()
-    A = coo_matrix((local.ravel(), (rows, cols)), shape=(ndof, ndof)).tocsr()
-    b = np.zeros(ndof)
-    np.add.at(b, elem_dofs.ravel(), load.ravel())
+    A, b = _assemble(problem, mesh, space, elem_dofs, ndof)
 
     A_ff = A[free][:, free]
     b_f = b[free]

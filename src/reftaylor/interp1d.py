@@ -124,12 +124,15 @@ def compare_bounds(f, iv, f1_sup, f2_sup, grid=1001):
     f1_sup and f2_sup are sup-norm bounds for f' and f'' on iv; they must be
     certified by the caller for the resulting bounds to be certified.  A zero
     f2_sup is only consistent with an affine f, which is checked on the grid.
+    A bound that overflows a float raises ValueError.
 
     The bounds are InterpBounds at the circumradius L/2, where the classical
     bound is sharp (Waldron, SIAM J. Numer. Anal. 35, 1998).  The mesh layer
     reads them at the diameter L, 4x these on one interval (2x to 4x refined).
     """
     bounds = InterpBounds(iv.length / 2.0, f1_sup, f2_sup)
+    if not (math.isfinite(bounds.classical) and math.isfinite(bounds.refined)):
+        raise ValueError(f"interpolation bounds on [{iv.a:g}, {iv.b:g}] overflow a float")
     if grid < 3:
         raise ValueError(f"grid must have at least 3 points, got {grid}")
     xs = iv.grid(grid)
@@ -220,10 +223,12 @@ def class_p_sup_norms(params, iv):
 
     f'' is nonnegative and increasing, so its sup sits at the right endpoint;
     f' is nondecreasing, so |f'| peaks at one of the endpoints.  A norm that
-    overflows a float raises ValueError rather than being dropped by max.
+    overflows a float raises ValueError rather than being dropped by max, and
+    without a numpy overflow warning first.
     """
     _, deriv, deriv2 = _class_p_parts(params, iv.a)
-    ends = (abs(float(deriv(iv.a))), abs(float(deriv(iv.b))), float(deriv2(iv.b)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ends = (abs(float(deriv(iv.a))), abs(float(deriv(iv.b))), float(deriv2(iv.b)))
     if not all(map(math.isfinite, ends)):
         raise ValueError(f"sup norms at rate {params.rate:g} overflow a float")
     return max(ends[:2]), ends[2]

@@ -61,8 +61,10 @@ def _simplex_geometry(verts):
     simplex: the volume must exceed 1e-12 * diameter^n.
     """
     n = verts.shape[2]
-    diffs = verts[:, None, :, :] - verts[:, :, None, :]
-    diameters = np.sqrt((diffs**2).sum(axis=3).max(axis=(1, 2)))
+    # each vertex pair once: the same sums the full (n+1)^2 difference tensor holds
+    i, j = np.array(list(itertools.combinations(range(n + 1), 2))).T
+    diffs = verts[:, j] - verts[:, i]
+    diameters = np.sqrt((diffs**2).sum(axis=2).max(axis=1))
     volumes = np.abs(np.linalg.det(verts[:, 1:] - verts[:, :1])) / math.factorial(n)
     bad = np.flatnonzero((diameters <= 0.0) | (volumes <= 1e-12 * diameters**n))
     if bad.size:
@@ -79,14 +81,21 @@ def _simplex_geometry(verts):
 
 def _unique_rows(rows):
     """Distinct rows in order of first appearance, with each input row's
-    index among them and the count of each."""
-    uniq, first, inverse, counts = np.unique(
-        rows, axis=0, return_index=True, return_inverse=True, return_counts=True
-    )
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return uniq[order], rank[inverse.reshape(-1)], counts[order]
+    index among them and the count of each.
+
+    A stable lexicographic sort groups equal rows with the earliest one
+    first, so each group's first sorted member is its first appearance.
+    """
+    order = np.lexsort(rows.T[::-1])
+    grouped = rows[order]
+    starts = np.flatnonzero(np.r_[True, (grouped[1:] != grouped[:-1]).any(axis=1)])
+    counts = np.diff(np.r_[starts, len(rows)])
+    by_appearance = np.argsort(order[starts])
+    rank = np.empty_like(by_appearance)
+    rank[by_appearance] = np.arange(len(starts))
+    inverse = np.empty(len(rows), dtype=int)
+    inverse[order] = np.repeat(rank, counts)
+    return rows[order[starts[by_appearance]]], inverse, counts[by_appearance]
 
 
 def pi_interp(s, v, point):

@@ -181,6 +181,17 @@ def test_overflowing_class_p_beta_exits_usage(args, tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("extra", [[], ["--slope", "3"]])
+def test_smallest_class_p_beta_on_a_long_interval_exits_usage(extra, tmp_path, capsys):
+    # beta = 0.502818 passes rate_for_beta, but on [-1, 2] the classical bound
+    # overflows a float, and with --slope 3 so does the sup norm of f'
+    args = ["interp1d", "--beta", "0.502818", "--interval=-1,2", *extra]
+    assert run_main(args + ["--output", str(tmp_path / "x.csv")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "overflow" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_readme_command_line_examples_run(tmp_path, monkeypatch, capsys):
     section = README.read_text().split("## Command line", 1)[1]
     block = section.split("```sh\n", 1)[1].split("```", 1)[0]

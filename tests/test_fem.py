@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
 
 import reftaylor.fem as fem
 from reftaylor.fem import (
@@ -18,6 +19,7 @@ from reftaylor.fem import (
     sine_problem,
 )
 from reftaylor.fields import ScalarField
+from reftaylor.quadrature import simplex_rule
 from reftaylor.simplex import InterpBounds, Triangulation, mesh_savings, uniform_mesh
 
 SINE_D1 = math.pi       # sup |grad u| for u = prod sin(pi x_i), dims 1 and 2
@@ -174,6 +176,76 @@ def test_cg_path_matches_dense():
     finally:
         fem.DENSE_DOF_LIMIT = limit
     np.testing.assert_allclose(iterative, dense, atol=1e-9)
+
+
+# ---------------------------------------------------- assembly kernels
+#
+# The kernels must return the bits of the einsum formulas they replaced,
+# which live on here as the reference.
+
+KERNEL_CASES = [(1, "P1"), (1, "P2"), (2, "P1"), (2, "P2")]
+
+
+def _kernel_meshes(dim):
+    """Uniform unit-box meshes and copies with every vertex moved up to h/5."""
+    rng = np.random.default_rng(dim)
+    for k in (1, 3, 16, 33):
+        m = uniform_mesh(unit_box(dim), dim, k)
+        yield m
+        shift = rng.uniform(-0.2 / k, 0.2 / k, m.vertices.shape)
+        yield Triangulation(m.vertices + shift, m.elements)
+
+
+def _reference_system(problem, mesh, space, elem_dofs, ndof):
+    bary, w = simplex_rule(mesh.dim)
+    N, D = fem._basis(space, mesh.dim, bary)
+    grads = np.einsum("qlb,mbn->mqln", D, mesh.bary_matrices[:, :, 1:])
+    local = problem.diffusion * np.einsum("q,mqln,mqkn->mlk", w, grads, grads)
+    if problem.reaction:
+        local = local + problem.reaction * np.einsum("q,ql,qk->lk", w, N, N)[None, :, :]
+    local = local * mesh.volumes[:, None, None]
+    pts = np.einsum("qb,mbn->mqn", bary, mesh.vertices[mesh.elements]).reshape(-1, mesh.dim)
+    fvals = problem.rhs.value_at(pts).reshape(len(mesh), len(w))
+    load = mesh.volumes[:, None] * np.einsum("mq,q,ql->ml", fvals, w, N)
+    nloc = elem_dofs.shape[1]
+    rows = np.repeat(elem_dofs, nloc, axis=1).ravel()
+    cols = np.tile(elem_dofs, (1, nloc)).ravel()
+    A = coo_matrix((local.ravel(), (rows, cols)), shape=(ndof, ndof)).tocsr()
+    b = np.zeros(ndof)
+    np.add.at(b, elem_dofs.ravel(), load.ravel())
+    return A, b
+
+
+@pytest.mark.parametrize("dim, space", KERNEL_CASES)
+def test_assembly_kernels_match_einsum_bitwise(dim, space):
+    bary, w = simplex_rule(dim)
+    _, D = fem._basis(space, dim, bary)
+    for m in _kernel_meshes(dim):
+        G0 = m.bary_matrices[:, :, 1:]
+        verts = m.vertices[m.elements]
+        grads = fem._combine(D, G0)
+        reference = np.einsum("qlb,mbn->mqln", D, G0)
+        assert np.array_equal(grads.transpose(3, 1, 2, 0), reference)
+        assert np.array_equal(
+            fem._stiffness(w, grads), np.einsum("q,mqln,mqkn->mlk", w, reference, reference)
+        )
+        assert np.array_equal(fem._combine(bary, verts).T, np.einsum("qb,mbn->mqn", bary, verts))
+
+
+@pytest.mark.parametrize("dim, space", KERNEL_CASES)
+def test_assembled_system_matches_einsum_bitwise(dim, space):
+    # reaction > 0 adds the mass term to every local matrix
+    problems = (sine_problem(dim), sine_problem(dim, diffusion=0.3, reaction=5.0))
+    for m in _kernel_meshes(dim):
+        coords, elem_dofs, _ = fem._dof_tables(m, space)
+        ndof = len(coords)
+        for p in problems:
+            A, b = fem._assemble(p, m, space, elem_dofs, ndof)
+            A_ref, b_ref = _reference_system(p, m, space, elem_dofs, ndof)
+            assert np.array_equal(A.indptr, A_ref.indptr)
+            assert np.array_equal(A.indices, A_ref.indices)
+            assert np.array_equal(A.data, A_ref.data)
+            assert np.array_equal(b, b_ref)
 
 
 # ---------------------------------------------------------- convergence

@@ -134,6 +134,12 @@ def test_class_p_sup_norms_refuse_overflow():
         class_p_sup_norms(params, UNIT)
 
 
+def test_compare_bounds_refuses_overflow():
+    f = ScalarField(1, lambda pts: pts[:, 0] ** 2)
+    with pytest.raises(ValueError, match="overflow"):
+        compare_bounds(f, Interval(0.0, 10.0), 1.0, 1e308)
+
+
 def test_class_p_params_validation():
     ClassPParams(rate=1.0, forcing=1.0, slope_at_a=-1.0)  # boundary is legal
     with pytest.raises(ValueError):

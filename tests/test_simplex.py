@@ -13,6 +13,7 @@ from reftaylor.simplex import (
     MeshInterpolant,
     Simplex,
     Triangulation,
+    _unique_rows,
     face_jumps,
     pi_interp,
     pi_star_interp,
@@ -314,6 +315,55 @@ def test_stacked_geometry_equals_per_element_simplices():
         for s in simplices:
             assert isinstance(s, Triangulation) and len(s) == 1
             assert s.volume == s.volumes[0] and s.diameter == s.mesh_size
+
+
+def test_pairwise_diameters_match_full_difference_tensor():
+    rng = np.random.default_rng(29)
+    for dim in (1, 2, 3):
+        base = uniform_mesh([(0.0, 1.0)] * dim, dim, 4)
+        m = Triangulation(base.vertices + rng.uniform(-0.05, 0.05, base.vertices.shape),
+                          base.elements)
+        verts = m.vertices[m.elements]
+        diffs = verts[:, None, :, :] - verts[:, :, None, :]
+        assert np.array_equal(m.diameters, np.sqrt((diffs**2).sum(axis=3).max(axis=(1, 2))))
+
+
+def _unique_rows_by_np_unique(rows):
+    # the np.unique(axis=0) formulation that _unique_rows replaced
+    uniq, first, inverse, counts = np.unique(
+        rows, axis=0, return_index=True, return_inverse=True, return_counts=True
+    )
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return uniq[order], rank[inverse.reshape(-1)], counts[order]
+
+
+def _assert_same_tables(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert a.shape == b.shape and np.array_equal(a, b)
+
+
+def test_unique_rows_matches_np_unique():
+    rng = np.random.default_rng(41)
+    for width in (1, 2, 3):
+        for _ in range(30):
+            # few distinct values, so most rows repeat
+            rows = rng.integers(0, rng.integers(1, 6), size=(rng.integers(1, 200), width))
+            _assert_same_tables(_unique_rows(rows), _unique_rows_by_np_unique(rows))
+
+
+def test_face_tables_match_np_unique():
+    for dim, k in ((2, 5), (3, 3)):
+        m = uniform_mesh([(0.0, 1.0)] * dim, dim, k)
+        keep = [[c for c in range(dim + 1) if c != drop] for drop in range(dim + 1)]
+        rows = np.sort(m.elements[:, keep], axis=2).reshape(-1, dim)
+        faces, face_of, counts = _unique_rows_by_np_unique(rows)
+        _assert_same_tables(_unique_rows(rows), (faces, face_of, counts))
+        got_faces, got_counts, owners = m.face_counts()
+        assert np.array_equal(got_faces, faces) and np.array_equal(got_counts, counts)
+        first_row = [np.flatnonzero(face_of == f)[0] for f in range(len(faces))]
+        assert np.array_equal(owners[:, 0], np.array(first_row) // (dim + 1))
 
 
 def test_zero_subdivisions_rejected():
