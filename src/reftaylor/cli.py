@@ -16,16 +16,22 @@ configuration and seed the CSV bytes are identical run to run; the manifest
 is not, since it carries the wall time.  Flags may come from a flat
 key=value config file via --config, with explicit flags winning.
 
+Each command's options and their defaults are written once, in _COMMANDS,
+and each option's flag once, in _FLAGS; the parser and StudyConfig share
+them, so `reftaylor fem` and StudyConfig("fem") run the same study.
+Config-file keys are flag names without the dashes (`m = 1,2,4`); the
+manifest names options as StudyConfig does (`m_values = 1,2,4`).
+
 While building rows, entries with analytic derivative norms are checked
 against their bounds; a violation aborts the run with exit code 2.  Exit
 codes: 0 success, 1 usage, 2 numeric failure, 3 I/O failure.
 """
 
 import argparse
+import copy
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -77,37 +83,30 @@ class NumericFailure(RuntimeError):
     """A measured value escaped its bound, a cell went non-finite, or a solve failed."""
 
 
-@dataclass
 class StudyConfig:
-    """One study run: the command plus every knob any command reads."""
+    """One study run: the command plus the options it reads.
 
-    command: str
-    function: str | None = None
-    m_values: list = field(default_factory=lambda: [1, 2, 4, 8])
-    kind: str = "closed"
-    samples: int = 201
-    beta_values: list = field(default_factory=lambda: [0.6, 0.75, 0.9, 1.0])
-    forcing: float = 1.0
-    slope: float = 0.0
-    interval: tuple = (0.0, 1.0)
-    grid: int = 1001
-    subdivisions: list = field(default_factory=lambda: [1, 2, 4, 8])
-    points: int = 200
-    dim: int = 1
-    space: str = "P1"
-    diffusion: float = 1.0
-    reaction: float = 0.0
-    eps_values: list = field(default_factory=lambda: [1e-4])
-    d2_inf: float = 1.0
-    big_c: float = 1.0
-    alpha: float = 1.0
-    output_path: str = "study.csv"
-    seed: int = 0
-    selftest: bool = False
+    StudyConfig(command, **options) holds the command's options from
+    _COMMANDS, an output_path and a seed.  Options left out take the
+    command's defaults, the same ones the flags have; output_path defaults to
+    "<command>.csv" and seed to 0.  An option the command does not read is a
+    UsageError.
+    """
+
+    def __init__(self, command, **options):
+        if command not in _COMMANDS:
+            raise UsageError(f"unknown command {command!r}")
+        _, _, defaults = _COMMANDS[command]
+        defaults = {**defaults, "output_path": f"{command}.csv", "seed": 0}
+        unread = sorted(options.keys() - defaults.keys())
+        if unread:
+            raise UsageError(f"{command} does not read {', '.join(unread)}")
+        self.command = command
+        for name, default in defaults.items():
+            setattr(self, name, copy.copy(options.get(name, default)))
 
     def validate(self):
-        if self.command not in ("expand", "interp1d", "simplex", "fem", "savings", "registry"):
-            raise UsageError(f"unknown command {self.command!r}")
+        # written as "not x > 0" so that NaN fails each check
         if self.seed < 0:
             raise UsageError("seed must be nonnegative")
         if self.command == "expand":
@@ -119,13 +118,13 @@ class StudyConfig:
                 raise UsageError("samples must be at least 2")
         elif self.command == "interp1d":
             self._require_list("beta", self.beta_values)
-            if min(self.beta_values) <= 0.5:
+            if not all(beta > 0.5 for beta in self.beta_values):
                 raise UsageError("beta values must exceed 0.5")
-            if self.forcing <= 0:
+            if not self.forcing > 0:
                 raise UsageError("forcing must be positive")
             if self.grid < 3:
                 raise UsageError("grid must be at least 3")
-            if self.interval[0] >= self.interval[1]:
+            if not self.interval[0] < self.interval[1]:
                 raise UsageError("interval must satisfy a < b")
         elif self.command == "simplex":
             self._require_function()
@@ -138,17 +137,17 @@ class StudyConfig:
             self._require_list("subdivisions", self.subdivisions, minimum=1)
             if self.space not in ("P1", "P2"):
                 raise UsageError(f"space must be P1 or P2, got {self.space!r}")
-            if self.diffusion <= 0:
+            if not self.diffusion > 0:
                 raise UsageError("diffusion must be positive")
-            if self.reaction < 0:
+            if not self.reaction >= 0:
                 raise UsageError("reaction must be nonnegative")
         elif self.command == "savings":
             self._require_list("eps", self.eps_values)
-            if min(self.eps_values) <= 0:
+            if not all(eps > 0 for eps in self.eps_values):
                 raise UsageError("eps values must be positive")
             if self.dim not in (1, 2, 3):
                 raise UsageError(f"savings dim must be 1, 2 or 3, got {self.dim}")
-            if self.d2_inf <= 0 or self.big_c <= 0 or self.alpha <= 0:
+            if not (self.d2_inf > 0 and self.big_c > 0 and self.alpha > 0):
                 raise UsageError("d2, C and alpha must be positive")
 
     def _require_function(self):
@@ -324,15 +323,6 @@ def _savings_rows(cfg):
     return header, _map_ordered(one, sorted(set(cfg.eps_values)))
 
 
-_BUILDERS = {
-    "expand": _expand_rows,
-    "interp1d": _interp1d_rows,
-    "simplex": _simplex_rows,
-    "fem": _fem_rows,
-    "savings": _savings_rows,
-}
-
-
 # --------------------------------------------------------------- output
 
 
@@ -343,39 +333,13 @@ def _format_cell(value):
     return f"{value:.11e}"
 
 
-def _write_csv(path, header, rows):
-    lines = [",".join(header)]
-    lines.extend(",".join(_format_cell(cell) for cell in row) for row in rows)
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _echo(value):
+    if isinstance(value, (list, tuple)):
+        return ",".join(f"{v:g}" if isinstance(v, float) else str(v) for v in value)
+    return str(value)
 
 
-_RELEVANT_KEYS = {
-    "expand": ("function", "m_values", "kind", "samples"),
-    "interp1d": ("beta_values", "forcing", "slope", "interval", "grid"),
-    "simplex": ("function", "subdivisions", "points"),
-    "fem": ("dim", "space", "subdivisions", "diffusion", "reaction"),
-    "savings": ("eps_values", "dim", "d2_inf", "big_c", "alpha"),
-}
-
-
-def _config_echo(cfg):
-    keys = ("command",) + _RELEVANT_KEYS[cfg.command] + ("output_path", "seed")
-    values = asdict(cfg)
-    echo = {}
-    for key in keys:
-        value = values[key]
-        if isinstance(value, (list, tuple)):
-            echo[key] = ",".join(f"{v:g}" if isinstance(v, float) else str(v) for v in value)
-        else:
-            echo[key] = str(value)
-    return echo
-
-
-def _write_manifest(path, cfg, n_rows, wall_time):
-    lines = [f"{key} = {value}" for key, value in sorted(_config_echo(cfg).items())]
-    lines.append(f"rows = {n_rows}")
-    lines.append(f"wall_time_s = {wall_time:.6f}")
+def _write_lines(path, lines):
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -405,10 +369,15 @@ def run(cfg, out=None):
         _run_registry(cfg, out)
         return EXIT_OK
     start = time.perf_counter()
-    header, rows = _BUILDERS[cfg.command](cfg)
+    _, build_rows, _ = _COMMANDS[cfg.command]
+    header, rows = build_rows(cfg)
     rows = sorted(rows, key=lambda row: row[0])
-    _write_csv(cfg.output_path, header, rows)
-    _write_manifest(cfg.output_path + ".manifest", cfg, len(rows), time.perf_counter() - start)
+    table = [",".join(header)] + [",".join(map(_format_cell, row)) for row in rows]
+    _write_lines(cfg.output_path, table)
+    # the manifest echoes the config's own options, so its keys are StudyConfig names
+    manifest = [f"{key} = {_echo(value)}" for key, value in sorted(vars(cfg).items())]
+    manifest += [f"rows = {len(rows)}", f"wall_time_s = {time.perf_counter() - start:.6f}"]
+    _write_lines(cfg.output_path + ".manifest", manifest)
     print(f"wrote {len(rows)} rows to {cfg.output_path}", file=out)
     return EXIT_OK
 
@@ -421,81 +390,94 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _int_list(text):
-    try:
-        values = [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-    return values
+def _real(text):
+    """float(text), refusing nan and +-inf: the parser of every real-valued flag."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite real, got {text!r}")
+    return value
 
 
-def _float_list(text):
-    try:
-        values = [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated reals, got {text!r}")
-    return values
+# argparse words a ValueError as "invalid <type name> value: ..."
+_real.__name__ = "float"
+
+
+def _comma_list(parse, noun):
+    def parse_list(text):
+        try:
+            return [parse(tok) for tok in text.split(",") if tok.strip()]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {noun}, got {text!r}")
+
+    return parse_list
+
+
+_int_list = _comma_list(int, "integers")
+_real_list = _comma_list(_real, "reals")
 
 
 def _pair(text):
-    values = _float_list(text)
+    values = _real_list(text)
     if len(values) != 2:
         raise argparse.ArgumentTypeError(f"expected two comma-separated reals, got {text!r}")
     return tuple(values)
 
 
+# StudyConfig option -> (flag, value parser, help); a parser of None makes a switch
+_FLAGS = {
+    "function": ("--function", str, "registry field name"),
+    "m_values": ("--m", _int_list, "comma list of point counts"),
+    "kind": ("--kind", str, "weight family: closed or open"),
+    "samples": ("--samples", int, "samples for non-analytic bounds"),
+    "beta_values": ("--beta", _real_list, None),
+    "forcing": ("--forcing", _real, None),
+    "slope": ("--slope", _real, None),
+    "interval": ("--interval", _pair, "a,b with a < b"),
+    "grid": ("--grid", int, "sup-error sample grid"),
+    "subdivisions": ("--subdivisions", _int_list, None),
+    "points": ("--points", int, "sample points per mesh"),
+    "dim": ("--dim", int, None),
+    "space": ("--space", str, "P1 or P2"),
+    "diffusion": ("--diffusion", _real, None),
+    "reaction": ("--reaction", _real, None),
+    "eps_values": ("--eps", _real_list, "target tolerances"),
+    "d2_inf": ("--d2", _real, "sup |D2 u|"),
+    "big_c": ("--C", _real, "continuity constant"),
+    "alpha": ("--alpha", _real, "ellipticity constant"),
+    "selftest": ("--selftest", None, "finite-difference check of every entry"),
+    "output_path": ("--output", str, "CSV output path"),
+    "seed": ("--seed", int, "seed for sampled suites"),
+}
+
+# command -> (help, row builder, {option: default}); registry prints, it builds no rows
+_COMMANDS = {
+    "expand": ("m-point expansion remainder sweep", _expand_rows,
+               {"function": None, "m_values": [1, 2, 4, 8], "kind": "closed", "samples": 201}),
+    "interp1d": ("1D interpolation bound sweep over beta", _interp1d_rows,
+                 {"beta_values": [0.6, 0.75, 0.9, 1.0], "forcing": 1.0, "slope": 0.0,
+                  "interval": (0.0, 1.0), "grid": 1001}),
+    "simplex": ("mesh interpolation error sweep", _simplex_rows,
+                {"function": None, "subdivisions": [1, 2, 4, 8], "points": 200}),
+    "fem": ("FEM convergence sweep on the sine problem", _fem_rows,
+            {"dim": 1, "space": "P1", "subdivisions": [8, 16, 32, 64], "diffusion": 1.0,
+             "reaction": 0.0}),
+    "savings": ("mesh coarsening arithmetic", _savings_rows,
+                {"eps_values": [1e-4], "dim": 3, "d2_inf": 1.0, "big_c": 1.0, "alpha": 1.0}),
+    "registry": ("list named test fields", None, {"selftest": False}),
+}
+
+
 def _build_parser():
+    """The flags of every command, from _COMMANDS and _FLAGS; the parser holds no defaults."""
     parser = _Parser(prog="reftaylor", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    def common(sub, default_output):
-        sub.add_argument("--output", dest="output_path", default=default_output, help="CSV output path")
-        sub.add_argument("--seed", type=int, default=0, help="seed for sampled suites")
-        sub.add_argument("--config", default=None, help="flat key=value config file")
-
-    sub = subs.add_parser("expand", help="m-point expansion remainder sweep")
-    sub.add_argument("--function", default=None, help="registry field name")
-    sub.add_argument("--m", dest="m_values", type=_int_list, default=[1, 2, 4, 8],
-                     help="comma list of point counts")
-    sub.add_argument("--kind", default="closed", help="weight family: closed or open")
-    sub.add_argument("--samples", type=int, default=201, help="samples for non-analytic bounds")
-    common(sub, "expand.csv")
-
-    sub = subs.add_parser("interp1d", help="1D interpolation bound sweep over beta")
-    sub.add_argument("--beta", dest="beta_values", type=_float_list, default=[0.6, 0.75, 0.9, 1.0])
-    sub.add_argument("--forcing", type=float, default=1.0)
-    sub.add_argument("--slope", type=float, default=0.0)
-    sub.add_argument("--interval", type=_pair, default=(0.0, 1.0), help="a,b with a < b")
-    sub.add_argument("--grid", type=int, default=1001, help="sup-error sample grid")
-    common(sub, "interp1d.csv")
-
-    sub = subs.add_parser("simplex", help="mesh interpolation error sweep")
-    sub.add_argument("--function", default=None, help="registry field name")
-    sub.add_argument("--subdivisions", type=_int_list, default=[1, 2, 4, 8])
-    sub.add_argument("--points", type=int, default=200, help="sample points per mesh")
-    common(sub, "simplex.csv")
-
-    sub = subs.add_parser("fem", help="FEM convergence sweep on the sine problem")
-    sub.add_argument("--dim", type=int, default=1)
-    sub.add_argument("--space", default="P1", help="P1 or P2")
-    sub.add_argument("--subdivisions", type=_int_list, default=[8, 16, 32, 64])
-    sub.add_argument("--diffusion", type=float, default=1.0)
-    sub.add_argument("--reaction", type=float, default=0.0)
-    common(sub, "fem.csv")
-
-    sub = subs.add_parser("savings", help="mesh coarsening arithmetic")
-    sub.add_argument("--eps", dest="eps_values", type=_float_list, default=[1e-4],
-                     help="target tolerances")
-    sub.add_argument("--dim", type=int, default=3)
-    sub.add_argument("--d2", dest="d2_inf", type=float, default=1.0, help="sup |D2 u|")
-    sub.add_argument("--C", dest="big_c", type=float, default=1.0, help="continuity constant")
-    sub.add_argument("--alpha", type=float, default=1.0, help="ellipticity constant")
-    common(sub, "savings.csv")
-
-    sub = subs.add_parser("registry", help="list named test fields")
-    sub.add_argument("--selftest", action="store_true", help="finite-difference check of every entry")
-    common(sub, "registry.csv")
-
+    for command, (summary, _, defaults) in _COMMANDS.items():
+        sub = subs.add_parser(command, help=summary, argument_default=argparse.SUPPRESS)
+        for option in [*defaults, "output_path", "seed"]:
+            flag, parse, help_text = _FLAGS[option]
+            how = {"action": "store_true"} if parse is None else {"type": parse}
+            sub.add_argument(flag, dest=option, help=help_text, **how)
+        sub.add_argument("--config", help="flat key=value config file")
     return parser
 
 
@@ -543,7 +525,7 @@ def _argv_with_config(argv):
 def parse_argv(argv):
     argv = _argv_with_config(list(argv))
     knobs = vars(_build_parser().parse_args(argv))
-    del knobs["config"]
+    knobs.pop("config", None)
     return StudyConfig(**knobs)
 
 

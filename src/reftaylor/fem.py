@@ -94,9 +94,9 @@ class EllipticProblem:
     ):
         if dim not in (1, 2):
             raise ValueError(f"dim must be 1 or 2, got {dim}")
-        if diffusion <= 0:
+        if not diffusion > 0:
             raise ValueError(f"diffusion must be positive, got {diffusion}")
-        if reaction < 0:
+        if not reaction >= 0:
             raise ValueError(f"reaction must be nonnegative, got {reaction}")
         self.dim = dim
         self.rhs = rhs
@@ -117,9 +117,9 @@ class EllipticProblem:
             )
         self.continuity = float(continuity)
         self.ellipticity = float(ellipticity)
-        if self.ellipticity <= 0:
+        if not self.ellipticity > 0:
             raise ValueError("ellipticity constant must be positive")
-        if self.continuity < self.ellipticity:
+        if not self.continuity >= self.ellipticity:
             raise ValueError(
                 f"continuity {self.continuity} below ellipticity {self.ellipticity}"
             )

@@ -95,7 +95,7 @@ class ClassPParams:
             raise ValueError(f"rate must be > 0, got {self.rate}")
         if not self.forcing > 0:
             raise ValueError(f"forcing must be > 0, got {self.forcing}")
-        if self.slope_at_a < -self.forcing / self.rate:
+        if not self.slope_at_a >= -self.forcing / self.rate:
             raise ValueError(
                 f"slope_at_a must be >= -forcing/rate = {-self.forcing / self.rate}, "
                 f"got {self.slope_at_a}"

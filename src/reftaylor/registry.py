@@ -11,6 +11,7 @@ names a member, built with unit forcing and flat initial slope so that the
 refined-to-classical bound ratio on the unit interval equals beta.
 """
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -84,35 +85,40 @@ def _quad_nd(dim, A):
 
 
 def sine_product(dim, freq, name):
-    """prod_i sin(freq x_i) with its gradient and Hessian."""
+    """prod_i sin(freq x_i) with its gradient and Hessian.
+
+    Each product multiplies whole columns left to right, the order
+    np.prod(axis=1) takes along a row, so it gives the same bits without a
+    reduction per row.
+    """
 
     def factors(pts):
         z = freq * pts
-        return np.sin(z), np.cos(z)
+        return list(np.sin(z).T), list(np.cos(z).T)
+
+    def product(cols):
+        return functools.reduce(np.multiply, cols)
 
     def value(pts):
-        return np.prod(np.sin(freq * pts), axis=1)
+        return product(np.sin(freq * pts).T)
 
     def grad(pts):
         s, c = factors(pts)
-        out = np.empty_like(pts)
-        for j in range(dim):
-            f = s.copy()
-            f[:, j] = c[:, j]
-            out[:, j] = np.prod(f, axis=1)
-        return freq * out
+        cols = [product(c[i] if i == j else s[i] for i in range(dim)) for j in range(dim)]
+        return freq * np.column_stack(cols)
+
+    def d2_factor(s, c, i, j, k):
+        """Column i of the product that gives d2/dx_j dx_k."""
+        if i not in (j, k):
+            return s[i]
+        return -s[i] if j == k else c[i]
 
     def hess(pts):
         s, c = factors(pts)
         out = np.empty((len(pts), dim, dim))
         for j in range(dim):
             for k in range(dim):
-                f = s.copy()
-                if j == k:
-                    f[:, j] = -s[:, j]
-                else:
-                    f[:, j], f[:, k] = c[:, j], c[:, k]
-                out[:, j, k] = np.prod(f, axis=1)
+                out[:, j, k] = product(d2_factor(s, c, i, j, k) for i in range(dim))
         return freq**2 * out
 
     return ScalarField(dim, value, grad=grad, hess=hess, name=name)

@@ -134,7 +134,7 @@ class InterpBounds:
     __slots__ = ("classical", "refined", "corrected", "combined")
 
     def __init__(self, h, d1_inf, d2_inf):
-        if d1_inf < 0 or d2_inf < 0:
+        if not (d1_inf >= 0 and d2_inf >= 0):
             raise ValueError("operator-norm bounds must be nonnegative")
         self.classical = d2_inf / 2.0 * h**2
         self.refined = d1_inf / 2.0 * h + d2_inf / 4.0 * h**2
@@ -156,7 +156,7 @@ def mesh_savings(eps, d2_inf, C, alpha, dim):
     classical one, so h_corrected = sqrt(2) * h_classical for free, and a
     corrected build needs (h_classical/h_corrected)^dim = 2^(-dim/2) as many nodes.
     """
-    if eps <= 0 or d2_inf <= 0 or C <= 0 or alpha <= 0:
+    if not (eps > 0 and d2_inf > 0 and C > 0 and alpha > 0):
         raise ValueError("eps, d2_inf, C and alpha must all be positive")
     if dim not in (1, 2, 3):
         raise ValueError(f"dim must be 1, 2 or 3, got {dim}")

@@ -268,3 +268,110 @@ def test_config_validation_rejects_bad_values():
         StudyConfig(command="savings", alpha=-1.0).validate()
     with pytest.raises(cli.UsageError):
         StudyConfig(command="orbit").validate()
+    nan_options = [
+        ("fem", {"diffusion": math.nan}),
+        ("fem", {"reaction": math.nan}),
+        ("savings", {"eps_values": [1e-3, math.nan]}),
+        ("savings", {"alpha": math.nan}),
+        ("interp1d", {"forcing": math.nan}),
+        ("interp1d", {"beta_values": [math.nan, 0.75]}),
+        ("interp1d", {"interval": (0.0, math.nan)}),
+    ]
+    for command, options in nan_options:
+        with pytest.raises(cli.UsageError):
+            StudyConfig(command, **options).validate()
+
+
+# the required flags of each command; every other option takes its default
+_REQUIRED = {
+    "expand": {"function": "exp"},
+    "interp1d": {},
+    "simplex": {"function": "quad2d"},
+    "fem": {},
+    "savings": {},
+    "registry": {},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_REQUIRED))
+def test_study_config_and_flags_share_defaults(command):
+    required = _REQUIRED[command]
+    argv = [command] + [arg for name, value in required.items() for arg in (f"--{name}", value)]
+    assert vars(StudyConfig(command, **required)) == vars(cli.parse_argv(argv))
+
+
+def test_study_config_defaults_do_not_alias():
+    a, b = StudyConfig("fem"), StudyConfig("fem")
+    a.subdivisions.append(128)
+    assert b.subdivisions == [8, 16, 32, 64]
+    assert a.output_path == "fem.csv" and a.seed == 0
+
+
+def test_study_config_rejects_options_the_command_does_not_read():
+    with pytest.raises(cli.UsageError, match="fem does not read m_values"):
+        StudyConfig("fem", m_values=[1])
+
+
+# the option names each study's manifest echoes, besides command, output_path and seed
+_MANIFEST_OPTIONS = {
+    "expand": ("function", "m_values", "kind", "samples"),
+    "interp1d": ("beta_values", "forcing", "slope", "interval", "grid"),
+    "simplex": ("function", "subdivisions", "points"),
+    "fem": ("dim", "space", "subdivisions", "diffusion", "reaction"),
+    "savings": ("eps_values", "dim", "d2_inf", "big_c", "alpha"),
+}
+_SMALL_RUNS = {
+    "expand": ["--function", "exp", "--m", "1"],
+    "interp1d": ["--beta", "0.75", "--grid", "11"],
+    "simplex": ["--function", "quad2d", "--subdivisions", "1", "--points", "2"],
+    "fem": ["--subdivisions", "2"],
+    "savings": [],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_MANIFEST_OPTIONS))
+def test_manifest_keys(command, tmp_path):
+    out = tmp_path / "m.csv"
+    assert run_main([command, *_SMALL_RUNS[command], "--output", str(out)]) == EXIT_OK
+    lines = (tmp_path / "m.csv.manifest").read_text().splitlines()
+    keys = [line.split(" = ", 1)[0] for line in lines]
+    expected = {*_MANIFEST_OPTIONS[command], "command", "output_path", "seed"}
+    assert keys == sorted(expected) + ["rows", "wall_time_s"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["savings", "--eps", "nan"],
+        ["savings", "--eps", "1e-3,-inf"],
+        ["savings", "--d2", "nan"],
+        ["savings", "--alpha", "inf"],
+        ["fem", "--diffusion", "nan", "--dim", "2", "--subdivisions", "64"],
+        ["fem", "--reaction", "nan"],
+        ["interp1d", "--slope", "nan"],
+        ["interp1d", "--forcing", "inf"],
+        ["interp1d", "--beta", "0.75,nan"],
+        ["interp1d", "--interval", "0,inf"],
+    ],
+)
+def test_non_finite_reals_exit_usage(args, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert run_main(args + ["--output", str(out)]) == EXIT_USAGE
+    assert "expected a finite real" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_finite_config_value_exits_usage(tmp_path, capsys):
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text("alpha = nan\n")
+    out = tmp_path / "x.csv"
+    assert run_main(["savings", "--config", str(cfg), "--output", str(out)]) == EXIT_USAGE
+    assert "argument --alpha: expected a finite real, got 'nan'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_nan_slope_from_a_config_object_is_a_usage_error(tmp_path):
+    cfg = StudyConfig("interp1d", slope=math.nan, output_path=str(tmp_path / "x.csv"))
+    with pytest.raises(cli.UsageError, match="slope_at_a"):
+        cli.run(cfg)
+    assert not (tmp_path / "x.csv").exists()

@@ -87,6 +87,10 @@ def test_problem_validation():
         EllipticProblem(1, f, ellipticity=-0.5)
     with pytest.raises(ValueError, match="below ellipticity"):
         EllipticProblem(1, f, continuity=0.1, ellipticity=0.5)
+    for name, match in [("diffusion", "diffusion"), ("reaction", "reaction"),
+                        ("ellipticity", "ellipticity"), ("continuity", "below ellipticity")]:
+        with pytest.raises(ValueError, match=match):
+            EllipticProblem(1, f, **{name: math.nan})
 
 
 # --------------------------------------------------------------- solves
@@ -449,3 +453,8 @@ def test_mesh_savings_validation():
         mesh_savings(1e-2, -1.0, 1.0, 1.0, 2)
     with pytest.raises(ValueError, match="dim"):
         mesh_savings(1e-2, 1.0, 1.0, 1.0, 4)
+    for slot in range(4):
+        args = [1e-2, 1.0, 1.0, 1.0]
+        args[slot] = math.nan
+        with pytest.raises(ValueError, match="positive"):
+            mesh_savings(*args, 2)

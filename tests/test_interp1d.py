@@ -148,6 +148,9 @@ def test_class_p_params_validation():
         ClassPParams(rate=1.0, forcing=0.0)
     with pytest.raises(ValueError):
         ClassPParams(rate=1.0, forcing=1.0, slope_at_a=-1.0001)
+    for name in ("rate", "forcing", "slope_at_a"):
+        with pytest.raises(ValueError):
+            ClassPParams(**{"rate": 1.0, "forcing": 1.0, name: math.nan})
 
 
 def test_class_p_unit_example():

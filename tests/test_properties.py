@@ -1,4 +1,4 @@
-"""Property tests over random simplices, class-(P) members and tolerances.
+"""Property tests over random simplices, class-(P) members, tolerances and segments.
 
 Hypothesis runs derandomized, so every run draws the same examples.
 """
@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reftaylor.expansion import refined_expansion
 from reftaylor.fields import ScalarField
 from reftaylor.interp1d import (
     ClassPParams,
@@ -18,6 +19,7 @@ from reftaylor.interp1d import (
     compare_bounds,
     rate_for_beta,
 )
+from reftaylor.registry import registry
 from reftaylor.simplex import InterpBounds, MeshInterpolant, Simplex, mesh_savings, pi_star_interp
 
 SETTINGS = settings(max_examples=60, derandomize=True, deadline=None)
@@ -117,3 +119,20 @@ def test_mesh_savings_sizes_meet_the_tolerance_exactly(log_eps, log_d2, log_c, l
         assert chain == pytest.approx(eps, rel=1e-13)
     assert s["h_corrected"] / s["h_classical"] == pytest.approx(math.sqrt(2.0), rel=1e-14)
     assert s["node_factor"] == pytest.approx(2.0 ** (-dim / 2), rel=1e-14)
+
+
+@pytest.mark.parametrize("entry", [e for e in registry() if e.analytic], ids=lambda e: e.name)
+@SETTINGS
+@given(
+    st.floats(0.0, 1.0), st.floats(1.0 / 64.0, 1.0), st.integers(1, 256),
+    st.sampled_from(["closed", "open"]),
+)
+def test_refined_enclosure_contains_the_remainder_on_sub_segments(entry, start, frac, m, kind):
+    # the entry's segment bounds hold along its default segment, so on every piece of it
+    a, h = entry.segment
+    piece_a, piece_h = a + start * (1.0 - frac) * h, frac * h
+    rep = refined_expansion(entry.field(), piece_a, piece_h, m, kind=kind, bounds=entry.segment_bounds)
+    # roundoff of exact - approx, divided by |h|; the closed enclosures of the
+    # quadratic entries have zero width, so only this margin separates them
+    margin = 64.0 * np.finfo(float).eps * (abs(rep.exact) + abs(rep.approx)) / rep.h_norm
+    assert rep.bound_lo - margin <= rep.remainder_eps <= rep.bound_hi + margin

@@ -10,6 +10,7 @@ from reftaylor.registry import (
     lookup,
     registry,
     registry_selftest,
+    sine_product,
 )
 
 ANALYTIC = [e.name for e in registry() if e.analytic]
@@ -93,3 +94,28 @@ def test_quadratic_entries_have_tight_bounds():
         a, h = entry.segment
         rep = refined_expansion(entry.field(), a, h, 3, bounds=entry.segment_bounds)
         assert abs(rep.remainder_eps - rep.bound_lo) < 1e-10
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_sine_product_matches_row_products_bit_for_bit(dim):
+    # the reference is the row-wise np.prod formula the column products replace
+    freq = math.pi
+    f = sine_product(dim, freq, "s")
+    pts = np.random.default_rng(dim).uniform(-1.0, 2.0, (513, dim))
+    s, c = np.sin(freq * pts), np.cos(freq * pts)
+    grad = np.empty_like(pts)
+    hess = np.empty((len(pts), dim, dim))
+    for j in range(dim):
+        g = s.copy()
+        g[:, j] = c[:, j]
+        grad[:, j] = np.prod(g, axis=1)
+        for k in range(dim):
+            h = s.copy()
+            if j == k:
+                h[:, j] = -s[:, j]
+            else:
+                h[:, j], h[:, k] = c[:, j], c[:, k]
+            hess[:, j, k] = np.prod(h, axis=1)
+    assert np.array_equal(f.value_at(pts), np.prod(s, axis=1))
+    assert np.array_equal(f.grad_at(pts), freq * grad)
+    assert np.array_equal(f.hess_at(pts), freq**2 * hess)

@@ -198,6 +198,9 @@ def test_bounds_reject_negative_norms():
         InterpBounds(unit_triangle().mesh_size, -1.0, 2.0)
     with pytest.raises(ValueError, match="nonnegative"):
         InterpBounds(unit_triangle().mesh_size, 1.0, -2.0)
+    for d1, d2 in [(math.nan, 2.0), (1.0, math.nan)]:
+        with pytest.raises(ValueError, match="nonnegative"):
+            InterpBounds(unit_triangle().mesh_size, d1, d2)
 
 
 def test_measured_errors_sit_under_bounds():
