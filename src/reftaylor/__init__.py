@@ -9,9 +9,10 @@ The package has four layers:
 - simplex: barycentric interpolation on simplices and meshes (a simplex is
   a one-element mesh), with the half-constant corrected interpolant, the
   one InterpBounds formula for the interpolation bounds at a size h, and
-  the mesh-savings arithmetic that inverts it;
+  the mesh-savings arithmetic that inverts it; MeshInterpolant stores pi*_h
+  as P2 vertex and edge-midpoint values;
 - fem: P1/P2 elliptic model problems, quasi-optimality gap measurements and
-  the a-priori bound chains.
+  the a-priori bound chains; FemSolution shares MeshInterpolant's evaluation.
 
 The cli module exposes all of it as reproducible CSV studies.
 

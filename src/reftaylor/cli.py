@@ -106,7 +106,11 @@ class StudyConfig:
             setattr(self, name, copy.copy(options.get(name, default)))
 
     def validate(self):
-        # written as "not x > 0" so that NaN fails each check
+        # nan and +-inf fail every real-valued option, as they fail its flag's parser
+        for option, (flag, parse, _) in _FLAGS.items():
+            if parse in (_real, _real_list, _pair) and option in vars(self):
+                if not np.isfinite(getattr(self, option)).all():
+                    raise UsageError(f"{flag} must be finite, got {_echo(getattr(self, option))}")
         if self.seed < 0:
             raise UsageError("seed must be nonnegative")
         if self.command == "expand":

@@ -16,6 +16,11 @@ certified: C = max(1 + diffusion, reaction), which bounds the form since
 min(diffusion, reaction) and diffusion/(1 + poincare^2).  Pass explicit
 values when the defaults are too loose.
 
+This module numbers the DOFs, assembles, solves and measures the norms.
+FemSolution is a simplex.MeshInterpolant with the solved DOF values as its
+coefficients, so it evaluates as pi_h and pi*_h (stored as P2 midpoint
+values) do.
+
 Assembly accumulates shape gradients, local stiffness matrices and
 quadrature points explicitly, one term at a time in a fixed order: the
 order np.einsum adds the same products in.  That order keeps the outputs
@@ -23,7 +28,6 @@ bit-identical to the einsum formulas, and so the CSV tables byte-identical,
 while the short contracted axes no longer pay for einsum's general loops.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -35,7 +39,8 @@ from scipy.sparse.linalg import cg
 from .fields import ScalarField
 from .quadrature import simplex_rule
 from .registry import sine_product
-from .simplex import InterpBounds, MeshInterpolant, _unique_rows
+from .simplex import InterpBounds, MeshInterpolant, _basis, _basis_derivatives, _combine
+from .simplex import _edge_pairs, _unique_rows
 
 __all__ = [
     "SolverError",
@@ -130,39 +135,7 @@ class EllipticProblem:
         return self.continuity / self.ellipticity
 
 
-# ------------------------------------------------------- Lagrange bases
-
-
-def _edge_pairs(dim):
-    return list(itertools.combinations(range(dim + 1), 2))
-
-
-def _basis(space, dim, bary):
-    """Shape values and barycentric derivatives at quadrature points.
-
-    For bary of shape (..., dim+1) returns N of shape (..., nloc) and D of
-    shape (..., nloc, dim+1) with D[..., l, i] = d(shape_l)/d(lambda_i);
-    physical gradients follow by composing with the constant barycentric
-    gradients of each element.
-    """
-    bary = np.asarray(bary, dtype=float)
-    lead, nv = bary.shape[:-1], bary.shape[-1]
-    if space == "P1":
-        N = bary.copy()
-        D = np.broadcast_to(np.eye(nv), lead + (nv, nv)).copy()
-        return N, D
-    pairs = _edge_pairs(dim)
-    nloc = nv + len(pairs)
-    N = np.empty(lead + (nloc,))
-    D = np.zeros(lead + (nloc, nv))
-    N[..., :nv] = bary * (2.0 * bary - 1.0)
-    for i in range(nv):
-        D[..., i, i] = 4.0 * bary[..., i] - 1.0
-    for e, (i, j) in enumerate(pairs):
-        N[..., nv + e] = 4.0 * bary[..., i] * bary[..., j]
-        D[..., nv + e, i] = 4.0 * bary[..., j]
-        D[..., nv + e, j] = 4.0 * bary[..., i]
-    return N, D
+# ------------------------------------------------------- DOF numbering
 
 
 def _dof_tables(mesh, space):
@@ -179,8 +152,7 @@ def _dof_tables(mesh, space):
 
     # an edge is on the boundary when it is an edge of a boundary face
     faces, counts, _ = mesh.face_counts()
-    face_pairs = np.array(_edge_pairs(mesh.dim - 1), dtype=int).reshape(-1, 2)
-    boundary_edges = np.sort(faces[counts == 1][:, face_pairs], axis=2)
+    boundary_edges = np.sort(faces[counts == 1][:, _edge_pairs(mesh.dim - 1)], axis=2)
     code = lambda e: e[..., 0] * nv + e[..., 1]
     bmask = np.zeros(nv + len(edges), dtype=bool)
     bmask[:nv] = mesh.boundary_vertex_mask()
@@ -188,19 +160,20 @@ def _dof_tables(mesh, space):
     return coords, elem_dofs, bmask
 
 
-class FemSolution:
-    """Galerkin solution with its measured errors against the exact field.
+class FemSolution(MeshInterpolant):
+    """Galerkin solution, a MeshInterpolant, with its measured errors against the exact field.
 
     l2_error and interp_l2_error are NaN when no manufactured solution is
-    attached; interp_l2_error compares the exact field with its plain
-    vertex interpolant for P1 and the gradient-corrected one for P2.
+    attached; interp_l2_error compares the exact field with its plain vertex
+    interpolant for P1 and the gradient-corrected one for P2.
     """
 
     def __init__(self, space, mesh, dof_values, elem_dofs, dof_coords, problem):
-        self.space = space
+        # MeshInterpolant.__init__ samples a field; here the solve gives the coefficients
         self.mesh = mesh
+        self.space = space
+        self.coefs = dof_values[elem_dofs]
         self.dof_values = dof_values
-        self.elem_dofs = elem_dofs
         self.dof_coords = dof_coords
         self.problem = problem
         self.l2_error = math.nan
@@ -211,43 +184,11 @@ class FemSolution:
             interp = MeshInterpolant(mesh, exact, corrected=(space == "P2"))
             self.interp_l2_error = l2_norm_error(mesh, interp, exact)
 
-    def eval_on_element(self, ks, bary):
-        """Values (K, Q) at barycentric points of the elements ks (K,).
-
-        bary is (Q, n+1), shared by all K elements, or (K, Q, n+1).
-        """
-        N, _ = _basis(self.space, self.mesh.dim, bary)
-        return (N @ self.dof_values[self.elem_dofs[ks]][:, :, None])[..., 0]
-
-    def grad_on_element(self, ks, bary):
-        """Gradients (K, Q, n) at barycentric points bary (Q, n+1) of the elements ks."""
-        _, D = _basis(self.space, self.mesh.dim, bary)
-        G = _combine(D, self.mesh.bary_matrices[ks, :, 1:]).transpose(3, 1, 2, 0)
-        return np.einsum("kqln,kl->kqn", G, self.dof_values[self.elem_dofs[ks]])
-
-    __call__ = MeshInterpolant.__call__
-
 
 # ------------------------------------------------------------- assembly
 #
 # The kernels keep the element index last, so every inner loop runs over all
 # M elements rather than over a contracted axis of two to six terms.
-
-
-def _combine(coef, table):
-    """sum_b coef[..., b] * table[m, b, i], added in b order, as an (n, ..., M) array.
-
-    coef is (..., B) and table (M, B, n).  Transposed to (M, ..., n) the result
-    is bit-identical to np.einsum("...b,mbn->m...n", coef, table).
-    """
-    lead = coef.shape[:-1]
-    coef = coef.reshape(-1, coef.shape[-1])[None, :, :, None]
-    table = np.ascontiguousarray(table.transpose(2, 1, 0))[:, None]
-    out = coef[:, :, 0] * table[:, :, 0]
-    term = np.empty_like(out)
-    for b in range(1, coef.shape[2]):
-        out += np.multiply(coef[:, :, b], table[:, :, b], out=term)
-    return out.reshape(table.shape[:1] + lead + table.shape[-1:])
 
 
 def _stiffness(w, grads):
@@ -275,7 +216,7 @@ def _assemble(problem, mesh, space, elem_dofs, ndof):
     """Global stiffness-plus-mass matrix (CSR) and load vector over all DOFs."""
     bary, w = simplex_rule(mesh.dim)
     vols = mesh.volumes
-    N, D = _basis(space, mesh.dim, bary)
+    N, D = _basis(space, bary), _basis_derivatives(space, bary)
 
     local = problem.diffusion * _stiffness(w, _combine(D, mesh.bary_matrices[:, :, 1:]))
     if problem.reaction:
@@ -345,12 +286,6 @@ def assemble_and_solve(problem, mesh, space="P1"):
 # ------------------------------------------------------------- L2 errors
 
 
-def _element_values(approx, mesh, bary, pts):
-    if hasattr(approx, "eval_on_element"):
-        return np.asarray(approx.eval_on_element(np.arange(len(mesh)), bary), dtype=float)
-    return approx.value_at(pts.reshape(-1, mesh.dim)).reshape(pts.shape[:2])
-
-
 def _quadrature_norm(mesh, w, sq):
     """sqrt of sum_k volume_k * w . sq[k], summed in element order."""
     # one (1, Q) @ (Q,) dot product per element, then a running sum in element
@@ -362,20 +297,22 @@ def _quadrature_norm(mesh, w, sq):
 def l2_norm_error(mesh, approx, exact):
     """Elementwise Gauss quadrature of the squared mismatch, square-rooted.
 
-    approx may be anything with eval_on_element(ks, bary) over an element
-    index array (see FemSolution) or a ScalarField;
+    approx may be a MeshInterpolant (a FemSolution is one) or a ScalarField;
     the rule is exact through degree 4, so P2-level integrands of polynomial
     fields carry no quadrature error.
     """
     bary, w = simplex_rule(mesh.dim)
     pts = bary @ mesh.vertices[mesh.elements]
-    exact_vals = exact.value_at(pts.reshape(-1, mesh.dim)).reshape(pts.shape[:2])
-    diff = exact_vals - _element_values(approx, mesh, bary, pts)
+    if isinstance(approx, MeshInterpolant):
+        approx_vals = approx.eval_on_element(np.arange(len(mesh)), bary)
+    else:
+        approx_vals = approx.value_at(pts.reshape(-1, mesh.dim)).reshape(pts.shape[:2])
+    diff = exact.value_at(pts.reshape(-1, mesh.dim)).reshape(pts.shape[:2]) - approx_vals
     return _quadrature_norm(mesh, w, diff**2)
 
 
 def h1_seminorm_error(mesh, sol, exact):
-    """Gradient mismatch in L2, a reported diagnostic with nothing asserted."""
+    """Gradient mismatch of a MeshInterpolant (u_h, pi_h or pi*_h) in L2, a diagnostic."""
     bary, w = simplex_rule(mesh.dim)
     pts = bary @ mesh.vertices[mesh.elements]
     exact_grads = exact.grad_at(pts.reshape(-1, mesh.dim)).reshape(pts.shape)

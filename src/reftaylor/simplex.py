@@ -16,11 +16,12 @@ Subtracting half the first-order mismatch at the vertices,
 
 cancels the averaged-derivative remainder: pi* reproduces quadratics exactly
 and satisfies the curvature-only bound |D2v|_inf / 4 * h^2, half the
-classical constant, so mesh_savings allows a sqrt(2) coarser mesh.  On a
-shared mesh face only face-vertex terms survive in the correction and vertex
-data is global, so the two-sided values agree in exact arithmetic;
-face_jumps measures the actual floating-point disagreement rather than
-assuming it away.
+classical constant, so mesh_savings allows a sqrt(2) coarser mesh.  pi* is
+quadratic on each element, and MeshInterpolant stores it as P2 vertex and
+edge-midpoint values; pi_interp, pi_star_interp and fem.FemSolution all
+evaluate through MeshInterpolant.  Elements sharing a face hold the same
+data on it, so the two-sided values agree up to evaluation roundoff, which
+face_jumps measures rather than assuming it away.
 """
 
 import itertools
@@ -52,6 +53,11 @@ class GeometryError(ValueError):
     """Degenerate or non-conforming geometry."""
 
 
+def _edge_pairs(dim):
+    """Vertex index pairs i < j of a dim-simplex, in lexicographic order, as an (E, 2) array."""
+    return np.array(list(itertools.combinations(range(dim + 1), 2)), dtype=int).reshape(-1, 2)
+
+
 def _simplex_geometry(verts):
     """Volumes, diameters and barycentric matrices of stacked simplices.
 
@@ -62,7 +68,7 @@ def _simplex_geometry(verts):
     """
     n = verts.shape[2]
     # each vertex pair once: the same sums the full (n+1)^2 difference tensor holds
-    i, j = np.array(list(itertools.combinations(range(n + 1), 2))).T
+    i, j = _edge_pairs(n).T
     diffs = verts[:, j] - verts[:, i]
     diameters = np.sqrt((diffs**2).sum(axis=2).max(axis=1))
     volumes = np.abs(np.linalg.det(verts[:, 1:] - verts[:, :1])) / math.factorial(n)
@@ -98,14 +104,18 @@ def _unique_rows(rows):
     return rows[order[starts[by_appearance]]], inverse, counts[by_appearance]
 
 
+def _view(s, v, point, corrected):
+    # locate first, so a point outside s raises DomainError before v is read
+    k, lam = s.locate(point)
+    return float(MeshInterpolant(s, v, corrected).eval_on_element([k], lam[None])[0, 0])
+
+
 def pi_interp(s, v, point):
     """Degree-1 interpolation sum_i lambda_i(P) v(A_i) on a Simplex s.
 
     Exact for affine v; a point outside s raises DomainError.
     """
-    _, lam = s.locate(point)
-    vals = v.value_at(s.vertices)
-    return float(lam @ vals)
+    return _view(s, v, point, corrected=False)
 
 
 def pi_star_interp(s, v, point):
@@ -114,12 +124,7 @@ def pi_star_interp(s, v, point):
     pi*(v)(P) = pi(v)(P) - 1/2 sum_i lambda_i(P) Dv(A_i).(A_i - P).
     Reproduces polynomials of degree <= 2 exactly.
     """
-    _, lam = s.locate(point)
-    point = np.atleast_1d(np.asarray(point, dtype=float))
-    vals = v.value_at(s.vertices)
-    grads = v.grad_at(s.vertices)
-    correction = 0.5 * float(lam @ np.sum(grads * (s.vertices - point), axis=1))
-    return float(lam @ vals) - correction
+    return _view(s, v, point, corrected=True)
 
 
 class InterpBounds:
@@ -320,37 +325,87 @@ class Simplex(Triangulation):
         return f"Simplex(dim={self.dim}, diam={self.diameter:.3g})"
 
 
-class MeshInterpolant:
-    """Global piecewise interpolant pi_h or (with corrected=True) pi*_h.
+def _basis(space, bary):
+    """Shape values (..., nloc) at barycentric points (..., n+1).
 
-    Vertex values, and gradients when corrected, are taken once at
-    construction; evaluation is per element, so face points follow the
-    point-location tie rule (lowest element index).
+    P1 has the vertex shapes; P2 the vertex shapes, then the edge-midpoint
+    shapes in _edge_pairs order.
+    """
+    bary = np.asarray(bary, dtype=float)
+    if space == "P1":
+        return bary
+    i, j = _edge_pairs(bary.shape[-1] - 1).T
+    return np.concatenate([bary * (2.0 * bary - 1.0), 4.0 * bary[..., i] * bary[..., j]], axis=-1)
+
+
+def _basis_derivatives(space, bary):
+    """D[..., l, i] = d(shape_l)/d(lambda_i) at barycentric points, (..., nloc, n+1)."""
+    bary = np.asarray(bary, dtype=float)
+    lead, nv = bary.shape[:-1], bary.shape[-1]
+    if space == "P1":
+        return np.broadcast_to(np.eye(nv), lead + (nv, nv))
+    i, j = _edge_pairs(nv - 1).T
+    edges = np.arange(nv, nv + len(i))
+    D = np.zeros(lead + (nv + len(i), nv))
+    D[..., range(nv), range(nv)] = 4.0 * bary - 1.0
+    D[..., edges, i] = 4.0 * bary[..., j]
+    D[..., edges, j] = 4.0 * bary[..., i]
+    return D
+
+
+def _combine(coef, table):
+    """sum_b coef[..., b] * table[m, b, i], added in b order, as an (n, ..., M) array.
+
+    coef is (..., B) and table (M, B, n).  Transposed to (M, ..., n) the result
+    is bit-identical to np.einsum("...b,mbn->m...n", coef, table).
+    """
+    lead = coef.shape[:-1]
+    coef = coef.reshape(-1, coef.shape[-1])[None, :, :, None]
+    table = np.ascontiguousarray(table.transpose(2, 1, 0))[:, None]
+    out = coef[:, :, 0] * table[:, :, 0]
+    term = np.empty_like(out)
+    for b in range(1, coef.shape[2]):
+        out += np.multiply(coef[:, :, b], table[:, :, b], out=term)
+    return out.reshape(table.shape[:1] + lead + table.shape[-1:])
+
+
+class MeshInterpolant:
+    """Continuous P1 or P2 Lagrange field on a mesh: pi_h, or pi*_h with corrected=True.
+
+    coefs (M, nloc) holds each element's coefficients in _basis order.  pi_h
+    stores v at the vertices.  pi*_h is quadratic on each element, so it is
+    P2: the vertex values plus, on each edge A_i A_j, the cubic Hermite value
+    (v_i + v_j)/2 - (Dv(A_i) - Dv(A_j)).(A_i - A_j)/8 at its midpoint.  That
+    value is symmetric in i and j to the bit, so elements sharing an edge
+    store the same one.  Evaluation is per element, so face points follow
+    the point-location tie rule (lowest element index).
     """
 
     def __init__(self, mesh, v, corrected=False):
         self.mesh = mesh
-        self.corrected = corrected
-        self.vertex_values = v.value_at(mesh.vertices)
-        self.vertex_grads = v.grad_at(mesh.vertices) if corrected else None
+        self.space = "P2" if corrected else "P1"
+        self.coefs = v.value_at(mesh.vertices)[mesh.elements]
+        if corrected:
+            g, x = (t.take(mesh.elements, 0) for t in (v.grad_at(mesh.vertices), mesh.vertices))
+            mids = [
+                0.5 * (self.coefs[:, i] + self.coefs[:, j])
+                - np.einsum("mn,mn->m", g[:, i] - g[:, j], x[:, i] - x[:, j]) / 8.0
+                for i, j in _edge_pairs(mesh.dim)
+            ]
+            self.coefs = np.column_stack([self.coefs, *mids])
 
     def eval_on_element(self, ks, bary):
         """Values (K, Q) at barycentric points of the elements ks (K,).
 
         bary is (Q, n+1), shared by all K elements, or (K, Q, n+1).
         """
-        bary = np.asarray(bary, dtype=float)
-        idx = self.mesh.elements[ks]
-        out = (bary @ self.vertex_values[idx][:, :, None])[..., 0]
-        if self.corrected:
-            verts = self.mesh.vertices[idx]
-            points = bary @ verts
-            grads = self.vertex_grads[idx]
-            # 1/2 sum_i lambda_i g_i . (A_i - P)
-            dots = np.einsum("kin,kqn->kqi", grads, -points) + (grads * verts).sum(axis=2)[:, None]
-            bary = np.broadcast_to(bary, dots.shape)
-            out = out - 0.5 * np.einsum("kqi,kqi->kq", bary, dots)
-        return out
+        return (_basis(self.space, bary) @ self.coefs[ks][:, :, None])[..., 0]
+
+    def grad_on_element(self, ks, bary):
+        """Gradients (K, Q, n) at barycentric points bary (Q, n+1) of the elements ks."""
+        D = _basis_derivatives(self.space, bary)
+        G = _combine(D, self.mesh.bary_matrices[ks, :, 1:]).transpose(3, 1, 2, 0)
+        return np.einsum("kqln,kl->kqn", G, self.coefs[ks])
 
     def __call__(self, point):
         k, lam = self.mesh.locate(point)

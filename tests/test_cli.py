@@ -276,6 +276,14 @@ def test_config_validation_rejects_bad_values():
         ("interp1d", {"forcing": math.nan}),
         ("interp1d", {"beta_values": [math.nan, 0.75]}),
         ("interp1d", {"interval": (0.0, math.nan)}),
+        ("savings", {"alpha": math.inf}),
+        ("savings", {"eps_values": [1e-3, math.inf]}),
+        ("savings", {"d2_inf": -math.inf}),
+        ("fem", {"diffusion": math.inf}),
+        ("fem", {"reaction": math.inf}),
+        ("interp1d", {"forcing": math.inf}),
+        ("interp1d", {"slope": -math.inf}),
+        ("interp1d", {"interval": (-math.inf, 1.0)}),
     ]
     for command, options in nan_options:
         with pytest.raises(cli.UsageError):
@@ -372,6 +380,6 @@ def test_non_finite_config_value_exits_usage(tmp_path, capsys):
 
 def test_nan_slope_from_a_config_object_is_a_usage_error(tmp_path):
     cfg = StudyConfig("interp1d", slope=math.nan, output_path=str(tmp_path / "x.csv"))
-    with pytest.raises(cli.UsageError, match="slope_at_a"):
+    with pytest.raises(cli.UsageError, match="--slope must be finite, got nan"):
         cli.run(cfg)
     assert not (tmp_path / "x.csv").exists()

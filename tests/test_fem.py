@@ -7,6 +7,7 @@ import pytest
 from scipy.sparse import coo_matrix
 
 import reftaylor.fem as fem
+import reftaylor.simplex as simplex
 from reftaylor.fem import (
     EllipticProblem,
     SolverError,
@@ -20,7 +21,13 @@ from reftaylor.fem import (
 )
 from reftaylor.fields import ScalarField
 from reftaylor.quadrature import simplex_rule
-from reftaylor.simplex import InterpBounds, Triangulation, mesh_savings, uniform_mesh
+from reftaylor.simplex import (
+    InterpBounds,
+    MeshInterpolant,
+    Triangulation,
+    mesh_savings,
+    uniform_mesh,
+)
 
 SINE_D1 = math.pi       # sup |grad u| for u = prod sin(pi x_i), dims 1 and 2
 SINE_D2 = math.pi**2    # sup |D2 u| (spectral), both dims
@@ -202,7 +209,7 @@ def _kernel_meshes(dim):
 
 def _reference_system(problem, mesh, space, elem_dofs, ndof):
     bary, w = simplex_rule(mesh.dim)
-    N, D = fem._basis(space, mesh.dim, bary)
+    N, D = simplex._basis(space, bary), simplex._basis_derivatives(space, bary)
     grads = np.einsum("qlb,mbn->mqln", D, mesh.bary_matrices[:, :, 1:])
     local = problem.diffusion * np.einsum("q,mqln,mqkn->mlk", w, grads, grads)
     if problem.reaction:
@@ -223,17 +230,17 @@ def _reference_system(problem, mesh, space, elem_dofs, ndof):
 @pytest.mark.parametrize("dim, space", KERNEL_CASES)
 def test_assembly_kernels_match_einsum_bitwise(dim, space):
     bary, w = simplex_rule(dim)
-    _, D = fem._basis(space, dim, bary)
+    D = simplex._basis_derivatives(space, bary)
     for m in _kernel_meshes(dim):
         G0 = m.bary_matrices[:, :, 1:]
         verts = m.vertices[m.elements]
-        grads = fem._combine(D, G0)
+        grads = simplex._combine(D, G0)
         reference = np.einsum("qlb,mbn->mqln", D, G0)
         assert np.array_equal(grads.transpose(3, 1, 2, 0), reference)
         assert np.array_equal(
             fem._stiffness(w, grads), np.einsum("q,mqln,mqkn->mlk", w, reference, reference)
         )
-        assert np.array_equal(fem._combine(bary, verts).T, np.einsum("qb,mbn->mqn", bary, verts))
+        assert np.array_equal(simplex._combine(bary, verts).T, np.einsum("qb,mbn->mqn", bary, verts))
 
 
 @pytest.mark.parametrize("dim, space", KERNEL_CASES)
@@ -324,6 +331,36 @@ def test_h1_diagnostic_is_finite_and_reported():
     sol = assemble_and_solve(p, m, "P1")
     d = h1_seminorm_error(m, sol, p.exact_solution)
     assert math.isfinite(d) and d >= 0.0
+
+
+def test_pi_star_h1_error_falls_like_h_squared():
+    # pi*_h is a P2 field, so its H1 error is O(h^2), the rate the energy chain needs
+    u = sine_problem(2).exact_solution
+    errors = []
+    for k in (4, 8, 16, 32):
+        m = uniform_mesh(unit_box(2), 2, k)
+        errors.append(h1_seminorm_error(m, MeshInterpolant(m, u, corrected=True), u))
+    ratios = [a / b for a, b in zip(errors, errors[1:])]
+    assert all(abs(r - 4.0) <= 0.1 for r in ratios), ratios
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_p1_solution_evaluates_as_the_vertex_interpolant_bitwise(dim):
+    m = uniform_mesh(unit_box(dim), dim, 6)
+    u = sine_problem(dim).exact_solution
+    values = u.value_at(m.vertices)
+    sol = fem.FemSolution("P1", m, values, m.elements, m.vertices, EllipticProblem(dim, u))
+    interp = MeshInterpolant(m, u)
+    bary, _ = simplex_rule(dim)
+    ks = np.arange(len(m))
+    rng = np.random.default_rng(dim)
+    per_element = rng.dirichlet(np.ones(dim + 1), size=(len(m), 3))
+    for lam in (bary, per_element):
+        got = sol.eval_on_element(ks, lam)
+        assert np.array_equal(got, interp.eval_on_element(ks, lam))
+        # the plain vertex-value matmul, which keeps the P1 CSV bytes
+        assert np.array_equal(got, (lam @ values[m.elements][:, :, None])[..., 0])
+    assert np.array_equal(sol.grad_on_element(ks, bary), interp.grad_on_element(ks, bary))
 
 
 # ------------------------------------------------------------ the chains

@@ -484,6 +484,53 @@ def test_corrected_mesh_interp_beats_plain_on_smooth_field():
     assert err_star < 0.5 * err
 
 
+def _pi_star_reference(mesh, v, k, lam):
+    """sum_i lam_i v(A_i) - 1/2 sum_i lam_i Dv(A_i).(A_i - P) on element k, point by point."""
+    verts = mesh.vertices[mesh.elements[k]]
+    point = lam @ verts
+    correction = 0.5 * float(lam @ np.sum(v.grad_at(verts) * (verts - point), axis=1))
+    return float(lam @ v.value_at(verts)) - correction
+
+
+@pytest.mark.parametrize("dim, k", [(1, 7), (2, 5), (3, 2)])
+def test_p2_pi_star_matches_the_pointwise_correction(dim, k):
+    # the stored midpoint values against the correction formula they replace,
+    # on a uniform mesh and on a copy with every vertex moved up to h/5
+    rng = np.random.default_rng(53 + dim)
+    f = ScalarField(
+        dim,
+        lambda p: np.sin(p @ np.arange(1.0, dim + 1)) + np.exp(p.sum(axis=1)),
+        grad=lambda p: np.cos(p @ np.arange(1.0, dim + 1))[:, None] * np.arange(1.0, dim + 1)
+        + np.exp(p.sum(axis=1))[:, None],
+    )
+    uniform = uniform_mesh([(0.0, 1.0)] * dim, dim, k)
+    shift = rng.uniform(-0.2 / k, 0.2 / k, uniform.vertices.shape)
+    for m in (uniform, Triangulation(uniform.vertices + shift, uniform.elements)):
+        star = MeshInterpolant(m, f, corrected=True)
+        grads = np.linalg.norm(f.grad_at(m.vertices), axis=1)
+        scale = np.max(np.abs(f.value_at(m.vertices))) + m.mesh_size * np.max(grads)
+        for _ in range(40):
+            e = rng.integers(len(m))
+            lam = rng.exponential(size=dim + 1)
+            lam /= lam.sum()
+            got = star.eval_on_element([e], lam[None])[0, 0]
+            assert abs(got - _pi_star_reference(m, f, e, lam)) <= 1e-13 * scale
+
+
+def test_pi_star_midpoint_values_agree_bitwise_across_elements():
+    # an edge's midpoint value is symmetric in its two ends, so every element
+    # sharing the edge stores the same bits, whichever end each lists first
+    m = uniform_mesh([(0.0, 1.0)] * 3, 3, 2)
+    order = np.random.default_rng(59).permuted(np.tile(np.arange(4), (len(m), 1)), axis=1)
+    m = Triangulation(m.vertices, np.take_along_axis(m.elements, order, axis=1))
+    star = MeshInterpolant(m, exp_sum(3), corrected=True)
+    edges = np.sort(m.elements[:, list(itertools.combinations(range(4), 2))], axis=2)
+    seen = {}
+    for edge, value in zip(edges.reshape(-1, 2).tolist(), star.coefs[:, 4:].ravel()):
+        assert seen.setdefault(tuple(edge), value) == value
+    assert len(seen) < edges.size // 2
+
+
 # ------------------------------------------------------------ mesh i/o
 
 
