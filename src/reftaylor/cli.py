@@ -11,9 +11,12 @@ Five study commands plus a registry listing:
 
 Every study writes one CSV (12 significant digits, scientific notation,
 header row, rows sorted by the first column) and a key=value manifest next
-to it echoing the configuration, the seed and the wall time.  Given the same
-configuration and seed the CSV bytes are identical run to run; the manifest
-is not, since it carries the wall time.  Flags may come from a flat
+to it echoing the configuration, the seed and the study's wall time (the
+writes are not in it).  Given the same configuration and seed the CSV bytes
+are identical run to run; the manifest is not, since it carries the wall
+time.  Both files are written as new files: whatever was at the path before
+is unlinked first, so a symlink there is replaced rather than followed and a
+hard link to an old output keeps the old bytes.  Flags may come from a flat
 key=value config file via --config, with explicit flags winning.
 
 Each command's options and their defaults are written once, in _COMMANDS,
@@ -29,9 +32,11 @@ codes: 0 success, 1 usage, 2 numeric failure, 3 I/O failure.
 
 import argparse
 import copy
+import functools
 import math
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -109,8 +114,13 @@ class StudyConfig:
         # nan and +-inf fail every real-valued option, as they fail its flag's parser
         for option, (flag, parse, _) in _FLAGS.items():
             if parse in (_real, _real_list, _pair) and option in vars(self):
-                if not np.isfinite(getattr(self, option)).all():
-                    raise UsageError(f"{flag} must be finite, got {_echo(getattr(self, option))}")
+                value = getattr(self, option)
+                try:
+                    finite = np.isfinite(value).all()
+                except TypeError:
+                    raise UsageError(f"{flag} must be real, got {value!r}") from None
+                if not finite:
+                    raise UsageError(f"{flag} must be finite, got {_echo(value)}")
         if self.seed < 0:
             raise UsageError("seed must be nonnegative")
         if self.command == "expand":
@@ -344,7 +354,14 @@ def _echo(value):
 
 
 def _write_lines(path, lines):
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
+    """Write lines to path as a new file.
+
+    Truncating a file that was just written makes the file system flush its
+    old data first (tens of ms on ext4); unlinking it does not.  Mode "x"
+    then refuses to follow a symlink put back at the path in between.
+    """
+    Path(path).unlink(missing_ok=True)
+    with open(path, "x", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -377,10 +394,11 @@ def run(cfg, out=None):
     header, rows = build_rows(cfg)
     rows = sorted(rows, key=lambda row: row[0])
     table = [",".join(header)] + [",".join(map(_format_cell, row)) for row in rows]
+    wall_time = time.perf_counter() - start
     _write_lines(cfg.output_path, table)
     # the manifest echoes the config's own options, so its keys are StudyConfig names
     manifest = [f"{key} = {_echo(value)}" for key, value in sorted(vars(cfg).items())]
-    manifest += [f"rows = {len(rows)}", f"wall_time_s = {time.perf_counter() - start:.6f}"]
+    manifest += [f"rows = {len(rows)}", f"wall_time_s = {wall_time:.6f}"]
     _write_lines(cfg.output_path + ".manifest", manifest)
     print(f"wrote {len(rows)} rows to {cfg.output_path}", file=out)
     return EXIT_OK
@@ -471,8 +489,13 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser():
-    """The flags of every command, from _COMMANDS and _FLAGS; the parser holds no defaults."""
+    """The flags of every command, from _COMMANDS and _FLAGS; the parser holds no defaults.
+
+    Built once per process and shared: parsing stores nothing in it, since
+    each call fills a fresh namespace.
+    """
     parser = _Parser(prog="reftaylor", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     for command, (summary, _, defaults) in _COMMANDS.items():

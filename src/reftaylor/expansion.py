@@ -253,9 +253,10 @@ def refined_expansion(f, a, h, m, kind=CLOSED, bounds=None, samples=201):
 
     nodes = a + (np.arange(len(family.weights)) / m)[:, None] * h
     _require_inside(f, nodes, "expansion node k={}")
-    acc = f.value(a)
-    for w, slope in zip(family.weights, (f.grad_at(nodes) @ h).tolist()):
-        acc += w * slope
+    # accumulate adds left to right, so this is f(a) + w_0 s_0 + ... + w_m s_m
+    # summed in that order, term by term, with the same bits
+    terms = np.concatenate(([f.value(a)], np.array(family.weights) * (f.grad_at(nodes) @ h)))
+    acc = float(np.add.accumulate(terms)[-1])
     exact = f.value(a + h)
 
     spread = hn * (bounds.M2 - bounds.m2) / (8.0 * m)

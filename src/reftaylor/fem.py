@@ -224,7 +224,7 @@ def _assemble(problem, mesh, space, elem_dofs, ndof):
         local = local + problem.reaction * mass_ref[None, :, :]
     local = local * vols[:, None, None]
 
-    pts = _combine(bary, mesh.vertices[mesh.elements]).T.reshape(-1, mesh.dim)
+    pts = _combine(bary, mesh.vertices.take(mesh.elements, 0)).T.reshape(-1, mesh.dim)
     fvals = problem.rhs.value_at(pts).reshape(len(vols), len(w))
     load = vols[:, None] * np.einsum("mq,q,ql->ml", fvals, w, N)
 
@@ -302,7 +302,7 @@ def l2_norm_error(mesh, approx, exact):
     fields carry no quadrature error.
     """
     bary, w = simplex_rule(mesh.dim)
-    pts = bary @ mesh.vertices[mesh.elements]
+    pts = bary @ mesh.vertices.take(mesh.elements, 0)
     if isinstance(approx, MeshInterpolant):
         approx_vals = approx.eval_on_element(np.arange(len(mesh)), bary)
     else:
@@ -314,7 +314,7 @@ def l2_norm_error(mesh, approx, exact):
 def h1_seminorm_error(mesh, sol, exact):
     """Gradient mismatch of a MeshInterpolant (u_h, pi_h or pi*_h) in L2, a diagnostic."""
     bary, w = simplex_rule(mesh.dim)
-    pts = bary @ mesh.vertices[mesh.elements]
+    pts = bary @ mesh.vertices.take(mesh.elements, 0)
     exact_grads = exact.grad_at(pts.reshape(-1, mesh.dim)).reshape(pts.shape)
     diff = exact_grads - sol.grad_on_element(np.arange(len(mesh)), bary)
     return _quadrature_norm(mesh, w, np.sum(diff**2, axis=2))

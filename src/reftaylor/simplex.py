@@ -206,7 +206,7 @@ class Triangulation:
         self.vertices.flags.writeable = False
         self.elements.flags.writeable = False
         self.volumes, self.diameters, self.bary_matrices = _simplex_geometry(
-            self.vertices[self.elements]
+            self.vertices.take(self.elements, 0)
         )
         self.mesh_size = float(self.diameters.max())
         self._faces = None

@@ -2,7 +2,9 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import shlex
+import time
 from pathlib import Path
 
 import numpy as np
@@ -210,6 +212,61 @@ def test_unwritable_output_exits_io(tmp_path):
     assert code == EXIT_IO
 
 
+def test_directory_as_output_exits_io(tmp_path):
+    (tmp_path / "d.csv").mkdir()
+    assert run_main(["savings", "--output", str(tmp_path / "d.csv")]) == EXIT_IO
+    assert (tmp_path / "d.csv").is_dir()
+
+
+def test_rerun_to_an_existing_output_writes_the_new_bytes(tmp_path):
+    out, fresh = tmp_path / "e.csv", tmp_path / "fresh.csv"
+    assert run_main(["expand", "--function", "exp", "--m", "1,2", "--output", str(out)]) == EXIT_OK
+    assert run_main(["expand", "--function", "exp", "--m", "4", "--output", str(out)]) == EXIT_OK
+    assert run_main(["expand", "--function", "exp", "--m", "4", "--output", str(fresh)]) == EXIT_OK
+    assert out.read_bytes() == fresh.read_bytes()
+    assert "m_values = 4\n" in (tmp_path / "e.csv.manifest").read_text()
+
+
+def test_rerun_leaves_a_hard_link_to_the_old_output_alone(tmp_path):
+    out = tmp_path / "e.csv"
+    assert run_main(["expand", "--function", "exp", "--m", "1", "--output", str(out)]) == EXIT_OK
+    old = out.read_bytes()
+    os.link(out, tmp_path / "hard.csv")
+    assert run_main(["expand", "--function", "exp", "--m", "2", "--output", str(out)]) == EXIT_OK
+    assert (tmp_path / "hard.csv").read_bytes() == old != out.read_bytes()
+
+
+def test_symlink_at_output_is_replaced_by_a_regular_file(tmp_path):
+    out, target = tmp_path / "e.csv", tmp_path / "target.csv"
+    target.write_text("target\n")
+    out.symlink_to(target)
+    assert run_main(["expand", "--function", "exp", "--m", "1", "--output", str(out)]) == EXIT_OK
+    assert not out.is_symlink() and out.read_text().startswith("m,")
+    assert target.read_text() == "target\n"
+
+
+def test_manifest_wall_time_leaves_out_the_writes(tmp_path, monkeypatch):
+    write = cli._write_lines
+
+    def slow_write(path, lines):
+        time.sleep(0.2)
+        write(path, lines)
+
+    monkeypatch.setattr(cli, "_write_lines", slow_write)
+    assert run_main(["savings", "--output", str(tmp_path / "s.csv")]) == EXIT_OK
+    manifest = dict(
+        line.split(" = ", 1) for line in (tmp_path / "s.csv.manifest").read_text().splitlines()
+    )
+    assert float(manifest["wall_time_s"]) < 0.2
+
+
+def test_usage_error_leaves_the_cached_parser_as_it_was():
+    assert run_main(["fem", "--subdivisions", "4", "--diffusion", "x"]) == EXIT_USAGE
+    assert run_main(["fem", "--no-such-flag"]) == EXIT_USAGE
+    assert cli._build_parser() is cli._build_parser()
+    assert vars(cli.parse_argv(["fem"])) == vars(StudyConfig("fem"))
+
+
 def test_bound_violation_exits_numeric(tmp_path, monkeypatch):
     # an entry that understates its second-derivative range cannot contain
     # the measured remainder; the run must abort rather than write the table
@@ -381,5 +438,22 @@ def test_non_finite_config_value_exits_usage(tmp_path, capsys):
 def test_nan_slope_from_a_config_object_is_a_usage_error(tmp_path):
     cfg = StudyConfig("interp1d", slope=math.nan, output_path=str(tmp_path / "x.csv"))
     with pytest.raises(cli.UsageError, match="--slope must be finite, got nan"):
+        cli.run(cfg)
+    assert not (tmp_path / "x.csv").exists()
+
+
+# every real-valued option of every command; expand and simplex have none
+_REAL_OPTIONS = [
+    (command, option)
+    for command, (_, _, defaults) in sorted(cli._COMMANDS.items())
+    for option in defaults
+    if cli._FLAGS[option][1] in (cli._real, cli._real_list, cli._pair)
+]
+
+
+@pytest.mark.parametrize("command, option", _REAL_OPTIONS)
+def test_non_numeric_real_option_is_a_usage_error(command, option, tmp_path):
+    cfg = StudyConfig(command, **{option: "1", "output_path": str(tmp_path / "x.csv")})
+    with pytest.raises(cli.UsageError, match=f"{cli._FLAGS[option][0]} must be real, got '1'"):
         cli.run(cfg)
     assert not (tmp_path / "x.csv").exists()

@@ -17,6 +17,7 @@ from reftaylor.expansion import (
     taylor_first_order,
 )
 from reftaylor.fields import DomainError, ScalarField
+from reftaylor.registry import lookup
 
 
 def field_1d(value, deriv, deriv2, domain=None, name=""):
@@ -192,6 +193,35 @@ def test_refined_quadratic_exactness_random():
                 h = rng.uniform(-1, 1, size=dim)
                 rep = refined_expansion(f, a, h, m=m)
                 assert abs(rep.exact - rep.approx) <= 1e-12 * (1.0 + abs(rep.exact))
+
+
+def _refined_by_scalar_loop(f, a, h, m, kind, bounds):
+    """(approx, remainder_eps, bound_lo, bound_hi) with the node terms added one at a time."""
+    weights = expansion_weights(m, kind).weights
+    hn = float(np.linalg.norm(h))
+    nodes = a + (np.arange(len(weights)) / m)[:, None] * h
+    acc = f.value(a)
+    for w, slope in zip(weights, (f.grad_at(nodes) @ h).tolist()):
+        acc += w * slope
+    spread = hn * (bounds.M2 - bounds.m2) / (8.0 * m)
+    if kind == CLOSED:
+        lo, hi = -spread, spread
+    else:
+        lo, hi = -spread - bounds.M1 / (2.0 * m), spread - bounds.m1 / (2.0 * m)
+    return acc, (f.value(a + h) - acc) / hn, lo, hi
+
+
+@pytest.mark.parametrize("name", ["exp1d", "sin1d", "exp2d", "sinsin2d", "exp3d"])
+@pytest.mark.parametrize("kind", [CLOSED, OPEN])
+def test_refined_expansion_matches_scalar_loop_bitwise(name, kind):
+    entry = lookup(name)
+    f, (a, h), bounds = entry.field(), entry.segment, entry.segment_bounds
+    for m in (1, 2, 7, 100, 10000):
+        rep = refined_expansion(f, a, h, m, kind=kind, bounds=bounds)
+        got = (rep.approx, rep.remainder_eps, rep.bound_lo, rep.bound_hi)
+        want = _refined_by_scalar_loop(f, a, h, m, kind, bounds)
+        assert [x.hex() for x in got] == [float(x).hex() for x in want], m
+        assert type(rep.approx) is float
 
 
 def test_refined_node_outside_domain_names_offender():

@@ -565,3 +565,11 @@ def test_mesh_text_skips_comments_and_blanks():
     m = read_mesh_text("# interval\n\nv 0\nv 1\ne 0 1\n")
     assert len(m) == 1
     assert m.mesh_size == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_take_gathers_the_same_element_vertices_as_fancy_indexing(dim):
+    mesh = uniform_mesh([(0.0, 1.0)] * dim, dim, 4)
+    gathered = mesh.vertices.take(mesh.elements, 0)
+    assert gathered.shape == (len(mesh), dim + 1, dim)
+    assert np.array_equal(gathered, mesh.vertices[mesh.elements])
