@@ -24,6 +24,7 @@ data on it, so the two-sided values agree up to evaluation roundoff, which
 face_jumps measures rather than assuming it away.
 """
 
+import functools
 import itertools
 import math
 
@@ -53,9 +54,13 @@ class GeometryError(ValueError):
     """Degenerate or non-conforming geometry."""
 
 
+@functools.cache
 def _edge_pairs(dim):
-    """Vertex index pairs i < j of a dim-simplex, in lexicographic order, as an (E, 2) array."""
-    return np.array(list(itertools.combinations(range(dim + 1), 2)), dtype=int).reshape(-1, 2)
+    """Vertex index pairs i < j of a dim-simplex, in lexicographic order, as a
+    read-only (E, 2) array built once per dim."""
+    pairs = np.array(list(itertools.combinations(range(dim + 1), 2)), dtype=int).reshape(-1, 2)
+    pairs.flags.writeable = False
+    return pairs
 
 
 def _simplex_geometry(verts):
@@ -184,9 +189,12 @@ class Triangulation:
     and its columns 1: are the barycentric gradients; mesh_size is the
     largest diameter.  A Simplex is the one-element case, and simplex(k)
     builds element k as one on demand.  The face table is built on the
-    first face_counts() call and cached, so vertices and elements are
-    read-only copies.  locate tests every element at once; the lowest
-    containing index wins.
+    first face_counts() call and the locate table on the first locate()
+    call, and both are cached, so vertices, elements and bary_matrices are
+    read-only.  The locate table stacks the barycentric rows as one
+    ((n+1)*M, n+1) array, row i*M + k holding row i of bary_matrices[k], so
+    one matrix-vector product with (1, P) gives every element's coordinates;
+    the lowest containing index wins.
     """
 
     def __init__(self, vertices, elements):
@@ -208,8 +216,10 @@ class Triangulation:
         self.volumes, self.diameters, self.bary_matrices = _simplex_geometry(
             self.vertices.take(self.elements, 0)
         )
+        self.bary_matrices.flags.writeable = False
         self.mesh_size = float(self.diameters.max())
         self._faces = None
+        self._locate_rows = None
 
     def __len__(self):
         return len(self.elements)
@@ -268,12 +278,15 @@ class Triangulation:
         point = np.atleast_1d(np.asarray(point, dtype=float))
         if point.size != self.dim:
             raise ValueError(f"point has dim {point.size}, mesh has {self.dim}")
-        lam = self.bary_matrices @ np.concatenate([[1.0], point])
-        inside = np.flatnonzero(lam.min(axis=1) >= -tol)
+        if self._locate_rows is None:
+            self._locate_rows = self.bary_matrices.transpose(1, 0, 2).reshape(-1, self.dim + 1)
+        # lam[i, k] = lambda_i(P) on element k, from one matrix-vector product
+        lam = (self._locate_rows @ np.concatenate([[1.0], point])).reshape(self.dim + 1, -1)
+        inside = np.flatnonzero(np.minimum.reduce(lam, axis=0) >= -tol)
         if not inside.size:
             raise DomainError(f"point {point.tolist()} lies outside the mesh")
         k = int(inside[0])
-        return k, lam[k]
+        return k, lam[:, k]
 
 
 class Simplex(Triangulation):

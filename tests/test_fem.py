@@ -325,6 +325,20 @@ def test_l2_norm_error_examples():
     assert l2_norm_error(sq, zero_field(2), one) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("space", ["P1", "P2"])
+def test_fem_never_builds_the_locate_table(space):
+    # FEM evaluates by element index, so only a locate() call may build the
+    # ((n+1)*M, n+1) row table
+    p = sine_problem(2)
+    m = uniform_mesh(unit_box(2), 2, 4)
+    sol = assemble_and_solve(p, m, space)
+    estimate_report(p, m, space, SINE_D1, SINE_D2)
+    l2_norm_error(m, sol, p.exact_solution)
+    assert m._locate_rows is None
+    m.locate([0.3, 0.6])
+    assert m._locate_rows.shape == (3 * len(m), 3)
+
+
 def test_h1_diagnostic_is_finite_and_reported():
     p = sine_problem(1)
     m = uniform_mesh([(0.0, 1.0)], 1, 16)

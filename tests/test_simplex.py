@@ -8,11 +8,13 @@ import pytest
 
 from reftaylor.fields import DomainError, ScalarField
 from reftaylor.simplex import (
+    INSIDE_TOL,
     GeometryError,
     InterpBounds,
     MeshInterpolant,
     Simplex,
     Triangulation,
+    _edge_pairs,
     _unique_rows,
     face_jumps,
     pi_interp,
@@ -347,6 +349,14 @@ def _assert_same_tables(got, want):
         assert a.shape == b.shape and np.array_equal(a, b)
 
 
+def test_edge_pairs_built_once_and_read_only():
+    for dim in (0, 1, 2, 3):
+        pairs = _edge_pairs(dim)
+        assert pairs is _edge_pairs(dim) and not pairs.flags.writeable
+        assert pairs.shape == (math.comb(dim + 1, 2), 2)
+        assert pairs.tolist() == [list(e) for e in itertools.combinations(range(dim + 1), 2)]
+
+
 def test_unique_rows_matches_np_unique():
     rng = np.random.default_rng(41)
     for width in (1, 2, 3):
@@ -407,6 +417,90 @@ def test_locate_outside_raises():
     m = uniform_mesh([(0.0, 1.0)], 1, 4)
     with pytest.raises(DomainError, match="outside"):
         m.locate([1.5])
+
+
+def _scan_locate(mesh, point, tol):
+    """Reference point location: the stacked (M, n+1, n+1) @ (1, P) product
+    and a row minimum over each element's coordinates, lowest index first;
+    None when no element contains the point."""
+    lam = mesh.bary_matrices @ np.concatenate([[1.0], point])
+    inside = np.flatnonzero(lam.min(axis=1) >= -tol)
+    return (int(inside[0]), lam[inside[0]]) if inside.size else None
+
+
+def _probe_points(mesh, rng, count):
+    """Random box points, vertices, edge midpoints and interior face points
+    (the last three on element boundaries, where ties fall)."""
+    n = mesh.dim
+    faces, counts, _ = mesh.face_counts()
+    interior = faces[counts == 2]
+    pick = lambda rows: rows[rng.choice(len(rows), size=min(count, len(rows)), replace=False)]
+    ends = pick(mesh.elements[:, _edge_pairs(n)].reshape(-1, 2))
+    corners = mesh.vertices[pick(interior)]
+    w = rng.exponential(size=corners.shape[:2])
+    w /= w.sum(axis=1, keepdims=True)
+    return np.vstack([
+        rng.random((count, n)),
+        mesh.vertices[pick(np.arange(len(mesh.vertices)))],
+        0.5 * (mesh.vertices[ends[:, 0]] + mesh.vertices[ends[:, 1]]),
+        np.einsum("fc,fcn->fn", w, corners),
+    ])
+
+
+def _beyond_boundary(mesh, rng, lam_out, count):
+    """Points whose coordinate opposite a boundary face is lam_out, the rest
+    of the weight spread evenly over that face's vertices."""
+    faces, counts, owners = mesh.face_counts()
+    boundary = np.flatnonzero(counts == 1)
+    rows = rng.choice(boundary, size=min(count, len(boundary)), replace=False)
+    points = []
+    for face, k in zip(faces[rows], owners[rows, 0]):
+        (opposite,) = set(mesh.elements[k].tolist()) - set(face.tolist())
+        share = (1.0 - lam_out) / len(face)
+        points.append(share * mesh.vertices[face].sum(axis=0) + lam_out * mesh.vertices[opposite])
+    return np.array(points)
+
+
+@pytest.mark.parametrize("dim,k", [(1, 5), (1, 8192), (2, 3), (2, 64), (3, 2), (3, 12)])
+@pytest.mark.parametrize("jitter", [0.0, 0.1])
+def test_locate_matches_stacked_scan_bitwise(dim, k, jitter):
+    rng = np.random.default_rng(1000 * dim + k)
+    m = uniform_mesh([(0.0, 1.0)] * dim, dim, k)
+    if jitter:
+        # move interior vertices by up to jitter cell widths per axis
+        verts = m.vertices.copy()
+        inner = ~on_unit_box_boundary(verts)
+        verts[inner] += rng.uniform(-jitter, jitter, verts[inner].shape) / k
+        m = Triangulation(verts, m.elements)
+    for tol in (INSIDE_TOL, 1e-6):
+        cases = [(p, True) for p in _beyond_boundary(m, rng, -tol / 2, 4)]
+        cases += [(p, False) for p in _beyond_boundary(m, rng, -2 * tol, 4)]
+        cases += [(p, True) for p in _probe_points(m, rng, 40)]
+        for p, inside in cases:
+            want = _scan_locate(m, p, tol)
+            assert (want is not None) == inside
+            if not inside:
+                with pytest.raises(DomainError, match="outside"):
+                    m.locate(p, tol)
+                continue
+            got_k, got_lam = m.locate(p, tol)
+            assert got_k == want[0]
+            assert np.array_equal(got_lam, want[1])
+
+
+def test_cached_tables_rest_on_read_only_arrays():
+    # the face and locate tables are built once, so their sources cannot change
+    m = uniform_mesh([(0.0, 1.0)] * 2, 2, 2)
+    for source in (m.vertices, m.elements, m.bary_matrices):
+        with pytest.raises(ValueError, match="read-only"):
+            source[0] = 0
+
+
+def test_locate_rejects_wrong_dimension():
+    m = uniform_mesh([(0.0, 1.0)] * 2, 2, 2)
+    for p in ([0.5], [0.5, 0.5, 0.5]):
+        with pytest.raises(ValueError, match="point has dim"):
+            m.locate(p)
 
 
 # --------------------------------------------------- global interpolants
