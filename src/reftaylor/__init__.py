@@ -60,13 +60,10 @@ from .simplex import (
     MeshInterpolant,
     Simplex,
     Triangulation,
-    face_jumps,
     mesh_savings,
     pi_interp,
     pi_star_interp,
-    read_mesh_text,
     uniform_mesh,
-    write_mesh_text,
 )
 from .registry import (
     FieldEntry,

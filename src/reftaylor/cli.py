@@ -111,16 +111,27 @@ class StudyConfig:
             setattr(self, name, copy.copy(options.get(name, default)))
 
     def validate(self):
-        # nan and +-inf fail every real-valued option, as they fail its flag's parser
+        # what a flag's parser refuses fails here too: a non-integer, a wrong shape, nan or +-inf
         for option, (flag, parse, _) in _FLAGS.items():
-            if parse in (_real, _real_list, _pair) and option in vars(self):
-                value = getattr(self, option)
+            if option not in vars(self) or parse in (None, str):
+                continue
+            value = getattr(self, option)
+            items = np.asarray(value, dtype=object)
+            if parse in (int, _int_list) and not all(
+                isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in items.flat
+            ):
+                raise UsageError(f"{flag} must be an integer, got {value!r}")
+            if parse in (_real, _real_list, _pair):
                 try:
                     finite = np.isfinite(value).all()
-                except TypeError:
+                except (TypeError, ValueError):
                     raise UsageError(f"{flag} must be real, got {value!r}") from None
                 if not finite:
                     raise UsageError(f"{flag} must be finite, got {_echo(value)}")
+            scalar = parse in (int, _real)
+            if items.ndim != (not scalar) or (parse is _pair and items.size != 2):
+                shape = "two values" if parse is _pair else "one value" if scalar else "a list"
+                raise UsageError(f"{flag} must be {shape}, got {value!r}")
         if self.seed < 0:
             raise UsageError("seed must be nonnegative")
         if self.command == "expand":

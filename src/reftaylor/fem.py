@@ -175,7 +175,6 @@ class FemSolution(MeshInterpolant):
         self.coefs = dof_values[elem_dofs]
         self.dof_values = dof_values
         self.dof_coords = dof_coords
-        self.problem = problem
         self.l2_error = math.nan
         self.interp_l2_error = math.nan
         exact = problem.exact_solution

@@ -24,8 +24,6 @@ __all__ = [
     "DomainError",
     "ScalarField",
     "sampled_derivative_norms",
-    "gradient_consistency_error",
-    "hessian_symmetry_error",
 ]
 
 
@@ -54,13 +52,6 @@ class Box:
     @property
     def widths(self):
         return self.hi - self.lo
-
-    @property
-    def center(self):
-        return 0.5 * (self.lo + self.hi)
-
-    def measure(self):
-        return float(np.prod(self.widths))
 
     def inside(self, points, tol=1e-12):
         """Membership mask of an (N, dim) array of points, with a tolerance
@@ -186,18 +177,3 @@ def sampled_derivative_norms(field, points):
     d1 = float(np.max(np.linalg.norm(field.grad_at(points), axis=1)))
     d2 = float(np.max(np.linalg.norm(field.hess_at(points), 2, axis=(1, 2))))
     return d1, d2
-
-
-def gradient_consistency_error(field, x, h, step=1e-5):
-    """|central difference - Df(x).(h)| for the directional derivative."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    h = np.atleast_1d(np.asarray(h, dtype=float))
-    fd = (field.value(x + step * h) - field.value(x - step * h)) / (2.0 * step)
-    return abs(fd - field.d(x, h))
-
-
-def hessian_symmetry_error(field, x, h, k):
-    """|D2f(x).(h,k) - D2f(x).(k,h)|, relative to the magnitude of the form."""
-    a = field.d2(x, h, k)
-    b = field.d2(x, k, h)
-    return abs(a - b) / (1.0 + abs(a))

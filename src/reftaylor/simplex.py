@@ -20,8 +20,7 @@ classical constant, so mesh_savings allows a sqrt(2) coarser mesh.  pi* is
 quadratic on each element, and MeshInterpolant stores it as P2 vertex and
 edge-midpoint values; pi_interp, pi_star_interp and fem.FemSolution all
 evaluate through MeshInterpolant.  Elements sharing a face hold the same
-data on it, so the two-sided values agree up to evaluation roundoff, which
-face_jumps measures rather than assuming it away.
+data on it, so the two-sided values agree up to evaluation roundoff.
 """
 
 import functools
@@ -42,9 +41,6 @@ __all__ = [
     "mesh_savings",
     "MeshInterpolant",
     "uniform_mesh",
-    "write_mesh_text",
-    "read_mesh_text",
-    "face_jumps",
 ]
 
 INSIDE_TOL = 1e-12  # slack on lambda_i >= 0 for closed-simplex membership
@@ -310,15 +306,6 @@ class Simplex(Triangulation):
     def diameter(self):
         return self.mesh_size
 
-    @property
-    def centroid(self):
-        return self.vertices.mean(axis=0)
-
-    @property
-    def barycentric_gradients(self):
-        """Constant gradients of the barycentric coordinates, shape (n+1, n)."""
-        return self.bary_matrices[0][:, 1:]
-
     def barycentric(self, point):
         point = np.atleast_1d(np.asarray(point, dtype=float))
         if point.size != self.dim:
@@ -425,32 +412,6 @@ class MeshInterpolant:
         return float(self.eval_on_element([k], lam[None])[0, 0])
 
 
-def face_jumps(mesh, interp, samples_per_face=8, rng=None):
-    """Largest inter-element disagreement across interior faces.
-
-    Samples points on every interior face and evaluates the interpolant from
-    both adjacent elements.  Reports the measured jump; roundoff-level output
-    is the expected confirmation that the interpolant is continuous.
-    """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    faces, counts, owners = mesh.face_counts()
-    interior = counts == 2
-    corners = mesh.vertices[faces[interior]]
-    w = rng.exponential(size=(len(corners), samples_per_face, mesh.dim))
-    w /= w.sum(axis=2, keepdims=True)
-    points = w @ corners
-    affine = np.concatenate([np.ones(points.shape[:2] + (1,)), points], axis=2)[..., None]
-    vals = []
-    for ks in owners[interior].T:
-        lam = np.clip((mesh.bary_matrices[ks][:, None] @ affine)[..., 0], 0.0, None)
-        lam /= lam.sum(axis=2, keepdims=True)
-        # one point per evaluation, as the interpolant evaluates a located point
-        vals.append(interp.eval_on_element(
-            np.repeat(ks, samples_per_face), lam.reshape(-1, 1, mesh.dim + 1)))
-    return float(np.max(np.abs(vals[0] - vals[1]), initial=0.0))
-
-
 def uniform_mesh(bounds, dim, subdivisions):
     """Uniform mesh of a box: intervals, squares split in 2, cubes in 6.
 
@@ -487,33 +448,3 @@ def uniform_mesh(bounds, dim, subdivisions):
         ]
     elements = base[:, None, None] + np.asarray(offsets)[None]
     return Triangulation(vertices, elements.reshape(-1, dim + 1))
-
-
-def write_mesh_text(mesh):
-    """Plain-text mesh dump: 'v x [y [z]]' lines then 'e i0 .. in' lines."""
-    lines = []
-    for p in mesh.vertices:
-        coords = " ".join(format(c, ".17g") for c in p)
-        lines.append(f"v {coords}")
-    for e in mesh.elements:
-        lines.append("e " + " ".join(str(i) for i in e))
-    return "\n".join(lines) + "\n"
-
-
-def read_mesh_text(text):
-    """Inverse of write_mesh_text."""
-    vertices, elements = [], []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tag, *rest = line.split()
-        if tag == "v":
-            vertices.append([float(c) for c in rest])
-        elif tag == "e":
-            elements.append([int(i) for i in rest])
-        else:
-            raise ValueError(f"line {lineno}: unknown record {tag!r}")
-    if not vertices or not elements:
-        raise ValueError("mesh text needs both vertex and element records")
-    return Triangulation(np.array(vertices), np.array(elements))

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import shlex
 import time
 from pathlib import Path
@@ -442,18 +443,36 @@ def test_nan_slope_from_a_config_object_is_a_usage_error(tmp_path):
     assert not (tmp_path / "x.csv").exists()
 
 
-# every real-valued option of every command; expand and simplex have none
-_REAL_OPTIONS = [
-    (command, option)
+def _bad_value(command, option, value, message, case=""):
+    flag = cli._FLAGS[option][0]
+    return pytest.param(command, option, value, f"{flag} must be {message}, got {value!r}",
+                        id=f"{command}-{option}{case}")
+
+
+# every real-valued option of every command (expand and simplex have none), every
+# integer option including each command's seed, and values of the wrong shape
+_BAD_OPTION_VALUES = [
+    _bad_value(command, option, "1", "real")
     for command, (_, _, defaults) in sorted(cli._COMMANDS.items())
     for option in defaults
     if cli._FLAGS[option][1] in (cli._real, cli._real_list, cli._pair)
+] + [
+    _bad_value(command, option, "5" if cli._FLAGS[option][1] is int else ["2"], "an integer")
+    for command, (_, _, defaults) in sorted(cli._COMMANDS.items())
+    for option in [*defaults, "seed"]
+    if cli._FLAGS[option][1] in (int, cli._int_list)
+] + [
+    _bad_value("simplex", "subdivisions", [2.5], "an integer", "-float"),
+    _bad_value("fem", "dim", 2.0, "an integer", "-float"),
+    _bad_value("fem", "subdivisions", 4, "a list", "-scalar"),
+    _bad_value("savings", "eps_values", 1e-4, "a list", "-scalar"),
+    _bad_value("interp1d", "interval", (0.0,), "two values", "-one"),
 ]
 
 
-@pytest.mark.parametrize("command, option", _REAL_OPTIONS)
-def test_non_numeric_real_option_is_a_usage_error(command, option, tmp_path):
-    cfg = StudyConfig(command, **{option: "1", "output_path": str(tmp_path / "x.csv")})
-    with pytest.raises(cli.UsageError, match=f"{cli._FLAGS[option][0]} must be real, got '1'"):
+@pytest.mark.parametrize("command, option, value, message", _BAD_OPTION_VALUES)
+def test_non_numeric_real_option_is_a_usage_error(command, option, value, message, tmp_path):
+    cfg = StudyConfig(command, **{option: value, "output_path": str(tmp_path / "x.csv")})
+    with pytest.raises(cli.UsageError, match=re.escape(message)):
         cli.run(cfg)
     assert not (tmp_path / "x.csv").exists()

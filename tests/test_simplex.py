@@ -16,12 +16,9 @@ from reftaylor.simplex import (
     Triangulation,
     _edge_pairs,
     _unique_rows,
-    face_jumps,
     pi_interp,
     pi_star_interp,
-    read_mesh_text,
     uniform_mesh,
-    write_mesh_text,
 )
 
 
@@ -306,12 +303,12 @@ def test_stacked_geometry_equals_per_element_simplices():
     for dim in (1, 2, 3):
         base = uniform_mesh([(0.0, 1.0)] * dim, dim, 3)
         shaken = base.vertices + rng.uniform(-0.05, 0.05, base.vertices.shape)
-        m = read_mesh_text(write_mesh_text(Triangulation(shaken, base.elements)))
+        m = Triangulation(shaken, base.elements)
         simplices = [m.simplex(k) for k in range(len(m))]
         assert np.array_equal(m.volumes, [s.volume for s in simplices])
         assert np.array_equal(m.diameters, [s.diameter for s in simplices])
         assert np.array_equal(
-            m.bary_matrices[:, :, 1:], [s.barycentric_gradients for s in simplices]
+            m.bary_matrices[:, :, 1:], [s.bary_matrices[0, :, 1:] for s in simplices]
         )
         assert m.mesh_size == max(s.diameter for s in simplices)
         # a whole mesh takes the bounds at its largest element diameter
@@ -537,16 +534,16 @@ def test_interpolants_match_vertex_values():
             assert interp(p) == pytest.approx(f.value(p), abs=1e-12)
 
 
-def test_face_jumps_stay_at_roundoff():
-    # measured two-sided disagreement, plain and corrected; the correction
-    # restricted to a face uses face-vertex data only, so both stay tiny
-    m = uniform_mesh([(0.0, 1.0), (0.0, 1.0)], 2, 3)
-    f = exp_sum(2)
-    assert face_jumps(m, MeshInterpolant(m, f)) <= 1e-12
-    assert face_jumps(m, MeshInterpolant(m, f, corrected=True)) <= 1e-12
-
-
 def test_corrected_interp_agrees_across_shared_diagonal():
+    def jump(I, ks, p):
+        # the values at p from each element of ks, as a located point is evaluated
+        vals = []
+        for k in ks:
+            lam = np.clip(I.mesh.simplex(k).barycentric(p), 0.0, None)
+            lam /= lam.sum()
+            vals.append(float(I.eval_on_element([k], lam.reshape(1, -1))[0, 0]))
+        return abs(vals[0] - vals[1])
+
     # v = xy on the two-triangle unit square, probed along the diagonal
     m = uniform_mesh([(0.0, 1.0), (0.0, 1.0)], 2, 1)
     f = ScalarField(
@@ -555,15 +552,20 @@ def test_corrected_interp_agrees_across_shared_diagonal():
         grad=lambda p: p[:, ::-1],
     )
     I = MeshInterpolant(m, f, corrected=True)
-    ts = np.linspace(0.0, 1.0, 100)
-    for t in ts:
-        p = np.array([t, t])
-        vals = []
-        for k in range(2):
-            lam = np.clip(m.simplex(k).barycentric(p), 0.0, None)
-            lam /= lam.sum()
-            vals.append(float(I.eval_on_element([k], lam.reshape(1, -1))[0, 0]))
-        assert abs(vals[0] - vals[1]) <= 1e-13
+    for t in np.linspace(0.0, 1.0, 100):
+        assert jump(I, (0, 1), np.array([t, t])) <= 1e-13
+
+    # exp(x + y) on the k=3 square, plain and corrected, at points on every
+    # interior face, from the two elements that share it
+    m = uniform_mesh([(0.0, 1.0), (0.0, 1.0)], 2, 3)
+    faces, counts, owners = m.face_counts()
+    w = np.random.default_rng(0).exponential(size=(8, 2))
+    w /= w.sum(axis=1, keepdims=True)
+    for corrected in (False, True):
+        I = MeshInterpolant(m, exp_sum(2), corrected)
+        for face, ks in zip(faces[counts == 2], owners[counts == 2]):
+            for p in w @ m.vertices[face]:
+                assert jump(I, ks, p) <= 1e-12
 
 
 def test_corrected_mesh_interp_beats_plain_on_smooth_field():
@@ -623,42 +625,6 @@ def test_pi_star_midpoint_values_agree_bitwise_across_elements():
     for edge, value in zip(edges.reshape(-1, 2).tolist(), star.coefs[:, 4:].ravel()):
         assert seen.setdefault(tuple(edge), value) == value
     assert len(seen) < edges.size // 2
-
-
-# ------------------------------------------------------------ mesh i/o
-
-
-def test_mesh_text_roundtrip():
-    for m in (
-        uniform_mesh([(0.0, 1.0)], 1, 3),
-        uniform_mesh([(0.0, 2.0), (0.0, 1.0)], 2, 2),
-        uniform_mesh([(0.0, 1.0)] * 3, 3, 1),
-    ):
-        back = read_mesh_text(write_mesh_text(m))
-        np.testing.assert_allclose(back.vertices, m.vertices, atol=0.0)
-        np.testing.assert_array_equal(back.elements, m.elements)
-
-
-def test_mesh_text_format():
-    m = uniform_mesh([(0.0, 1.0)], 1, 2)
-    lines = write_mesh_text(m).strip().splitlines()
-    assert lines[0] == "v 0"
-    assert lines[1] == "v 0.5"
-    assert lines[3] == "e 0 1"
-    assert lines[4] == "e 1 2"
-
-
-def test_mesh_text_rejects_garbage():
-    with pytest.raises(ValueError, match="unknown record"):
-        read_mesh_text("v 0\nv 1\nq 0 1\n")
-    with pytest.raises(ValueError, match="needs both"):
-        read_mesh_text("v 0\nv 1\n")
-
-
-def test_mesh_text_skips_comments_and_blanks():
-    m = read_mesh_text("# interval\n\nv 0\nv 1\ne 0 1\n")
-    assert len(m) == 1
-    assert m.mesh_size == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
