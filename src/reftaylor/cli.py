@@ -180,7 +180,8 @@ class StudyConfig:
             raise UsageError(f"{self.command} needs --function")
 
     def _require_list(self, label, values, minimum=None):
-        if not values:
+        # len, not truth: a numpy array has no truth value
+        if len(values) == 0:
             raise UsageError(f"--{label} list must be nonempty")
         if minimum is not None and min(values) < minimum:
             raise UsageError(f"--{label} values must be >= {minimum}")
@@ -199,6 +200,11 @@ def _map_ordered(fn, items):
 
 
 def _enforce(measured, bound, context):
+    # a nan compares false against anything, so it would pass the test below
+    if not (math.isfinite(measured) and math.isfinite(bound)):
+        raise NumericFailure(
+            f"{context}: measured {measured:.6e} or bound {bound:.6e} is not finite"
+        )
     if measured > bound * (1.0 + _ENFORCE_REL) + _ENFORCE_ABS:
         raise NumericFailure(f"{context}: measured {measured:.6e} exceeds bound {bound:.6e}")
 
@@ -289,8 +295,8 @@ def _simplex_rows(cfg):
         rng = np.random.default_rng([cfg.seed, k])
         pts = lo + rng.random((cfg.points, entry.dim)) * span
         vals = f.value_at(pts)
-        err = max(abs(plain(p) - v) for p, v in zip(pts, vals))
-        err_star = max(abs(star(p) - v) for p, v in zip(pts, vals))
+        err = np.max(np.abs(plain.values_at(pts) - vals))
+        err_star = np.max(np.abs(star.values_at(pts) - vals))
         if entry.analytic:
             _enforce(err, bounds.combined, f"{entry.name} k={k} plain")
             _enforce(err_star, bounds.corrected, f"{entry.name} k={k} corrected")
@@ -359,7 +365,7 @@ def _format_cell(value):
 
 
 def _echo(value):
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, (list, tuple, np.ndarray)):
         return ",".join(f"{v:g}" if isinstance(v, float) else str(v) for v in value)
     return str(value)
 

@@ -278,10 +278,11 @@ class Triangulation:
             self._locate_rows = self.bary_matrices.transpose(1, 0, 2).reshape(-1, self.dim + 1)
         # lam[i, k] = lambda_i(P) on element k, from one matrix-vector product
         lam = (self._locate_rows @ np.concatenate([[1.0], point])).reshape(self.dim + 1, -1)
-        inside = np.flatnonzero(np.minimum.reduce(lam, axis=0) >= -tol)
-        if not inside.size:
+        inside = np.minimum.reduce(lam, axis=0) >= -tol
+        # argmax finds the first True, or index 0 when there is none
+        k = int(inside.argmax())
+        if not inside[k]:
             raise DomainError(f"point {point.tolist()} lies outside the mesh")
-        k = int(inside[0])
         return k, lam[:, k]
 
 
@@ -379,6 +380,10 @@ class MeshInterpolant:
     value is symmetric in i and j to the bit, so elements sharing an edge
     store the same one.  Evaluation is per element, so face points follow
     the point-location tie rule (lowest element index).
+
+    values_at(points) evaluates a (P, n) block of points: it locates each
+    point, then evaluates all P with one basis call and one stacked product.
+    Calling the interpolant on one point is the one-row view of values_at.
     """
 
     def __init__(self, mesh, v, corrected=False):
@@ -407,9 +412,23 @@ class MeshInterpolant:
         G = _combine(D, self.mesh.bary_matrices[ks, :, 1:]).transpose(3, 1, 2, 0)
         return np.einsum("kqln,kl->kqn", G, self.coefs[ks])
 
+    def values_at(self, points):
+        """Values (P,) at the points of a (P, n) block, each located on the mesh.
+
+        A point outside the mesh raises DomainError.
+        """
+        points = np.asarray(points, dtype=float)
+        n = self.mesh.dim
+        if points.ndim != 2 or points.shape[1] != n:
+            raise ValueError(f"points must be a (P, {n}) block, got shape {points.shape}")
+        ks = np.empty(len(points), dtype=int)
+        lam = np.empty((len(points), n + 1))
+        for i, p in enumerate(points):
+            ks[i], lam[i] = self.mesh.locate(p)
+        return self.eval_on_element(ks, lam[:, None, :])[:, 0]
+
     def __call__(self, point):
-        k, lam = self.mesh.locate(point)
-        return float(self.eval_on_element([k], lam[None])[0, 0])
+        return float(self.values_at(np.reshape(point, (1, -1)))[0])
 
 
 def uniform_mesh(bounds, dim, subdivisions):

@@ -13,6 +13,7 @@ import pytest
 
 import reftaylor.cli as cli
 import reftaylor.fem as fem
+import reftaylor.simplex as simplex
 from reftaylor.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, StudyConfig, run_main
 from reftaylor.registry import lookup
 
@@ -293,6 +294,33 @@ def test_solver_failure_exits_numeric(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "measured, bound", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (0.5, math.inf)]
+)
+def test_enforce_refuses_a_non_finite_value(measured, bound):
+    # nan > bound is false, so only an explicit check stops a nan row
+    with pytest.raises(cli.NumericFailure, match="not finite"):
+        cli._enforce(measured, bound, "case")
+
+
+def test_nan_corrected_simplex_error_exits_numeric(tmp_path, monkeypatch, capsys):
+    # the corrected error is enforced but not written, so the table cannot catch its nan
+    values_at = simplex.MeshInterpolant.values_at
+
+    def nan_in_p2(self, points):
+        values = values_at(self, points)
+        if self.space == "P2":
+            values[len(values) // 2] = math.nan
+        return values
+
+    monkeypatch.setattr(simplex.MeshInterpolant, "values_at", nan_in_p2)
+    out = tmp_path / "x.csv"
+    args = ["simplex", "--function", "quad2d", "--subdivisions", "2", "--output", str(out)]
+    assert run_main(args) == EXIT_NUMERIC
+    assert "k=2 corrected: measured nan" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_registry_listing(capsys):
     assert run_main(["registry"]) == EXIT_OK
     text = capsys.readouterr().out
@@ -346,6 +374,31 @@ def test_config_validation_rejects_bad_values():
     for command, options in nan_options:
         with pytest.raises(cli.UsageError):
             StudyConfig(command, **options).validate()
+
+
+@pytest.mark.parametrize(
+    "command, options",
+    [
+        ("expand", {"function": "exp", "m_values": [1, 4]}),
+        ("interp1d", {"beta_values": [0.75, 0.9], "grid": 11}),
+        ("simplex", {"function": "quad2d", "subdivisions": [1, 2], "points": 5}),
+        ("fem", {"subdivisions": [2, 4]}),
+        ("savings", {"eps_values": [1e-4, 1e-3]}),
+    ],
+)
+def test_numpy_array_list_option_runs_as_the_list(command, options, tmp_path):
+    (name, values), = [(k, v) for k, v in options.items() if isinstance(v, list)]
+    texts = []
+    for label, given in (("list", values), ("array", np.array(values))):
+        out = tmp_path / f"{label}.csv"
+        cfg = StudyConfig(command, **{**options, name: given, "output_path": str(out)})
+        assert cli.run(cfg) == EXIT_OK
+        manifest = (tmp_path / f"{label}.csv.manifest").read_text().splitlines()
+        texts.append((out.read_bytes(), [line for line in manifest if line.startswith(name)]))
+    assert texts[0] == texts[1]
+    empty = StudyConfig(command, **{**options, name: np.array([], dtype=type(values[0]))})
+    with pytest.raises(cli.UsageError, match="list must be nonempty"):
+        empty.validate()
 
 
 # the required flags of each command; every other option takes its default

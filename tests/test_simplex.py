@@ -580,6 +580,55 @@ def test_corrected_mesh_interp_beats_plain_on_smooth_field():
     assert err_star < 0.5 * err
 
 
+_VALUES_AT_MESHES = pytest.mark.parametrize("dim, k", [(1, 6), (2, 4), (3, 2)])
+
+
+@_VALUES_AT_MESHES
+@pytest.mark.parametrize("corrected", [False, True])
+def test_values_at_rows_equal_one_point_calls_bitwise(dim, k, corrected):
+    m = uniform_mesh([(0.0, 1.0)] * dim, dim, k)
+    I = MeshInterpolant(m, exp_sum(dim), corrected)
+    pts = _probe_points(m, np.random.default_rng(67 + dim), 10)
+    values = I.values_at(pts)
+    assert values.shape == (len(pts),)
+    per_point = []
+    for i, p in enumerate(pts):
+        assert values[i] == I.values_at(pts[i : i + 1])[0] == I(p)
+        e, lam = m.locate(p)
+        per_point.append(I.eval_on_element([e], lam[None])[0, 0])
+    # the stacked product may add a 4-term P1 sum in another order than the one-row form
+    np.testing.assert_array_max_ulp(values, np.array(per_point), maxulp=2)
+
+
+@_VALUES_AT_MESHES
+@pytest.mark.parametrize("corrected", [False, True])
+def test_values_at_takes_the_lowest_index_on_shared_faces(dim, k, corrected):
+    # every coefficient of element e set to e: the shapes sum to 1, so the field reads e there
+    m = uniform_mesh([(0.0, 1.0)] * dim, dim, k)
+    I = MeshInterpolant(m, exp_sum(dim), corrected)
+    I.coefs = np.repeat(np.arange(len(m), dtype=float)[:, None], I.coefs.shape[1], axis=1)
+    pts = _probe_points(m, np.random.default_rng(71 + dim), 10)
+    lowest = [_scan_locate(m, p, INSIDE_TOL)[0] for p in pts]
+    np.testing.assert_allclose(I.values_at(pts), lowest, rtol=0.0, atol=1e-9)
+
+
+@_VALUES_AT_MESHES
+def test_values_at_edge_cases(dim, k):
+    m = uniform_mesh([(0.0, 1.0)] * dim, dim, k)
+    I = MeshInterpolant(m, exp_sum(dim), corrected=True)
+    empty = I.values_at(np.empty((0, dim)))
+    assert empty.shape == (0,) and empty.dtype == float
+    outside = np.full((3, dim), 0.5)
+    outside[1, 0] = 1.5
+    with pytest.raises(DomainError, match="outside"):
+        I.values_at(outside)
+    for bad in (np.full((3, dim + 1), 0.5), np.full(3 * dim, 0.5)):
+        with pytest.raises(ValueError, match="block"):
+            I.values_at(bad)
+    with pytest.raises(ValueError, match="block"):
+        I([0.5] * (dim + 1))
+
+
 def _pi_star_reference(mesh, v, k, lam):
     """sum_i lam_i v(A_i) - 1/2 sum_i lam_i Dv(A_i).(A_i - P) on element k, point by point."""
     verts = mesh.vertices[mesh.elements[k]]
