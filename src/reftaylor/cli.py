@@ -270,7 +270,7 @@ def _interp1d_rows(cfg):
             comp.classical,
             comp.refined,
             0.5 * comp.classical,
-            comp.refined / comp.classical,
+            comp.beta,
         )
 
     header = ["beta", "measured_sup_error", "bound_classical", "bound_refined", "bound_floor", "ratio"]
@@ -540,36 +540,25 @@ def _read_config_file(path):
     return mapping
 
 
-def _argv_with_config(argv):
-    """Splice config-file values in as flags ahead of the explicit ones."""
-    if not argv or argv[0].startswith("-"):
-        return argv
-    command = argv[0]
-    path = None
-    for i, token in enumerate(argv):
-        if token == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
-        elif token.startswith("--config="):
-            path = token.split("=", 1)[1]
-    if path is None:
-        return argv
-    mapping = _read_config_file(path)
-    file_command = mapping.pop("command", None)
-    if file_command is not None and file_command != command:
-        raise UsageError(
-            f"config file names command {file_command!r} but {command!r} was invoked"
-        )
-    spliced = [command]
-    for key, value in mapping.items():
-        spliced.extend([f"--{key.replace('_', '-')}", value])
-    spliced.extend(argv[1:])
-    return spliced
-
-
 def parse_argv(argv):
-    argv = _argv_with_config(list(argv))
-    knobs = vars(_build_parser().parse_args(argv))
-    knobs.pop("config", None)
+    """StudyConfig from argv; values from a --config file go in ahead of the flags."""
+    parser = _build_parser()
+    knobs = vars(parser.parse_args(argv))
+    path = knobs.pop("config", None)
+    if path is not None:
+        # parse again with the file's values as flags, so explicit flags win
+        command = knobs["command"]
+        mapping = _read_config_file(path)
+        file_command = mapping.pop("command", None)
+        if file_command is not None and file_command != command:
+            raise UsageError(
+                f"config file names command {file_command!r} but {command!r} was invoked"
+            )
+        spliced = [command]
+        for key, value in mapping.items():
+            spliced.extend([f"--{key.replace('_', '-')}", value])
+        knobs = vars(parser.parse_args([*spliced, *argv[1:]]))
+        knobs.pop("config", None)
     return StudyConfig(**knobs)
 
 

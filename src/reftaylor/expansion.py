@@ -209,7 +209,7 @@ def _degenerate_report(f, a):
     )
 
 
-def taylor_first_order(f, a, h, bounds=None, samples=201):
+def taylor_first_order(f, a, h, bounds=None):
     """Classical expansion f(a) + Df(a).(h) with its Hessian-based enclosure.
 
     The normalised remainder eps = (f(a+h) - approx)/|h| satisfies
@@ -222,7 +222,7 @@ def taylor_first_order(f, a, h, bounds=None, samples=201):
         return _degenerate_report(f, a)
     _require_inside(f, (a + h)[None], "segment endpoint")
     if bounds is None:
-        bounds = estimate_segment_bounds(f, a, h, samples=samples)
+        bounds = estimate_segment_bounds(f, a, h)
     approx = f.value(a) + f.d(a, h)
     exact = f.value(a + h)
     return ExpansionReport(
@@ -235,7 +235,7 @@ def taylor_first_order(f, a, h, bounds=None, samples=201):
     )
 
 
-def refined_expansion(f, a, h, m, kind=CLOSED, bounds=None, samples=201):
+def refined_expansion(f, a, h, m, kind=CLOSED, bounds=None):
     """m-point averaged expansion of f at a with step h.
 
     approx = f(a) + sum_k w_k Df(a + k h / m).(h).  With closed weights the
@@ -249,7 +249,7 @@ def refined_expansion(f, a, h, m, kind=CLOSED, bounds=None, samples=201):
     if hn == 0.0:
         return _degenerate_report(f, a)
     if bounds is None:
-        bounds = estimate_segment_bounds(f, a, h, samples=samples)
+        bounds = estimate_segment_bounds(f, a, h)
 
     nodes = a + (np.arange(len(family.weights)) / m)[:, None] * h
     _require_inside(f, nodes, "expansion node k={}")
@@ -277,25 +277,25 @@ def refined_expansion(f, a, h, m, kind=CLOSED, bounds=None, samples=201):
     )
 
 
-def remainder_integral(f, a, h, m, order=5, panels=32):
+def remainder_integral(f, a, h, m):
     """Integral form of the scaled remainder |h| eps for the closed weights.
 
     Equals sum_k over the m subintervals [k/m, (k+1)/m] of
-    integral (S_k - t) phi'(t) dt with S_k = 1/(2m) + k/m.  Computed with
-    composite Gauss-Legendre panels per subinterval; serves as the
+    integral (S_k - t) phi'(t) dt with S_k = 1/(2m) + k/m.  Computed with 32
+    equal 5-point Gauss-Legendre panels per subinterval; serves as the
     independent cross-check of refined_expansion's exact - approx.
     """
     expansion_weights(m)  # validates m
     a, h, hn = _prepare(f, a, h)
     if hn == 0.0:
         return 0.0
-    # `panels` equal panels on each subinterval [k/m, (k+1)/m], in order
-    nodes, weights = gauss_panels(0.0, 1.0, order, m * panels)
-    s_k = 1.0 / (2.0 * m) + (np.arange(m * panels) // panels / m)[:, None]
+    # 32 panels on each subinterval [k/m, (k+1)/m], in order
+    nodes, weights = gauss_panels(0.0, 1.0, 5, m * 32)
+    s_k = 1.0 / (2.0 * m) + (np.arange(m * 32) // 32 / m)[:, None]
     return float(np.sum(weights * (s_k - nodes) * phi_prime(f, a, h, nodes)))
 
 
-def summation_identity_check(coeffs, u, m, order=5, panels_per_unit=8):
+def summation_identity_check(coeffs, u, m):
     """Both sides of the tail-sum rearrangement identity, via quadrature.
 
     For coefficients a_0..a_{m-1} and continuous u:
@@ -304,8 +304,8 @@ def summation_identity_check(coeffs, u, m, order=5, panels_per_unit=8):
             == sum_k S_k * integral_k^{k+1} u(t) dt,   S_k = a_0 + ... + a_k.
 
     Returns (lhs, rhs).  Each side is integrated independently with
-    composite panels that subdivide every unit interval, so piecewise
-    polynomials with integer breakpoints integrate exactly.
+    composite_gauss, 8 equal 5-point panels per unit interval, so piecewise
+    polynomials of degree <= 9 with integer breakpoints integrate exactly.
     """
     coeffs = [float(c) for c in coeffs]
     if len(coeffs) != m:
@@ -314,12 +314,10 @@ def summation_identity_check(coeffs, u, m, order=5, panels_per_unit=8):
         raise ValueError(f"m must be >= 1, got {m}")
     lhs = 0.0
     for k, c in enumerate(coeffs):
-        lhs += c * composite_gauss(u, k, m, order=order,
-                                   panels=panels_per_unit * (m - k))
+        lhs += c * composite_gauss(u, k, m, panels=8 * (m - k))
     rhs = 0.0
     partial = 0.0
     for k, c in enumerate(coeffs):
         partial += c
-        rhs += partial * composite_gauss(u, k, k + 1, order=order,
-                                         panels=panels_per_unit)
+        rhs += partial * composite_gauss(u, k, k + 1, panels=8)
     return lhs, rhs

@@ -10,11 +10,12 @@ refined slope+curvature, corrected) give three right-hand sides.  The
 corrected chain carries half the classical constant, which buys a sqrt(2)
 coarser mesh for the same tolerance (simplex.mesh_savings).
 
-C and alpha are inputs with documented defaults, reported rather than
-certified: C = max(1 + diffusion, reaction), which bounds the form since
-|a(u,v)| <= max(diffusion, reaction) |u|_H1 |v|_H1, and alpha the better of
-min(diffusion, reaction) and diffusion/(1 + poincare^2).  Pass explicit
-values when the defaults are too loose.
+The problem lives on the unit box, and C and alpha follow from its
+coefficients, reported rather than certified: C = max(1 + diffusion,
+reaction), which bounds the form since |a(u,v)| <= max(diffusion, reaction)
+|u|_H1 |v|_H1, and alpha the better of min(diffusion, reaction) and
+diffusion/(1 + poincare^2), with the unit box's Poincare constant.  For
+diffusion > 0 and reaction >= 0 both are positive and C >= alpha.
 
 This module numbers the DOFs, assembles, solves and measures the norms.
 FemSolution is a simplex.MeshInterpolant with the solved DOF values as its
@@ -81,22 +82,13 @@ def poincare_constant(bounds):
 class EllipticProblem:
     """Model problem -diffusion*Laplace(u) + reaction*u = f, u = 0 on the boundary.
 
-    box gives the domain bounds used for the default ellipticity constant;
-    it defaults to the unit box.  exact_solution, when present, marks a
-    manufactured problem and enables the error reports.
+    The domain is the unit box, whose Poincare constant gives the
+    ellipticity constant; continuity and ellipticity are the module's
+    formulas in diffusion and reaction.  exact_solution, when present, marks
+    a manufactured problem and enables the error reports.
     """
 
-    def __init__(
-        self,
-        dim,
-        rhs,
-        diffusion=1.0,
-        reaction=0.0,
-        exact_solution=None,
-        box=None,
-        continuity=None,
-        ellipticity=None,
-    ):
+    def __init__(self, dim, rhs, diffusion=1.0, reaction=0.0, exact_solution=None):
         if dim not in (1, 2):
             raise ValueError(f"dim must be 1 or 2, got {dim}")
         if not diffusion > 0:
@@ -108,26 +100,13 @@ class EllipticProblem:
         self.diffusion = float(diffusion)
         self.reaction = float(reaction)
         self.exact_solution = exact_solution
-        if box is None:
-            box = [(0.0, 1.0)] * dim
-        self.box = np.atleast_2d(np.asarray(box, dtype=float))
+        self.box = np.array([(0.0, 1.0)] * dim)
         self.poincare = poincare_constant(self.box)
-
-        if continuity is None:
-            continuity = max(1.0 + self.diffusion, self.reaction)
-        if ellipticity is None:
-            ellipticity = max(
-                self.diffusion / (1.0 + self.poincare**2),
-                min(self.diffusion, self.reaction),
-            )
-        self.continuity = float(continuity)
-        self.ellipticity = float(ellipticity)
-        if not self.ellipticity > 0:
-            raise ValueError("ellipticity constant must be positive")
-        if not self.continuity >= self.ellipticity:
-            raise ValueError(
-                f"continuity {self.continuity} below ellipticity {self.ellipticity}"
-            )
+        self.continuity = max(1.0 + self.diffusion, self.reaction)
+        self.ellipticity = max(
+            self.diffusion / (1.0 + self.poincare**2),
+            min(self.diffusion, self.reaction),
+        )
 
     @property
     def stability_factor(self):

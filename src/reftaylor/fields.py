@@ -53,21 +53,14 @@ class Box:
     def widths(self):
         return self.hi - self.lo
 
-    def inside(self, points, tol=1e-12):
-        """Membership mask of an (N, dim) array of points, with a tolerance
-        relative to each side length."""
+    def inside(self, points):
+        """Membership mask of an (N, dim) array of points, with a slack of
+        1e-12 times each side length (at least 1e-12)."""
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != self.dim:
             raise ValueError(f"points have shape {points.shape}, box has dim {self.dim}")
-        slack = tol * np.maximum(1.0, self.widths)
+        slack = 1e-12 * np.maximum(1.0, self.widths)
         return np.all((points >= self.lo - slack) & (points <= self.hi + slack), axis=1)
-
-    def contains(self, x, tol=1e-12):
-        """Membership test of one point."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if x.size != self.dim:
-            raise ValueError(f"point has dim {x.size}, box has dim {self.dim}")
-        return bool(self.inside(x.reshape(1, -1), tol=tol)[0])
 
     def __repr__(self):
         pairs = ", ".join(f"[{lo:g}, {hi:g}]" for lo, hi in zip(self.lo, self.hi))

@@ -183,14 +183,14 @@ class Triangulation:
     row k: volumes (M,), diameters (M,) and bary_matrices (M, n+1, n+1),
     where row i of bary_matrices[k] maps (1, P) to lambda_i(P) on element k
     and its columns 1: are the barycentric gradients; mesh_size is the
-    largest diameter.  A Simplex is the one-element case, and simplex(k)
-    builds element k as one on demand.  The face table is built on the
-    first face_counts() call and the locate table on the first locate()
-    call, and both are cached, so vertices, elements and bary_matrices are
-    read-only.  The locate table stacks the barycentric rows as one
-    ((n+1)*M, n+1) array, row i*M + k holding row i of bary_matrices[k], so
-    one matrix-vector product with (1, P) gives every element's coordinates;
-    the lowest containing index wins.
+    largest diameter.  A Simplex is the one-element case, and
+    Simplex(vertices[elements[k]]) builds element k as one.  The face table
+    is built on the first face_counts() call and the locate table on the
+    first locate() call, and both are cached, so vertices, elements and
+    bary_matrices are read-only.  The locate table stacks the barycentric
+    rows as one ((n+1)*M, n+1) array, row i*M + k holding row i of
+    bary_matrices[k], so one matrix-vector product with (1, P) gives every
+    element's coordinates; the lowest containing index wins.
     """
 
     def __init__(self, vertices, elements):
@@ -219,10 +219,6 @@ class Triangulation:
 
     def __len__(self):
         return len(self.elements)
-
-    def simplex(self, k):
-        """Element k as a standalone Simplex."""
-        return Simplex(self.vertices[self.elements[k]])
 
     def face_counts(self):
         """The (n-1)-face table (faces, counts, owners), built once and cached.
@@ -269,7 +265,8 @@ class Triangulation:
     def locate(self, point, tol=INSIDE_TOL):
         """Containing element of a point: every element tested, lowest index wins.
 
-        Returns (element index, barycentric coordinates).
+        Returns (element index, barycentric coordinates).  A point with some
+        coordinate below -tol on every element raises DomainError.
         """
         point = np.atleast_1d(np.asarray(point, dtype=float))
         if point.size != self.dim:
@@ -306,15 +303,6 @@ class Simplex(Triangulation):
     @property
     def diameter(self):
         return self.mesh_size
-
-    def barycentric(self, point):
-        point = np.atleast_1d(np.asarray(point, dtype=float))
-        if point.size != self.dim:
-            raise ValueError(f"point has dim {point.size}, simplex has {self.dim}")
-        return self.bary_matrices[0] @ np.concatenate([[1.0], point])
-
-    def contains(self, point, tol=INSIDE_TOL):
-        return bool(np.min(self.barycentric(point)) >= -tol)
 
     def random_points(self, rng, count):
         """Uniform samples inside the simplex (flat Dirichlet weights)."""

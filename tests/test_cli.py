@@ -134,6 +134,19 @@ def test_config_file_supplies_defaults_and_flags_win(tmp_path):
     assert "seed = 3" in manifest
 
 
+@pytest.mark.parametrize("flag", [["--conf", "{}"], ["--con={}"]])
+def test_abbreviated_config_flag_reads_the_file_and_flags_win(flag, tmp_path):
+    # argparse takes an unambiguous prefix of --config; the file must still be read
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("command = savings\neps = 1e-2,1e-3\ndim = 2\n")
+    out = tmp_path / "s.csv"
+    args = ["savings", *(t.format(cfg) for t in flag), "--dim", "1", "--output", str(out)]
+    assert run_main(args) == EXIT_OK
+    manifest = (tmp_path / "s.csv.manifest").read_text()
+    assert "eps_values = 0.01,0.001" in manifest
+    assert "dim = 1" in manifest
+
+
 def test_config_file_command_mismatch(tmp_path, capsys):
     cfg = tmp_path / "study.cfg"
     cfg.write_text("command = fem\n")
@@ -194,6 +207,16 @@ def test_smallest_class_p_beta_on_a_long_interval_exits_usage(extra, tmp_path, c
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "overflow" in err
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_affine_class_p_interp1d_exits_numeric(tmp_path, capsys):
+    # slope = -forcing/rate makes the class-(P) member affine: its classical
+    # bound is 0, so the ratio column is inf and the table refuses it
+    out = tmp_path / "x.csv"
+    args = ["interp1d", "--beta", "1.0", "--slope=-0.25", "--output", str(out)]
+    assert run_main(args) == EXIT_NUMERIC
+    assert "numeric failure: non-finite value" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_readme_command_line_examples_run(tmp_path, monkeypatch, capsys):

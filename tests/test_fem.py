@@ -90,12 +90,7 @@ def test_problem_validation():
         EllipticProblem(1, f, diffusion=0.0)
     with pytest.raises(ValueError, match="reaction"):
         EllipticProblem(1, f, reaction=-1.0)
-    with pytest.raises(ValueError, match="ellipticity"):
-        EllipticProblem(1, f, ellipticity=-0.5)
-    with pytest.raises(ValueError, match="below ellipticity"):
-        EllipticProblem(1, f, continuity=0.1, ellipticity=0.5)
-    for name, match in [("diffusion", "diffusion"), ("reaction", "reaction"),
-                        ("ellipticity", "ellipticity"), ("continuity", "below ellipticity")]:
+    for name, match in [("diffusion", "diffusion"), ("reaction", "reaction")]:
         with pytest.raises(ValueError, match=match):
             EllipticProblem(1, f, **{name: math.nan})
 

@@ -61,6 +61,20 @@ def test_fem_layer_loads_on_first_use():
     assert vars(fem)["cg"] is scipy.sparse.linalg.cg
 
 
+def test_cli_imports_load_only_numpy_beyond_the_standard_library():
+    # the import set a CLI start-up pays for; modules the interpreter loaded
+    # at start-up (site hooks) are not the package's
+    stdout = _probe(
+        """
+        before = set(sys.modules)
+        import reftaylor, reftaylor.cli, reftaylor.expansion, reftaylor.simplex
+        top = {m.partition(".")[0] for m in set(sys.modules) - before}
+        print(sorted(top - set(sys.stdlib_module_names)))
+        """
+    )
+    assert stdout == "['numpy', 'reftaylor']"
+
+
 def test_savings_command_leaves_scipy_unloaded(tmp_path):
     # mesh_savings lives in the simplex layer, so the savings study needs no fem
     out = tmp_path / "savings.csv"
