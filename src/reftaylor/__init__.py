@@ -61,8 +61,6 @@ from .simplex import (
     Simplex,
     Triangulation,
     mesh_savings,
-    pi_interp,
-    pi_star_interp,
     uniform_mesh,
 )
 from .registry import (

@@ -17,13 +17,15 @@ are identical run to run; the manifest is not, since it carries the wall
 time.  Both files are written as new files: whatever was at the path before
 is unlinked first, so a symlink there is replaced rather than followed and a
 hard link to an old output keeps the old bytes.  Flags may come from a flat
-key=value config file via --config, with explicit flags winning.
+key=value config file via --config, with explicit flags winning; a switch
+key takes true or false, and a file may not name another config file.
 
 Each command's options and their defaults are written once, in _COMMANDS,
 and each option's flag once, in _FLAGS; the parser and StudyConfig share
 them, so `reftaylor fem` and StudyConfig("fem") run the same study.
 Config-file keys are flag names without the dashes (`m = 1,2,4`); the
-manifest names options as StudyConfig does (`m_values = 1,2,4`).
+manifest names options as StudyConfig does (`m_values = 1,2,4`) and writes
+each real as repr does, so it reads back as the same float.
 
 While building rows, entries with analytic derivative norms are checked
 against their bounds; a violation aborts the run with exit code 2.  Exit
@@ -365,8 +367,9 @@ def _format_cell(value):
 
 
 def _echo(value):
+    # repr gives the shortest text that reads back as the same float
     if isinstance(value, (list, tuple, np.ndarray)):
-        return ",".join(f"{v:g}" if isinstance(v, float) else str(v) for v in value)
+        return ",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in value)
     return str(value)
 
 
@@ -488,6 +491,8 @@ _FLAGS = {
     "seed": ("--seed", int, "seed for sampled suites"),
 }
 
+_SWITCHES = {flag for flag, parse, _ in _FLAGS.values() if parse is None}
+
 # command -> (help, row builder, {option: default}); registry prints, it builds no rows
 _COMMANDS = {
     "expand": ("m-point expansion remainder sweep", _expand_rows,
@@ -556,7 +561,16 @@ def parse_argv(argv):
             )
         spliced = [command]
         for key, value in mapping.items():
-            spliced.extend([f"--{key.replace('_', '-')}", value])
+            flag = f"--{key.replace('_', '-')}"
+            # argparse reads any unambiguous prefix of --config as --config
+            if key and "config".startswith(key):
+                raise UsageError(f"{path}: a config file cannot name another config file")
+            if flag not in _SWITCHES:
+                spliced.extend([flag, value])
+            elif value in ("true", "false"):
+                spliced.extend([flag] * (value == "true"))
+            else:
+                raise UsageError(f"{path}: {key} takes true or false, got {value!r}")
         knobs = vars(parser.parse_args([*spliced, *argv[1:]]))
         knobs.pop("config", None)
     return StudyConfig(**knobs)

@@ -48,13 +48,13 @@ CLOSED = "closed"
 OPEN = "open"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightFamily:
-    """Derivative-averaging weights for an m-point refinement."""
+    """Derivative-averaging weights for an m-point refinement, a read-only array."""
 
     m: int
     kind: str
-    weights: tuple
+    weights: np.ndarray
 
     @property
     def total(self):
@@ -114,13 +114,14 @@ def expansion_weights(m, kind=CLOSED):
         raise ValueError(f"m must be an integer, got {m!r}")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    if kind == CLOSED:
-        w = [1.0 / (2 * m)] + [1.0 / m] * (m - 1) + [1.0 / (2 * m)]
-    elif kind == OPEN:
-        w = [1.0 / (2 * m)] + [1.0 / m] * m
-    else:
+    if kind not in (CLOSED, OPEN):
         raise ValueError(f"kind must be 'closed' or 'open', got {kind!r}")
-    return WeightFamily(m=int(m), kind=kind, weights=tuple(w))
+    w = np.full(m + 1, 1.0 / m)
+    w[0] = 1.0 / (2 * m)
+    if kind == CLOSED:
+        w[-1] = 1.0 / (2 * m)
+    w.flags.writeable = False
+    return WeightFamily(m=int(m), kind=kind, weights=w)
 
 
 def _prepare(f, a, h):
@@ -255,7 +256,7 @@ def refined_expansion(f, a, h, m, kind=CLOSED, bounds=None):
     _require_inside(f, nodes, "expansion node k={}")
     # accumulate adds left to right, so this is f(a) + w_0 s_0 + ... + w_m s_m
     # summed in that order, term by term, with the same bits
-    terms = np.concatenate(([f.value(a)], np.array(family.weights) * (f.grad_at(nodes) @ h)))
+    terms = np.concatenate(([f.value(a)], family.weights * (f.grad_at(nodes) @ h)))
     acc = float(np.add.accumulate(terms)[-1])
     exact = f.value(a + h)
 

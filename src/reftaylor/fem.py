@@ -20,7 +20,9 @@ diffusion > 0 and reaction >= 0 both are positive and C >= alpha.
 This module numbers the DOFs, assembles, solves and measures the norms.
 FemSolution is a simplex.MeshInterpolant with the solved DOF values as its
 coefficients, so it evaluates as pi_h and pi*_h (stored as P2 midpoint
-values) do.
+values) do, and the error norms take any MeshInterpolant and read its mesh.
+The error reports take only a mesh that covers the unit box: the
+manufactured solution vanishes on the box boundary, not inside it.
 
 Assembly accumulates shape gradients, local stiffness matrices and
 quadrature points explicitly, one term at a time in a fixed order: the
@@ -130,7 +132,7 @@ def _dof_tables(mesh, space):
     elem_dofs = np.hstack([mesh.elements, nv + edge_of.reshape(len(mesh.elements), -1)])
 
     # an edge is on the boundary when it is an edge of a boundary face
-    faces, counts, _ = mesh.face_counts()
+    faces, counts = mesh.face_counts()
     boundary_edges = np.sort(faces[counts == 1][:, _edge_pairs(mesh.dim - 1)], axis=2)
     code = lambda e: e[..., 0] * nv + e[..., 1]
     bmask = np.zeros(nv + len(edges), dtype=bool)
@@ -158,9 +160,9 @@ class FemSolution(MeshInterpolant):
         self.interp_l2_error = math.nan
         exact = problem.exact_solution
         if exact is not None:
-            self.l2_error = l2_norm_error(mesh, self, exact)
+            self.l2_error = l2_norm_error(self, exact)
             interp = MeshInterpolant(mesh, exact, corrected=(space == "P2"))
-            self.interp_l2_error = l2_norm_error(mesh, interp, exact)
+            self.interp_l2_error = l2_norm_error(interp, exact)
 
 
 # ------------------------------------------------------------- assembly
@@ -272,38 +274,45 @@ def _quadrature_norm(mesh, w, sq):
     return math.sqrt(max(total, 0.0))
 
 
-def l2_norm_error(mesh, approx, exact):
-    """Elementwise Gauss quadrature of the squared mismatch, square-rooted.
+def l2_norm_error(approx, exact):
+    """L2 distance from a MeshInterpolant (a FemSolution is one) to a field on its mesh.
 
-    approx may be a MeshInterpolant (a FemSolution is one) or a ScalarField;
-    the rule is exact through degree 4, so P2-level integrands of polynomial
+    Elementwise Gauss quadrature of the squared mismatch, square-rooted; the
+    rule is exact through degree 4, so P2-level integrands of polynomial
     fields carry no quadrature error.
     """
+    mesh = approx.mesh
     bary, w = simplex_rule(mesh.dim)
     pts = bary @ mesh.vertices.take(mesh.elements, 0)
-    if isinstance(approx, MeshInterpolant):
-        approx_vals = approx.eval_on_element(np.arange(len(mesh)), bary)
-    else:
-        approx_vals = approx.value_at(pts.reshape(-1, mesh.dim)).reshape(pts.shape[:2])
+    approx_vals = approx.eval_on_element(np.arange(len(mesh)), bary)
     diff = exact.value_at(pts.reshape(-1, mesh.dim)).reshape(pts.shape[:2]) - approx_vals
     return _quadrature_norm(mesh, w, diff**2)
 
 
-def h1_seminorm_error(mesh, sol, exact):
+def h1_seminorm_error(approx, exact):
     """Gradient mismatch of a MeshInterpolant (u_h, pi_h or pi*_h) in L2, a diagnostic."""
+    mesh = approx.mesh
     bary, w = simplex_rule(mesh.dim)
     pts = bary @ mesh.vertices.take(mesh.elements, 0)
     exact_grads = exact.grad_at(pts.reshape(-1, mesh.dim)).reshape(pts.shape)
-    diff = exact_grads - sol.grad_on_element(np.arange(len(mesh)), bary)
+    diff = exact_grads - approx.grad_on_element(np.arange(len(mesh)), bary)
     return _quadrature_norm(mesh, w, np.sum(diff**2, axis=2))
 
 
 def _check_reportable(problem, mesh, caller):
-    """The error reports need an exact solution and a mesh inside problem.box."""
+    """The error reports need an exact solution and a mesh covering problem.box.
+
+    The exact solution vanishes on the box boundary only, so on part of the
+    box the chains fail.  Vertices inside the box and a total volume of 1
+    make the mesh cover it.
+    """
     if problem.exact_solution is None:
         raise ValueError(f"{caller} needs a manufactured exact solution")
     if np.any(mesh.vertices < problem.box[:, 0]) or np.any(mesh.vertices > problem.box[:, 1]):
         raise ValueError(f"{caller}: mesh leaves the problem box {problem.box.tolist()}")
+    volume = float(mesh.volumes.sum())
+    if abs(volume - 1.0) > 1e-12:
+        raise ValueError(f"{caller}: mesh of volume {volume:.6g} does not cover the problem box")
 
 
 def cea_gap(sol, problem):

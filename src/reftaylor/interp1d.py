@@ -80,14 +80,15 @@ class BoundComparison:
 class ClassPParams:
     """Parameters of the convex exponential family f'' - rate * f' = forcing.
 
-    rate > 0 and forcing > 0; slope_at_a may dip down to -forcing/rate, the
-    largest initial descent that keeps the solution convex.  At that boundary
-    value the member degenerates to an affine function.
+    Every member starts at f(a) = 0: adding a constant moves neither the
+    interpolation error nor any bound.  rate > 0 and forcing > 0; slope_at_a
+    may dip down to -forcing/rate, the largest initial descent that keeps the
+    solution convex.  At that boundary value the member degenerates to an
+    affine function.
     """
 
     rate: float
     forcing: float
-    value_at_a: float = 0.0
     slope_at_a: float = 0.0
 
     def __post_init__(self):
@@ -184,9 +185,7 @@ def _class_p_parts(params, a):
     def value(x):
         e = expo(x)
         x = np.asarray(x, dtype=float)
-        return (params.value_at_a
-                + s / lam * (e - 1.0)
-                + delta / lam * ((e - 1.0) / lam - (x - a)))
+        return s / lam * (e - 1.0) + delta / lam * ((e - 1.0) / lam - (x - a))
 
     def deriv(x):
         e = expo(x)
@@ -201,7 +200,7 @@ def _class_p_parts(params, a):
 def class_p_field(params, iv):
     """Member of the convex exponential family as a ScalarField on iv.
 
-    Solves f'' - rate f' = forcing with the given endpoint data at iv.a.
+    Solves f'' - rate f' = forcing with f(iv.a) = 0 and f'(iv.a) = slope_at_a.
     Members are convex; when slope_at_a >= -forcing/(2 rate) they also keep
     |f'| <= f''/rate pointwise, which is what makes the mixed interpolation
     bound beat the classical one (the boundary slope -forcing/rate gives an
@@ -238,12 +237,11 @@ def class_p_lower_envelope(params, iv, x):
     """Exponential lower bound for a family member, valid on all of iv.
 
     max of the two integrated slope envelopes
-    f(a) + f'(a) (exp(+rate (x-a)) - 1)/rate and
-    f(a) - f'(a) (exp(-rate (x-a)) - 1)/rate; convexity of the family makes
-    both sit below the function.
+    f'(a) (exp(+rate (x-a)) - 1)/rate and -f'(a) (exp(-rate (x-a)) - 1)/rate,
+    with f(a) = 0; convexity of the family makes both sit below the function.
     """
     lam = params.rate
     x = np.asarray(x, dtype=float)
-    up = params.value_at_a + params.slope_at_a / lam * (np.exp(lam * (x - iv.a)) - 1.0)
-    dn = params.value_at_a - params.slope_at_a / lam * (np.exp(-lam * (x - iv.a)) - 1.0)
+    up = params.slope_at_a / lam * (np.exp(lam * (x - iv.a)) - 1.0)
+    dn = -params.slope_at_a / lam * (np.exp(-lam * (x - iv.a)) - 1.0)
     return np.maximum(up, dn)

@@ -223,15 +223,15 @@ def _class_p_entry(beta):
     iv = Interval(0.0, 1.0)
     rate = rate_for_beta(beta, iv)
     params = ClassPParams(rate=rate, forcing=1.0)
+    # f' rises from 0 to its sup f1 at b, and f'' from forcing to its sup f2
     f1, f2 = class_p_sup_norms(params, iv)
-    slope_end = (params.forcing / rate) * (math.exp(rate) - 1.0)
     name = f"classP(beta={beta:g})"
     return FieldEntry(
         name, 1, True,
         lambda: class_p_field(params, iv),
         ((iv.a, iv.b),), f1, f2,
         (np.array([iv.a]), np.array([iv.length])),
-        SegmentBounds(params.forcing, f2, 0.0, slope_end),
+        SegmentBounds(params.forcing, f2, 0.0, f1),
     )
 
 

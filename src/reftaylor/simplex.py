@@ -18,9 +18,10 @@ cancels the averaged-derivative remainder: pi* reproduces quadratics exactly
 and satisfies the curvature-only bound |D2v|_inf / 4 * h^2, half the
 classical constant, so mesh_savings allows a sqrt(2) coarser mesh.  pi* is
 quadratic on each element, and MeshInterpolant stores it as P2 vertex and
-edge-midpoint values; pi_interp, pi_star_interp and fem.FemSolution all
-evaluate through MeshInterpolant.  Elements sharing a face hold the same
-data on it, so the two-sided values agree up to evaluation roundoff.
+edge-midpoint values; MeshInterpolant(s, v, corrected) is pi or pi* on a
+Simplex s as on a whole mesh, and fem.FemSolution evaluates through it too.
+Elements sharing a face hold the same data on it, so the two-sided values
+agree up to evaluation roundoff.
 """
 
 import functools
@@ -36,8 +37,6 @@ __all__ = [
     "Simplex",
     "Triangulation",
     "InterpBounds",
-    "pi_interp",
-    "pi_star_interp",
     "mesh_savings",
     "MeshInterpolant",
     "uniform_mesh",
@@ -103,29 +102,6 @@ def _unique_rows(rows):
     inverse = np.empty(len(rows), dtype=int)
     inverse[order] = np.repeat(rank, counts)
     return rows[order[starts[by_appearance]]], inverse, counts[by_appearance]
-
-
-def _view(s, v, point, corrected):
-    # locate first, so a point outside s raises DomainError before v is read
-    k, lam = s.locate(point)
-    return float(MeshInterpolant(s, v, corrected).eval_on_element([k], lam[None])[0, 0])
-
-
-def pi_interp(s, v, point):
-    """Degree-1 interpolation sum_i lambda_i(P) v(A_i) on a Simplex s.
-
-    Exact for affine v; a point outside s raises DomainError.
-    """
-    return _view(s, v, point, corrected=False)
-
-
-def pi_star_interp(s, v, point):
-    """Corrected interpolant: pi minus half the vertex-gradient mismatch.
-
-    pi*(v)(P) = pi(v)(P) - 1/2 sum_i lambda_i(P) Dv(A_i).(A_i - P).
-    Reproduces polynomials of degree <= 2 exactly.
-    """
-    return _view(s, v, point, corrected=True)
 
 
 class InterpBounds:
@@ -221,33 +197,25 @@ class Triangulation:
         return len(self.elements)
 
     def face_counts(self):
-        """The (n-1)-face table (faces, counts, owners), built once and cached.
+        """The (n-1)-face table (faces, counts), built once and cached.
 
         faces (F, n) holds sorted vertex indices in order of first appearance
         (elements in index order, each dropping vertex 0, 1, .., n in turn);
-        counts (F,) is the number of elements sharing each face and owners
-        (F, 2) the lowest two of them, -1 where a face has only one.
+        counts (F,) is the number of elements sharing each face.
         """
         if self._faces is None:
             n = self.dim
             keep = [[c for c in range(n + 1) if c != drop] for drop in range(n + 1)]
             rows = np.sort(self.elements[:, keep], axis=2).reshape(-1, n)
-            faces, face_of, counts = _unique_rows(rows)
-            # rows grouped by face, in element order within each group
-            element_of = np.argsort(face_of, kind="stable") // (n + 1)
-            first = np.cumsum(counts) - counts
-            owners = np.full((len(faces), 2), -1)
-            owners[:, 0] = element_of[first]
-            shared = counts > 1
-            owners[shared, 1] = element_of[first[shared] + 1]
-            for table in (faces, counts, owners):
+            faces, _, counts = _unique_rows(rows)
+            for table in (faces, counts):
                 table.flags.writeable = False
-            self._faces = faces, counts, owners
+            self._faces = faces, counts
         return self._faces
 
     def check_conforming(self):
         """Every face must bound one element (boundary) or two (interior)."""
-        faces, counts, _ = self.face_counts()
+        faces, counts = self.face_counts()
         over = np.flatnonzero(counts > 2)
         if over.size:
             f = over[0]
@@ -257,7 +225,7 @@ class Triangulation:
 
     def boundary_vertex_mask(self):
         """Vertices lying on a boundary face (a face owned by one element)."""
-        faces, counts, _ = self.face_counts()
+        faces, counts = self.face_counts()
         mask = np.zeros(len(self.vertices), dtype=bool)
         mask[faces[counts == 1].ravel()] = True
         return mask

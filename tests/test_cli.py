@@ -147,6 +147,42 @@ def test_abbreviated_config_flag_reads_the_file_and_flags_win(flag, tmp_path):
     assert "dim = 1" in manifest
 
 
+def test_manifest_writes_each_real_so_it_reads_back(tmp_path):
+    out = tmp_path / "i.csv"
+    assert run_main(["interp1d", "--beta", "0.6000001,0.75", "--grid", "11",
+                     "--output", str(out)]) == EXIT_OK
+    manifest = (tmp_path / "i.csv.manifest").read_text().splitlines()
+    assert "beta_values = 0.6000001,0.75" in manifest
+
+
+@pytest.mark.parametrize("value, prints_selftest", [("true", True), ("false", False)])
+def test_config_file_sets_a_switch(value, prints_selftest, tmp_path, capsys):
+    cfg = tmp_path / "r.cfg"
+    cfg.write_text(f"selftest = {value}\n")
+    assert run_main(["registry", "--config", str(cfg)]) == EXIT_OK
+    assert ("selftest " in capsys.readouterr().out) == prints_selftest
+
+
+@pytest.mark.parametrize("value", ["yes", "1", "True", ""])
+def test_config_file_switch_refuses_other_values(value, tmp_path, capsys):
+    cfg = tmp_path / "r.cfg"
+    cfg.write_text(f"selftest = {value}\n")
+    assert run_main(["registry", "--config", str(cfg)]) == EXIT_USAGE
+    assert "true or false" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["config", "conf"])
+def test_config_file_cannot_name_another_config_file(key, tmp_path, capsys):
+    inner = tmp_path / "inner.cfg"
+    inner.write_text("dim = 2\n")
+    cfg = tmp_path / "outer.cfg"
+    cfg.write_text(f"{key} = {inner}\n")
+    out = tmp_path / "s.csv"
+    assert run_main(["savings", "--config", str(cfg), "--output", str(out)]) == EXIT_USAGE
+    assert "another config file" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_file_command_mismatch(tmp_path, capsys):
     cfg = tmp_path / "study.cfg"
     cfg.write_text("command = fem\n")

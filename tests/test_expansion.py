@@ -63,11 +63,18 @@ def random_quadratic(rng, dim):
 
 
 def test_weight_examples():
-    assert expansion_weights(1).weights == (0.5, 0.5)
-    assert expansion_weights(2).weights == (0.25, 0.5, 0.25)
-    w3 = expansion_weights(3, OPEN)
-    assert w3.weights == pytest.approx((1 / 6, 1 / 3, 1 / 3, 1 / 3), abs=0)
-    assert w3.kind == OPEN
+    for (m, kind), want in [
+        ((1, CLOSED), [0.5, 0.5]),
+        ((2, CLOSED), [0.25, 0.5, 0.25]),
+        ((3, OPEN), [1 / 6, 1 / 3, 1 / 3, 1 / 3]),
+    ]:
+        family = expansion_weights(m, kind)
+        assert family.kind == kind
+        w = family.weights
+        assert isinstance(w, np.ndarray) and w.dtype == np.float64 and not w.flags.writeable
+        assert w.tolist() == want
+        with pytest.raises(ValueError, match="read-only"):
+            w[0] = 1.0
 
 
 def test_weight_validation():
@@ -196,8 +203,12 @@ def test_refined_quadratic_exactness_random():
 
 
 def _refined_by_scalar_loop(f, a, h, m, kind, bounds):
-    """(approx, remainder_eps, bound_lo, bound_hi) with the node terms added one at a time."""
-    weights = expansion_weights(m, kind).weights
+    """(approx, remainder_eps, bound_lo, bound_hi) with the node terms added one at a time.
+
+    The weights are the closed forms 1/(2m) and 1/m as Python floats.
+    """
+    end, inner = 1.0 / (2 * m), 1.0 / m
+    weights = [end] + [inner] * (m - 1) + [end if kind == CLOSED else inner]
     hn = float(np.linalg.norm(h))
     nodes = a + (np.arange(len(weights)) / m)[:, None] * h
     acc = f.value(a)

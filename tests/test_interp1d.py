@@ -167,7 +167,7 @@ def test_class_p_unit_example():
 
 
 def test_class_p_boundary_slope_gives_affine():
-    p = ClassPParams(rate=2.0, forcing=3.0, value_at_a=1.0, slope_at_a=-1.5)
+    p = ClassPParams(rate=2.0, forcing=3.0, slope_at_a=-1.5)
     f = class_p_field(p, UNIT)
     for x in np.linspace(0.0, 1.0, 11):
         assert f.hess([x])[0, 0] == pytest.approx(0.0, abs=1e-14)
@@ -180,7 +180,6 @@ def test_class_p_fields_are_convex():
         p = ClassPParams(
             rate=float(rng.uniform(0.5, 8.0)),
             forcing=float(rng.uniform(0.1, 4.0)),
-            value_at_a=float(rng.uniform(-1, 1)),
             slope_at_a=float(rng.uniform(-0.05, 2.0)),
         )
         f = class_p_field(p, UNIT)
@@ -249,7 +248,7 @@ def test_class_p_lower_envelope_on_grid():
         ClassPParams(rate=1.0, forcing=1.0),
         ClassPParams(rate=1.0, forcing=1.0, slope_at_a=0.3),
         ClassPParams(rate=2.0, forcing=2.0, slope_at_a=-0.5),
-        ClassPParams(rate=4.0, forcing=1.0, value_at_a=-2.0, slope_at_a=0.05),
+        ClassPParams(rate=4.0, forcing=1.0, slope_at_a=0.05),
     ]
     xs = np.linspace(0.0, 1.0, 1001)
     for p in cases:

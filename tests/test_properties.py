@@ -20,7 +20,7 @@ from reftaylor.interp1d import (
     rate_for_beta,
 )
 from reftaylor.registry import registry
-from reftaylor.simplex import InterpBounds, MeshInterpolant, Simplex, mesh_savings, pi_star_interp
+from reftaylor.simplex import InterpBounds, MeshInterpolant, Simplex, mesh_savings
 
 SETTINGS = settings(max_examples=60, derandomize=True, deadline=None)
 
@@ -74,7 +74,6 @@ def test_corrected_interpolant_reproduces_random_quadratics(case):
     star = MeshInterpolant(simplex, q, corrected=True)
     assert abs(star(point) - exact) <= 1e-12 * scale
     assert abs(star.eval_on_element([0], lam[None])[0, 0] - exact) <= 1e-12 * scale
-    assert abs(pi_star_interp(simplex, q, point) - exact) <= 1e-12 * scale
 
 
 @st.composite

@@ -16,8 +16,6 @@ from reftaylor.simplex import (
     Triangulation,
     _edge_pairs,
     _unique_rows,
-    pi_interp,
-    pi_star_interp,
     uniform_mesh,
 )
 
@@ -110,16 +108,16 @@ def test_random_points_land_inside():
 def test_pi_reproduces_affine():
     tri = unit_triangle()
     f = ScalarField(2, lambda p: 3.0 - p[:, 0] + 2 * p[:, 1])
-    rng = np.random.default_rng(11)
-    for p in tri.random_points(rng, 25):
-        assert pi_interp(tri, f, p) == pytest.approx(f.value(p), abs=1e-13)
+    pts = tri.random_points(np.random.default_rng(11), 25)
+    np.testing.assert_allclose(MeshInterpolant(tri, f).values_at(pts), f.value_at(pts),
+                               rtol=0.0, atol=1e-13)
 
 
 def test_pi_square_at_centroid():
     # v = x^2: interpolant averages the vertex values 0, 1, 0
     tri = unit_triangle()
     f = ScalarField(2, lambda p: p[:, 0] ** 2)
-    got = pi_interp(tri, f, [1 / 3, 1 / 3])
+    (got,) = MeshInterpolant(tri, f).values_at([[1 / 3, 1 / 3]])
     assert got == pytest.approx(1 / 3, abs=1e-14)
     assert got - f.value([1 / 3, 1 / 3]) == pytest.approx(2 / 9, abs=1e-14)
 
@@ -128,7 +126,8 @@ def test_pi_star_square_at_centroid():
     tri = unit_triangle()
     f = ScalarField(2, lambda p: p[:, 0] ** 2,
                     grad=lambda p: np.column_stack([2 * p[:, 0], np.zeros(len(p))]))
-    assert pi_star_interp(tri, f, [1 / 3, 1 / 3]) == pytest.approx(1 / 9, abs=1e-14)
+    (got,) = MeshInterpolant(tri, f, corrected=True).values_at([[1 / 3, 1 / 3]])
+    assert got == pytest.approx(1 / 9, abs=1e-14)
 
 
 def test_pi_star_reproduces_quadratics():
@@ -149,18 +148,18 @@ def test_pi_star_reproduces_quadratics():
             grad=lambda p, c1=c1, A=A: c1 + 2.0 * p @ A,
         )
         scale = 1.0 + max(abs(f.value(v)) for v in s.vertices)
-        for p in s.random_points(rng, 30):
-            err = abs(pi_star_interp(s, f, p) - f.value(p))
-            assert err <= 1e-10 * scale
+        pts = s.random_points(rng, 30)
+        err = np.abs(MeshInterpolant(s, f, corrected=True).values_at(pts) - f.value_at(pts))
+        assert np.all(err <= 1e-10 * scale)
 
 
 def test_interp_outside_element_raises():
     tri = unit_triangle()
-    f = ScalarField(2, lambda p: p[:, 0])
+    f = ScalarField(2, lambda p: p[:, 0], grad=lambda p: np.repeat([[1.0, 0.0]], len(p), axis=0))
     with pytest.raises(DomainError, match="outside"):
-        pi_interp(tri, f, [0.7, 0.7])
+        MeshInterpolant(tri, f).values_at([[0.7, 0.7]])
     with pytest.raises(DomainError, match="outside"):
-        pi_star_interp(tri, f, [-0.1, 0.2])
+        MeshInterpolant(tri, f, corrected=True).values_at([[-0.1, 0.2]])
 
 
 # --------------------------------------------------------- error bounds
@@ -212,8 +211,8 @@ def test_measured_errors_sit_under_bounds():
     b = InterpBounds(tri.mesh_size, d1, d2)
     rng = np.random.default_rng(29)
     pts = tri.random_points(rng, 400)
-    err_pi = max(abs(pi_interp(tri, f, p) - f.value(p)) for p in pts)
-    err_star = max(abs(pi_star_interp(tri, f, p) - f.value(p)) for p in pts)
+    err_pi = np.max(np.abs(MeshInterpolant(tri, f).values_at(pts) - f.value_at(pts)))
+    err_star = np.max(np.abs(MeshInterpolant(tri, f, True).values_at(pts) - f.value_at(pts)))
     assert err_pi <= b.classical
     assert err_pi <= b.combined
     assert err_star <= b.corrected
@@ -364,6 +363,11 @@ def test_unique_rows_matches_np_unique():
             _assert_same_tables(_unique_rows(rows), _unique_rows_by_np_unique(rows))
 
 
+def _elements_with(mesh, face):
+    """Indices of the elements having every vertex of face, in ascending order."""
+    return np.flatnonzero(np.isin(mesh.elements, face).sum(axis=1) == len(face))
+
+
 def test_face_tables_match_np_unique():
     for dim, k in ((2, 5), (3, 3)):
         m = uniform_mesh([(0.0, 1.0)] * dim, dim, k)
@@ -371,10 +375,9 @@ def test_face_tables_match_np_unique():
         rows = np.sort(m.elements[:, keep], axis=2).reshape(-1, dim)
         faces, face_of, counts = _unique_rows_by_np_unique(rows)
         _assert_same_tables(_unique_rows(rows), (faces, face_of, counts))
-        got_faces, got_counts, owners = m.face_counts()
+        got_faces, got_counts = m.face_counts()
         assert np.array_equal(got_faces, faces) and np.array_equal(got_counts, counts)
-        first_row = [np.flatnonzero(face_of == f)[0] for f in range(len(faces))]
-        assert np.array_equal(owners[:, 0], np.array(first_row) // (dim + 1))
+        assert [len(_elements_with(m, face)) for face in faces] == counts.tolist()
 
 
 def test_zero_subdivisions_rejected():
@@ -430,7 +433,7 @@ def _probe_points(mesh, rng, count):
     """Random box points, vertices, edge midpoints and interior face points
     (the last three on element boundaries, where ties fall)."""
     n = mesh.dim
-    faces, counts, _ = mesh.face_counts()
+    faces, counts = mesh.face_counts()
     interior = faces[counts == 2]
     pick = lambda rows: rows[rng.choice(len(rows), size=min(count, len(rows)), replace=False)]
     ends = pick(mesh.elements[:, _edge_pairs(n)].reshape(-1, 2))
@@ -448,11 +451,12 @@ def _probe_points(mesh, rng, count):
 def _beyond_boundary(mesh, rng, lam_out, count):
     """Points whose coordinate opposite a boundary face is lam_out, the rest
     of the weight spread evenly over that face's vertices."""
-    faces, counts, owners = mesh.face_counts()
+    faces, counts = mesh.face_counts()
     boundary = np.flatnonzero(counts == 1)
     rows = rng.choice(boundary, size=min(count, len(boundary)), replace=False)
     points = []
-    for face, k in zip(faces[rows], owners[rows, 0]):
+    for face in faces[rows]:
+        (k,) = _elements_with(mesh, face)
         (opposite,) = set(mesh.elements[k].tolist()) - set(face.tolist())
         share = (1.0 - lam_out) / len(face)
         points.append(share * mesh.vertices[face].sum(axis=0) + lam_out * mesh.vertices[opposite])
@@ -513,8 +517,8 @@ def test_global_interp_matches_elementwise():
     for p in rng.random((25, 2)):
         k, _ = m.locate(p)
         s = Simplex(m.vertices[m.elements[k]])
-        assert I(p) == pytest.approx(pi_interp(s, f, p), abs=1e-13)
-        assert Istar(p) == pytest.approx(pi_star_interp(s, f, p), abs=1e-13)
+        assert I(p) == pytest.approx(MeshInterpolant(s, f)(p), abs=1e-13)
+        assert Istar(p) == pytest.approx(MeshInterpolant(s, f, corrected=True)(p), abs=1e-13)
 
 
 def test_global_pi_star_quadratic_exactness():
@@ -559,14 +563,14 @@ def test_corrected_interp_agrees_across_shared_diagonal():
     # exp(x + y) on the k=3 square, plain and corrected, at points on every
     # interior face, from the two elements that share it
     m = uniform_mesh([(0.0, 1.0), (0.0, 1.0)], 2, 3)
-    faces, counts, owners = m.face_counts()
+    faces, counts = m.face_counts()
     w = np.random.default_rng(0).exponential(size=(8, 2))
     w /= w.sum(axis=1, keepdims=True)
     for corrected in (False, True):
         I = MeshInterpolant(m, exp_sum(2), corrected)
-        for face, ks in zip(faces[counts == 2], owners[counts == 2]):
+        for face in faces[counts == 2]:
             for p in w @ m.vertices[face]:
-                assert jump(I, ks, p) <= 1e-12
+                assert jump(I, _elements_with(m, face), p) <= 1e-12
 
 
 def test_corrected_mesh_interp_beats_plain_on_smooth_field():
