@@ -86,7 +86,6 @@ _FEM_NAMES = frozenset({
     "estimate_report",
     "h1_seminorm_error",
     "l2_norm_error",
-    "poincare_constant",
     "sine_problem",
 })
 

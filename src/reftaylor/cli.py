@@ -23,7 +23,7 @@ key takes true or false, and a file may not name another config file.
 Each command's options and their defaults are written once, in _COMMANDS,
 and each option's flag once, in _FLAGS; the parser and StudyConfig share
 them, so `reftaylor fem` and StudyConfig("fem") run the same study.
-Config-file keys are flag names without the dashes (`m = 1,2,4`); the
+Config-file keys are full flag names without the dashes (`m = 1,2,4`); the
 manifest names options as StudyConfig does (`m_values = 1,2,4`) and writes
 each real as repr does, so it reads back as the same float.
 
@@ -290,7 +290,7 @@ def _simplex_rows(cfg):
     lo, span = box[:, 0], box[:, 1] - box[:, 0]
 
     def one(k):
-        mesh = uniform_mesh(entry.box, entry.dim, k)
+        mesh = uniform_mesh(entry.box, k)
         bounds = InterpBounds(mesh.mesh_size, d1, d2)
         plain = MeshInterpolant(mesh, f)
         star = MeshInterpolant(mesh, f, corrected=True)
@@ -317,7 +317,7 @@ def _fem_rows(cfg):
     factor = problem.stability_factor
 
     def one(k):
-        mesh = uniform_mesh([(0.0, 1.0)] * cfg.dim, cfg.dim, k)
+        mesh = uniform_mesh([(0.0, 1.0)] * cfg.dim, k)
         rep = estimate_report(problem, mesh, cfg.space, SINE_D1, SINE_D2)
         if cfg.space == "P1":
             applicable = min(rep.cea_rhs_classical, rep.cea_rhs_refined)
@@ -491,8 +491,6 @@ _FLAGS = {
     "seed": ("--seed", int, "seed for sampled suites"),
 }
 
-_SWITCHES = {flag for flag, parse, _ in _FLAGS.values() if parse is None}
-
 # command -> (help, row builder, {option: default}); registry prints, it builds no rows
 _COMMANDS = {
     "expand": ("m-point expansion remainder sweep", _expand_rows,
@@ -511,6 +509,10 @@ _COMMANDS = {
 }
 
 
+def _options(command):
+    return [*_COMMANDS[command][2], "output_path", "seed"]
+
+
 @functools.cache
 def _build_parser():
     """The flags of every command, from _COMMANDS and _FLAGS; the parser holds no defaults.
@@ -522,7 +524,7 @@ def _build_parser():
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     for command, (summary, _, defaults) in _COMMANDS.items():
         sub = subs.add_parser(command, help=summary, argument_default=argparse.SUPPRESS)
-        for option in [*defaults, "output_path", "seed"]:
+        for option in _options(command):
             flag, parse, help_text = _FLAGS[option]
             how = {"action": "store_true"} if parse is None else {"type": parse}
             sub.add_argument(flag, dest=option, help=help_text, **how)
@@ -559,13 +561,16 @@ def parse_argv(argv):
             raise UsageError(
                 f"config file names command {file_command!r} but {command!r} was invoked"
             )
+        parsers = dict(_FLAGS[option][:2] for option in _options(command))
         spliced = [command]
         for key, value in mapping.items():
-            flag = f"--{key.replace('_', '-')}"
-            # argparse reads any unambiguous prefix of --config as --config
-            if key and "config".startswith(key):
+            flag = f"--{key}"
+            if key == "config":
                 raise UsageError(f"{path}: a config file cannot name another config file")
-            if flag not in _SWITCHES:
+            # argparse would read a prefix as its flag, so a key must be a flag in full
+            if flag not in parsers:
+                raise UsageError(f"{path}: unknown key {key!r}; keys are {command} flags in full")
+            if parsers[flag] is not None:
                 spliced.extend([flag, value])
             elif value in ("true", "false"):
                 spliced.extend([flag] * (value == "true"))

@@ -88,19 +88,25 @@ class SegmentBounds:
 class ExpansionReport:
     """One expansion evaluated at one (a, h), with its remainder enclosure.
 
-    remainder_eps is (exact - approx)/|h|, the normalised remainder, so
-    exact == approx + h_norm * remainder_eps by construction.  bound_lo and
+    remainder_eps is derived, (exact - approx)/|h| (0 when h = 0), so exact ==
+    approx + h_norm * remainder_eps by construction.  bound_lo and
     bound_hi enclose remainder_eps itself; the |h| factors the enclosures
     carry are already inside the stored bound values.
     """
 
     approx: float
     exact: float
-    remainder_eps: float
     bound_lo: float
     bound_hi: float
     h_norm: float
-    degenerate: bool = False
+
+    @property
+    def remainder_eps(self):
+        return (self.exact - self.approx) / self.h_norm if self.h_norm else 0.0
+
+    @property
+    def degenerate(self):
+        return self.h_norm == 0.0
 
 
 def expansion_weights(m, kind=CLOSED):
@@ -204,10 +210,7 @@ def estimate_segment_bounds(f, a, h, samples=201):
 
 def _degenerate_report(f, a):
     v = f.value(a)
-    return ExpansionReport(
-        approx=v, exact=v, remainder_eps=0.0,
-        bound_lo=0.0, bound_hi=0.0, h_norm=0.0, degenerate=True,
-    )
+    return ExpansionReport(approx=v, exact=v, bound_lo=0.0, bound_hi=0.0, h_norm=0.0)
 
 
 def taylor_first_order(f, a, h, bounds=None):
@@ -229,7 +232,6 @@ def taylor_first_order(f, a, h, bounds=None):
     return ExpansionReport(
         approx=approx,
         exact=exact,
-        remainder_eps=(exact - approx) / hn,
         bound_lo=hn * bounds.m2 / 2.0,
         bound_hi=hn * bounds.M2 / 2.0,
         h_norm=hn,
@@ -271,7 +273,6 @@ def refined_expansion(f, a, h, m, kind=CLOSED, bounds=None):
     return ExpansionReport(
         approx=acc,
         exact=exact,
-        remainder_eps=(exact - acc) / hn,
         bound_lo=lo,
         bound_hi=hi,
         h_norm=hn,

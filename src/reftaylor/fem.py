@@ -1,7 +1,7 @@
 """Lagrange finite elements for a model reaction-diffusion problem.
 
 Solves -diffusion*Laplace(u) + reaction*u = f with homogeneous Dirichlet data
-on meshed boxes in one and two dimensions, in P1 or P2 spaces.  The point is
+on the unit box in one and two dimensions, in P1 or P2 spaces.  The point is
 not the solver, which is deliberately desk scale, but the error-estimate
 chain around it: with continuity C and ellipticity alpha for the bilinear
 form, the quasi-optimality constant C/alpha multiplies an interpolation
@@ -10,12 +10,13 @@ refined slope+curvature, corrected) give three right-hand sides.  The
 corrected chain carries half the classical constant, which buys a sqrt(2)
 coarser mesh for the same tolerance (simplex.mesh_savings).
 
-The problem lives on the unit box, and C and alpha follow from its
-coefficients, reported rather than certified: C = max(1 + diffusion,
-reaction), which bounds the form since |a(u,v)| <= max(diffusion, reaction)
-|u|_H1 |v|_H1, and alpha the better of min(diffusion, reaction) and
-diffusion/(1 + poincare^2), with the unit box's Poincare constant.  For
-diffusion > 0 and reaction >= 0 both are positive and C >= alpha.
+The problem's dimension is its right-hand side's, and C and alpha follow
+from its coefficients, reported rather than certified: C = max(1 +
+diffusion, reaction), which bounds the form since |a(u,v)| <=
+max(diffusion, reaction) |u|_H1 |v|_H1, and alpha the better of
+min(diffusion, reaction) and diffusion/(1 + poincare^2), with the unit
+box's Poincare constant 1/(pi sqrt(dim)).  For diffusion > 0 and
+reaction >= 0 both are positive and C >= alpha.
 
 This module numbers the DOFs, assembles, solves and measures the norms.
 FemSolution is a simplex.MeshInterpolant with the solved DOF values as its
@@ -50,7 +51,6 @@ __all__ = [
     "EllipticProblem",
     "FemSolution",
     "EstimateReport",
-    "poincare_constant",
     "assemble_and_solve",
     "l2_norm_error",
     "h1_seminorm_error",
@@ -67,43 +67,34 @@ class SolverError(RuntimeError):
     """The discrete system could not be solved to tolerance."""
 
 
-def poincare_constant(bounds):
-    """Poincare constant of a box with zero boundary values.
-
-    For the box with side lengths L_i the first Dirichlet eigenvalue of the
-    Laplacian is pi^2 sum(1/L_i^2), and the constant in |v| <= c |grad v|
-    is its inverse square root.
-    """
-    bounds = np.atleast_2d(np.asarray(bounds, dtype=float))
-    lengths = bounds[:, 1] - bounds[:, 0]
-    if np.any(lengths <= 0):
-        raise ValueError("box bounds must satisfy lo < hi on every axis")
-    return 1.0 / (math.pi * math.sqrt(float(np.sum(1.0 / lengths**2))))
-
-
 class EllipticProblem:
     """Model problem -diffusion*Laplace(u) + reaction*u = f, u = 0 on the boundary.
 
-    The domain is the unit box, whose Poincare constant gives the
-    ellipticity constant; continuity and ellipticity are the module's
-    formulas in diffusion and reaction.  exact_solution, when present, marks
-    a manufactured problem and enables the error reports.
+    The domain is the unit box of the right-hand side's dimension, 1 or 2.
+    Its Poincare constant 1/(pi sqrt(dim)), the inverse square root of the
+    first Dirichlet eigenvalue dim*pi^2, gives the ellipticity constant;
+    continuity and ellipticity are the module's formulas in diffusion and
+    reaction.  exact_solution, when present, must have the same dimension;
+    it marks a manufactured problem and enables the error reports.
     """
 
-    def __init__(self, dim, rhs, diffusion=1.0, reaction=0.0, exact_solution=None):
-        if dim not in (1, 2):
-            raise ValueError(f"dim must be 1 or 2, got {dim}")
+    def __init__(self, rhs, diffusion=1.0, reaction=0.0, exact_solution=None):
+        if rhs.dim not in (1, 2):
+            raise ValueError(f"dim must be 1 or 2, got {rhs.dim}")
+        if exact_solution is not None and exact_solution.dim != rhs.dim:
+            raise ValueError(
+                f"exact_solution has dim {exact_solution.dim}, the rhs has dim {rhs.dim}"
+            )
         if not diffusion > 0:
             raise ValueError(f"diffusion must be positive, got {diffusion}")
         if not reaction >= 0:
             raise ValueError(f"reaction must be nonnegative, got {reaction}")
-        self.dim = dim
+        self.dim = rhs.dim
         self.rhs = rhs
         self.diffusion = float(diffusion)
         self.reaction = float(reaction)
         self.exact_solution = exact_solution
-        self.box = np.array([(0.0, 1.0)] * dim)
-        self.poincare = poincare_constant(self.box)
+        self.poincare = 1.0 / (math.pi * math.sqrt(self.dim))
         self.continuity = max(1.0 + self.diffusion, self.reaction)
         self.ellipticity = max(
             self.diffusion / (1.0 + self.poincare**2),
@@ -300,7 +291,7 @@ def h1_seminorm_error(approx, exact):
 
 
 def _check_reportable(problem, mesh, caller):
-    """The error reports need an exact solution and a mesh covering problem.box.
+    """The error reports need an exact solution and a mesh covering the unit box.
 
     The exact solution vanishes on the box boundary only, so on part of the
     box the chains fail.  Vertices inside the box and a total volume of 1
@@ -308,8 +299,8 @@ def _check_reportable(problem, mesh, caller):
     """
     if problem.exact_solution is None:
         raise ValueError(f"{caller} needs a manufactured exact solution")
-    if np.any(mesh.vertices < problem.box[:, 0]) or np.any(mesh.vertices > problem.box[:, 1]):
-        raise ValueError(f"{caller}: mesh leaves the problem box {problem.box.tolist()}")
+    if np.any(mesh.vertices < 0.0) or np.any(mesh.vertices > 1.0):
+        raise ValueError(f"{caller}: mesh leaves the problem box [0, 1]^{problem.dim}")
     volume = float(mesh.volumes.sum())
     if abs(volume - 1.0) > 1e-12:
         raise ValueError(f"{caller}: mesh of volume {volume:.6g} does not cover the problem box")
@@ -369,11 +360,7 @@ def sine_problem(dim, diffusion=1.0, reaction=0.0):
     right-hand side is (diffusion * dim * pi^2 + reaction) * u.  Derivative
     sup norms over the box are pi and pi^2 in both dimensions.
     """
-    if dim not in (1, 2):
-        raise ValueError(f"dim must be 1 or 2, got {dim}")
     scale = diffusion * dim * math.pi**2 + reaction
     exact = sine_product(dim, math.pi, f"sine{dim}d")
     rhs = ScalarField(dim, lambda pts: scale * exact.value_at(pts), name=f"sine{dim}d rhs")
-    return EllipticProblem(
-        dim, rhs, diffusion=diffusion, reaction=reaction, exact_solution=exact
-    )
+    return EllipticProblem(rhs, diffusion=diffusion, reaction=reaction, exact_solution=exact)

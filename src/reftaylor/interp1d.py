@@ -66,14 +66,17 @@ class Interval:
 class BoundComparison:
     """Classical vs mixed interpolation error bound on one interval.
 
-    beta = refined / classical (inf when the classical bound is zero);
+    beta = refined / classical, derived (inf when the classical bound is zero);
     measured_sup_error is the grid maximum of |interpolant - f|.
     """
 
     classical: float
     refined: float
-    beta: float
     measured_sup_error: float
+
+    @property
+    def beta(self):
+        return self.refined / self.classical if self.classical > 0.0 else math.inf
 
 
 @dataclass(frozen=True)
@@ -131,7 +134,10 @@ def compare_bounds(f, iv, f1_sup, f2_sup, grid=1001):
     bound is sharp (Waldron, SIAM J. Numer. Anal. 35, 1998).  The mesh layer
     reads them at the diameter L, 4x these on one interval (2x to 4x refined).
     """
-    bounds = InterpBounds(iv.length / 2.0, f1_sup, f2_sup)
+    try:
+        bounds = InterpBounds(iv.length / 2.0, f1_sup, f2_sup)
+    except OverflowError:  # h**2 of a float past about 1.3e154 raises instead of giving inf
+        bounds = InterpBounds(math.inf, f1_sup, f2_sup)
     if not (math.isfinite(bounds.classical) and math.isfinite(bounds.refined)):
         raise ValueError(f"interpolation bounds on [{iv.a:g}, {iv.b:g}] overflow a float")
     if grid < 3:
@@ -149,10 +155,8 @@ def compare_bounds(f, iv, f1_sup, f2_sup, grid=1001):
                 f"from the endpoint line is {measured:.3e}"
             )
 
-    classical, refined = bounds.classical, bounds.refined
-    beta = refined / classical if classical > 0.0 else math.inf
     return BoundComparison(
-        classical=classical, refined=refined, beta=beta, measured_sup_error=measured
+        classical=bounds.classical, refined=bounds.refined, measured_sup_error=measured
     )
 
 
@@ -162,12 +166,14 @@ def rate_for_beta(beta, iv):
     Functions obeying |f'|_inf <= |f''|_inf / rate on an interval of length L
     have refined <= beta * classical exactly when rate >= 4 / ((2 beta - 1) L);
     this returns that threshold.  Only beta > 1/2 is reachable: the curvature
-    half of the mixed bound alone is already classical / 2.  A beta whose
-    exp(rate * L) = exp(4 / (2 beta - 1)) overflows a float is rejected too.
+    half of the mixed bound alone is already classical / 2.  A beta whose rate
+    is 0 or whose exp(rate * L) = exp(4 / (2 beta - 1)) overflows is rejected.
     """
     if not beta > 0.5:
         raise ValueError(f"beta must exceed 1/2, got {beta}")
     rate = 4.0 / ((2.0 * beta - 1.0) * iv.length)
+    if not rate > 0.0:  # (2 beta - 1) * length overflows for an infinite or huge beta
+        raise ValueError(f"beta={beta:g} gives no positive rate 4 / ((2 beta - 1) length)")
     limit = math.log(np.finfo(float).max)
     if rate * iv.length > limit:
         raise ValueError(f"beta={beta:g} overflows exp(rate * length); "

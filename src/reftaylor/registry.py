@@ -3,8 +3,8 @@
 Each entry bundles a ScalarField with the canonical box it is studied on,
 the sup norms of its first two derivatives over that box when they are known
 in closed form, and a default segment (a, a+h) inside the box together with
-derivative ranges along it.  Entries with analytic=False leave the norms
-out; consumers fall back to sampled estimates and lose the certification.
+derivative ranges along it.  An entry that leaves all three out is not
+analytic; consumers fall back to sampled estimates and lose the certification.
 
 The classP(beta=...) family is parametric: any positive beta above one half
 names a member, built with unit forcing and flat initial slope so that the
@@ -43,17 +43,29 @@ class UnknownFieldError(KeyError):
 
 @dataclass(frozen=True)
 class FieldEntry:
-    """A registry row: building block for every command sweep."""
+    """A registry row for every command sweep; dim and analytic derive from box and d1_inf."""
 
     name: str
-    dim: int
-    analytic: bool
     make: object                 # () -> ScalarField
     box: tuple                   # ((lo, hi), ...) canonical study domain
     d1_inf: float | None         # sup |grad| over box, None when not analytic
     d2_inf: float | None         # sup spectral |D2| over box
     segment: tuple               # (a, h) default expansion segment in the box
     segment_bounds: SegmentBounds | None
+
+    def __post_init__(self):
+        if len({v is None for v in (self.d1_inf, self.d2_inf, self.segment_bounds)}) > 1:
+            raise ValueError(f"{self.name}: d1_inf, d2_inf, segment_bounds: all three or none")
+        if any(np.size(v) != self.dim for v in self.segment):
+            raise ValueError(f"{self.name}: the segment (a, h) needs {self.dim} components each")
+
+    @property
+    def dim(self):
+        return len(self.box)
+
+    @property
+    def analytic(self):
+        return self.d1_inf is not None
 
     def field(self):
         return self.make()
@@ -153,62 +165,52 @@ _SQRT3 = math.sqrt(3.0)
 
 _STATIC = [
     FieldEntry(
-        "exp1d", 1, True, lambda: _exp_nd(1),
-        _UNIT, E1, E1,
+        "exp1d", lambda: _exp_nd(1), _UNIT, E1, E1,
         (np.array([0.0]), np.array([1.0])),
         SegmentBounds(1.0, E1, 1.0, E1),
     ),
     FieldEntry(
-        "sin1d", 1, True, lambda: sine_product(1, 1.0, "sin1d"),
-        ((0.0, PI),), 1.0, 1.0,
+        "sin1d", lambda: sine_product(1, 1.0, "sin1d"), ((0.0, PI),), 1.0, 1.0,
         (np.array([0.0]), np.array([PI])),
         SegmentBounds(-1.0, 0.0, -1.0, 1.0),
     ),
     FieldEntry(
-        "quad1d", 1, True, lambda: _quad_nd(1, [[1.0]]),
-        _UNIT, 2.0, 2.0,
+        "quad1d", lambda: _quad_nd(1, [[1.0]]), _UNIT, 2.0, 2.0,
         (np.array([0.0]), np.array([1.0])),
         SegmentBounds(2.0, 2.0, 0.0, 2.0),
     ),
     FieldEntry(
-        "cubic1d", 1, True, _cubic1d,
-        _UNIT, 3.0, 6.0,
+        "cubic1d", _cubic1d, _UNIT, 3.0, 6.0,
         (np.array([0.0]), np.array([1.0])),
         SegmentBounds(0.0, 6.0, 0.0, 3.0),
     ),
     FieldEntry(
-        "runge1d", 1, False, _runge1d,
-        ((-1.0, 1.0),), None, None,
+        "runge1d", _runge1d, ((-1.0, 1.0),), None, None,
         (np.array([-1.0]), np.array([2.0])),
         None,
     ),
     FieldEntry(
-        "quad2d", 2, True, lambda: _quad_nd(2, [[1.0, 0.5], [0.5, 1.0]]),
-        _UNIT * 2, 3.0 * _SQRT2, 3.0,
+        "quad2d", lambda: _quad_nd(2, [[1.0, 0.5], [0.5, 1.0]]), _UNIT * 2, 3.0 * _SQRT2, 3.0,
         (np.zeros(2), np.ones(2)),
         SegmentBounds(3.0, 3.0, 0.0, 3.0 * _SQRT2),
     ),
     FieldEntry(
-        "exp2d", 2, True, lambda: _exp_nd(2),
-        _UNIT * 2, _SQRT2 * E2, 2.0 * E2,
+        "exp2d", lambda: _exp_nd(2), _UNIT * 2, _SQRT2 * E2, 2.0 * E2,
         (np.zeros(2), np.ones(2)),
         SegmentBounds(2.0, 2.0 * E2, _SQRT2, _SQRT2 * E2),
     ),
     FieldEntry(
-        "sinsin2d", 2, True, lambda: sine_product(2, PI, "sinsin2d"),
-        _UNIT * 2, PI, PI**2,
+        "sinsin2d", lambda: sine_product(2, PI, "sinsin2d"), _UNIT * 2, PI, PI**2,
         (np.zeros(2), np.ones(2)),
         SegmentBounds(-(PI**2), PI**2, -PI / _SQRT2, PI / _SQRT2),
     ),
     FieldEntry(
-        "quad3d", 3, True, lambda: _quad_nd(3, np.eye(3)),
-        _UNIT * 3, 2.0 * _SQRT3, 2.0,
+        "quad3d", lambda: _quad_nd(3, np.eye(3)), _UNIT * 3, 2.0 * _SQRT3, 2.0,
         (np.zeros(3), np.ones(3)),
         SegmentBounds(2.0, 2.0, 0.0, 2.0 * _SQRT3),
     ),
     FieldEntry(
-        "exp3d", 3, True, lambda: _exp_nd(3),
-        _UNIT * 3, _SQRT3 * E3, 3.0 * E3,
+        "exp3d", lambda: _exp_nd(3), _UNIT * 3, _SQRT3 * E3, 3.0 * E3,
         (np.zeros(3), np.ones(3)),
         SegmentBounds(3.0, 3.0 * E3, _SQRT3, _SQRT3 * E3),
     ),
@@ -221,15 +223,11 @@ _DEFAULT_CLASS_P_BETA = 0.75
 
 def _class_p_entry(beta):
     iv = Interval(0.0, 1.0)
-    rate = rate_for_beta(beta, iv)
-    params = ClassPParams(rate=rate, forcing=1.0)
+    params = ClassPParams(rate=rate_for_beta(beta, iv), forcing=1.0)
     # f' rises from 0 to its sup f1 at b, and f'' from forcing to its sup f2
     f1, f2 = class_p_sup_norms(params, iv)
-    name = f"classP(beta={beta:g})"
     return FieldEntry(
-        name, 1, True,
-        lambda: class_p_field(params, iv),
-        ((iv.a, iv.b),), f1, f2,
+        f"classP(beta={beta:g})", lambda: class_p_field(params, iv), ((iv.a, iv.b),), f1, f2,
         (np.array([iv.a]), np.array([iv.length])),
         SegmentBounds(params.forcing, f2, 0.0, f1),
     )
@@ -265,21 +263,20 @@ def known_names():
     return [e.name for e in _STATIC] + ["classP(beta=<b>)"]
 
 
-def registry_selftest(points_per_entry=25, seed=0):
+def registry_selftest(seed=0):
     """Check every entry's derivatives against finite differences.
 
-    Returns {name: worst relative consistency error} over points sampled
+    Returns {name: worst relative consistency error} over 25 points sampled
     inside each entry's box; a clean registry stays below 1e-6 everywhere.
     """
     rng = np.random.default_rng(seed)
     report = {}
     for entry in registry():
         f = entry.field()
-        box = np.asarray(entry.box)
-        lo, hi = box[:, 0], box[:, 1]
+        lo, hi = np.asarray(entry.box).T
         # keep probes off the box edge so central differences stay inside
-        pts = lo + (0.05 + 0.9 * rng.random((points_per_entry, entry.dim))) * (hi - lo)
-        hs = 0.1 * (hi - lo) * (rng.random((points_per_entry, entry.dim)) - 0.5)
+        pts = lo + (0.05 + 0.9 * rng.random((25, entry.dim))) * (hi - lo)
+        hs = 0.1 * (hi - lo) * (rng.random((25, entry.dim)) - 0.5)
         exact = np.sum(f.grad_at(pts) * hs, axis=1)
         step = 1e-6
         fd = (f.value_at(pts + step * hs) - f.value_at(pts - step * hs)) / (2.0 * step)

@@ -387,21 +387,23 @@ class MeshInterpolant:
         return float(self.values_at(np.reshape(point, (1, -1)))[0])
 
 
-def uniform_mesh(bounds, dim, subdivisions):
+def uniform_mesh(bounds, subdivisions):
     """Uniform mesh of a box: intervals, squares split in 2, cubes in 6.
 
-    `bounds` is a per-axis (lo, hi) sequence (a single pair is fine in 1D).
+    `bounds` holds one (lo, hi) pair per axis (a bare pair is a 1D box).
     The splits all use the same orientation, which keeps faces conforming;
     mesh_size equals the cell diagonal.  Cells are numbered with the last
     axis fastest, and each cell's elements are consecutive.
     """
+    bounds = np.atleast_1d(np.asarray(bounds, dtype=float))
+    bounds = bounds[None] if bounds.shape == (2,) else bounds
+    dim = len(bounds)
     if dim not in (1, 2, 3):
-        raise GeometryError(f"dim must be 1, 2 or 3, got {dim}")
+        raise GeometryError(f"need 1, 2 or 3 (lo, hi) pairs, got {dim}")
     if subdivisions < 1:
         raise ValueError(f"subdivisions must be >= 1, got {subdivisions}")
-    bounds = np.atleast_2d(np.asarray(bounds, dtype=float))
     if bounds.shape != (dim, 2):
-        raise ValueError(f"need {dim} (lo, hi) pairs, got shape {bounds.shape}")
+        raise ValueError(f"bounds must be (lo, hi) pairs, got shape {bounds.shape}")
     k = subdivisions
     axes = [np.linspace(lo, hi, k + 1) for lo, hi in bounds]
     grid = np.meshgrid(*axes, indexing="ij")

@@ -278,7 +278,7 @@ def test_criterion_09_fem_convergence():
         problem = sine_problem(dim)
         sizes, errors = [], []
         for k in subdivisions:
-            mesh = uniform_mesh([(0.0, 1.0)] * dim, dim, k)
+            mesh = uniform_mesh([(0.0, 1.0)] * dim, k)
             sol = assemble_and_solve(problem, mesh, "P1")
             if len(sol.dof_values) > 40_000:
                 failures.append(f"dim={dim} k={k}: {len(sol.dof_values)} DOF exceeds 40k")

@@ -179,7 +179,25 @@ def test_config_file_cannot_name_another_config_file(key, tmp_path, capsys):
     cfg.write_text(f"{key} = {inner}\n")
     out = tmp_path / "s.csv"
     assert run_main(["savings", "--config", str(cfg), "--output", str(out)]) == EXIT_USAGE
-    assert "another config file" in capsys.readouterr().err
+    # a prefix of config is no key at all: only full flag names are keys
+    want = "another config file" if key == "config" else f"unknown key {key!r}"
+    assert want in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, line", [
+    ("fem", "sub = 2,4"),          # argparse would read it as --subdivisions
+    ("registry", "self = true"),   # argparse would read it as --selftest true
+    ("savings", "function = exp"), # a flag of another command
+    ("savings", "eps_values = 1e-3"),
+])
+def test_config_file_keys_are_full_flag_names(command, line, tmp_path, capsys):
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "x.csv"
+    assert run_main([command, "--config", str(cfg), "--output", str(out)]) == EXIT_USAGE
+    key = line.partition(" = ")[0]
+    assert f"unknown key {key!r}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -242,6 +260,31 @@ def test_smallest_class_p_beta_on_a_long_interval_exits_usage(extra, tmp_path, c
     assert run_main(args + ["--output", str(tmp_path / "x.csv")]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "overflow" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_interval_whose_bound_squares_past_a_float_exits_usage(tmp_path, capsys):
+    # h**2 of the float h = 5e199 raises OverflowError rather than giving inf
+    out = tmp_path / "x.csv"
+    assert run_main(["interp1d", "--interval=0,1e200", "--output", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == "error: interpolation bounds on [0, 1e+200] overflow a float\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["expand", "--function", "classP(beta=inf)"],
+        ["expand", "--function", "classP(beta=1e308)"],
+        ["simplex", "--function", "classP(beta=inf)"],
+        ["interp1d", "--beta", "0.75,1e308"],
+    ],
+)
+def test_class_p_beta_without_a_positive_rate_exits_usage(args, tmp_path, capsys):
+    assert run_main(args + ["--output", str(tmp_path / "x.csv")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: beta=") and "gives no positive rate" in err
     assert not (tmp_path / "x.csv").exists()
 
 

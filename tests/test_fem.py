@@ -16,7 +16,6 @@ from reftaylor.fem import (
     estimate_report,
     h1_seminorm_error,
     l2_norm_error,
-    poincare_constant,
     sine_problem,
 )
 from reftaylor.fields import ScalarField
@@ -46,7 +45,7 @@ def parabola_problem():
         hess=lambda pts: np.full((len(pts), 1, 1), -2.0),
     )
     f = ScalarField(1, lambda pts: np.full(len(pts), 2.0))
-    return EllipticProblem(1, f, exact_solution=u)
+    return EllipticProblem(f, exact_solution=u)
 
 
 def zero_field(dim):
@@ -57,13 +56,9 @@ def zero_field(dim):
 
 
 def test_poincare_constant_boxes():
-    assert poincare_constant([(0.0, 1.0)]) == pytest.approx(1 / math.pi)
-    assert poincare_constant([(0.0, 1.0), (0.0, 1.0)]) == pytest.approx(
-        1 / (math.pi * math.sqrt(2))
-    )
-    assert poincare_constant([(0.0, 2.0)]) == pytest.approx(2 / math.pi)
-    with pytest.raises(ValueError, match="lo < hi"):
-        poincare_constant([(1.0, 1.0)])
+    # the first Dirichlet eigenvalue of the unit box is dim * pi^2
+    assert sine_problem(1).poincare == 1 / math.pi
+    assert sine_problem(2).poincare == pytest.approx(1 / (math.pi * math.sqrt(2)), rel=1e-15)
 
 
 def test_problem_default_constants():
@@ -84,15 +79,19 @@ def test_problem_default_constants():
 
 def test_problem_validation():
     f = zero_field(1)
-    with pytest.raises(ValueError, match="dim"):
-        EllipticProblem(3, f)
+    assert EllipticProblem(zero_field(2)).dim == 2
+    with pytest.raises(ValueError, match="dim must be 1 or 2, got 3"):
+        EllipticProblem(zero_field(3))
+    # before the dim came from the rhs, this pair passed and the solve failed on a reshape
+    with pytest.raises(ValueError, match="exact_solution has dim 1, the rhs has dim 2"):
+        EllipticProblem(sine_problem(2).rhs, exact_solution=sine_problem(1).exact_solution)
     with pytest.raises(ValueError, match="diffusion"):
-        EllipticProblem(1, f, diffusion=0.0)
+        EllipticProblem(f, diffusion=0.0)
     with pytest.raises(ValueError, match="reaction"):
-        EllipticProblem(1, f, reaction=-1.0)
+        EllipticProblem(f, reaction=-1.0)
     for name, match in [("diffusion", "diffusion"), ("reaction", "reaction")]:
         with pytest.raises(ValueError, match=match):
-            EllipticProblem(1, f, **{name: math.nan})
+            EllipticProblem(f, **{name: math.nan})
 
 
 # --------------------------------------------------------------- solves
@@ -101,7 +100,7 @@ def test_problem_validation():
 def test_p1_parabola_is_nodally_exact():
     p = parabola_problem()
     for k in (4, 8, 16):
-        m = uniform_mesh([(0.0, 1.0)], 1, k)
+        m = uniform_mesh([(0.0, 1.0)], k)
         sol = assemble_and_solve(p, m, "P1")
         want = m.vertices[:, 0] * (1 - m.vertices[:, 0])
         np.testing.assert_allclose(sol.dof_values, want, atol=1e-12)
@@ -112,7 +111,7 @@ def test_p1_parabola_is_nodally_exact():
 
 def test_p2_contains_parabola_exactly():
     p = parabola_problem()
-    m = uniform_mesh([(0.0, 1.0)], 1, 8)
+    m = uniform_mesh([(0.0, 1.0)], 8)
     sol = assemble_and_solve(p, m, "P2")
     assert sol.l2_error <= 1e-10
     assert sol.interp_l2_error <= 1e-12
@@ -120,18 +119,18 @@ def test_p2_contains_parabola_exactly():
 
 
 def test_zero_rhs_gives_zero_solution():
-    p = EllipticProblem(1, zero_field(1), exact_solution=zero_field(1))
-    sol = assemble_and_solve(p, uniform_mesh([(0.0, 1.0)], 1, 16), "P1")
+    p = EllipticProblem(zero_field(1), exact_solution=zero_field(1))
+    sol = assemble_and_solve(p, uniform_mesh([(0.0, 1.0)], 16), "P1")
     assert np.abs(sol.dof_values).max() == 0.0
     assert sol.l2_error == 0.0
 
 
 def test_dof_counts():
-    m = uniform_mesh([(0.0, 1.0)], 1, 8)
+    m = uniform_mesh([(0.0, 1.0)], 8)
     p = parabola_problem()
     assert len(assemble_and_solve(p, m, "P1").dof_values) == 9
     assert len(assemble_and_solve(p, m, "P2").dof_values) == 17
-    m2 = uniform_mesh(unit_box(2), 2, 2)
+    m2 = uniform_mesh(unit_box(2), 2)
     p2 = sine_problem(2)
     assert len(assemble_and_solve(p2, m2, "P1").dof_values) == 9
     # 9 vertices plus 2k(k+1) grid edges plus k^2 diagonals
@@ -141,14 +140,14 @@ def test_dof_counts():
 def test_p2_boundary_dofs_are_the_box_boundary():
     # the diagonals of the corner cells join two boundary vertices but are interior
     for dim, k in ((1, 4), (2, 3), (3, 2)):
-        coords, _, bmask = fem._dof_tables(uniform_mesh(unit_box(dim), dim, k), "P2")
+        coords, _, bmask = fem._dof_tables(uniform_mesh(unit_box(dim), k), "P2")
         on_box = np.any((np.abs(coords) < 1e-14) | (np.abs(coords - 1.0) < 1e-14), axis=1)
         np.testing.assert_array_equal(bmask, on_box)
 
 
 def test_solution_is_callable_and_matches_dofs():
     p = sine_problem(1)
-    m = uniform_mesh([(0.0, 1.0)], 1, 16)
+    m = uniform_mesh([(0.0, 1.0)], 16)
     sol = assemble_and_solve(p, m, "P2")
     for i in (0, 5, 11):
         x = sol.dof_coords[i]
@@ -158,14 +157,14 @@ def test_solution_is_callable_and_matches_dofs():
 def test_singular_system_raises():
     # a 1D vertex cycle has no boundary; with zero reaction nothing pins u
     m = Triangulation([[0.0], [1.0], [2.0]], [[0, 1], [1, 2], [2, 0]])
-    p = EllipticProblem(1, zero_field(1))
+    p = EllipticProblem(zero_field(1))
     with pytest.raises(SolverError, match="singular"):
         assemble_and_solve(p, m, "P1")
 
 
 def test_argument_validation():
     p = sine_problem(1)
-    m = uniform_mesh([(0.0, 1.0)], 1, 4)
+    m = uniform_mesh([(0.0, 1.0)], 4)
     with pytest.raises(ValueError, match="space"):
         assemble_and_solve(p, m, "P3")
     with pytest.raises(ValueError, match="does not match"):
@@ -174,7 +173,7 @@ def test_argument_validation():
 
 def test_cg_path_matches_dense():
     p = sine_problem(1)
-    m = uniform_mesh([(0.0, 1.0)], 1, 32)
+    m = uniform_mesh([(0.0, 1.0)], 32)
     dense = assemble_and_solve(p, m, "P1").dof_values
     limit, fem.DENSE_DOF_LIMIT = fem.DENSE_DOF_LIMIT, 4
     try:
@@ -196,7 +195,7 @@ def _kernel_meshes(dim):
     """Uniform unit-box meshes and copies with every vertex moved up to h/5."""
     rng = np.random.default_rng(dim)
     for k in (1, 3, 16, 33):
-        m = uniform_mesh(unit_box(dim), dim, k)
+        m = uniform_mesh(unit_box(dim), k)
         yield m
         shift = rng.uniform(-0.2 / k, 0.2 / k, m.vertices.shape)
         yield Triangulation(m.vertices + shift, m.elements)
@@ -261,7 +260,7 @@ def test_p1_convergence_1d():
     p = sine_problem(1)
     errs, hs = [], []
     for k in (8, 16, 32, 64, 128):
-        m = uniform_mesh([(0.0, 1.0)], 1, k)
+        m = uniform_mesh([(0.0, 1.0)], k)
         sol = assemble_and_solve(p, m, "P1")
         errs.append(sol.l2_error)
         hs.append(m.mesh_size)
@@ -278,7 +277,7 @@ def test_p1_convergence_2d():
     p = sine_problem(2)
     errs, hs = [], []
     for k in (8, 16, 32):
-        m = uniform_mesh(unit_box(2), 2, k)
+        m = uniform_mesh(unit_box(2), k)
         sol = assemble_and_solve(p, m, "P1")
         errs.append(sol.l2_error)
         hs.append(m.mesh_size)
@@ -292,7 +291,7 @@ def test_p2_convergence_order(dim, ks):
     p = sine_problem(dim)
     errs, hs = [], []
     for k in ks:
-        m = uniform_mesh(unit_box(dim), dim, k)
+        m = uniform_mesh(unit_box(dim), k)
         errs.append(assemble_and_solve(p, m, "P2").l2_error)
         hs.append(m.mesh_size)
     slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
@@ -301,7 +300,7 @@ def test_p2_convergence_order(dim, ks):
 
 def test_p2_beats_p1_on_smooth_data():
     p = sine_problem(1, reaction=1.0)
-    m = uniform_mesh([(0.0, 1.0)], 1, 16)
+    m = uniform_mesh([(0.0, 1.0)], 16)
     e1 = assemble_and_solve(p, m, "P1").l2_error
     e2 = assemble_and_solve(p, m, "P2").l2_error
     assert e2 < e1 / 20
@@ -311,12 +310,12 @@ def test_p2_beats_p1_on_smooth_data():
 
 
 def test_l2_norm_error_examples():
-    m = uniform_mesh([(0.0, 1.0)], 1, 4)
+    m = uniform_mesh([(0.0, 1.0)], 4)
     x_field = ScalarField(1, lambda pts: pts[:, 0])
     zero = MeshInterpolant(m, zero_field(1))
     assert l2_norm_error(MeshInterpolant(m, x_field), x_field) <= 1e-13
     assert l2_norm_error(zero, x_field) == pytest.approx(1 / math.sqrt(3))
-    sq = uniform_mesh(unit_box(2), 2, 1)
+    sq = uniform_mesh(unit_box(2), 1)
     one = ScalarField(2, lambda pts: np.ones(len(pts)))
     assert l2_norm_error(MeshInterpolant(sq, zero_field(2)), one) == pytest.approx(1.0)
 
@@ -326,7 +325,7 @@ def test_fem_never_builds_the_locate_table(space):
     # FEM evaluates by element index, so only a locate() call may build the
     # ((n+1)*M, n+1) row table
     p = sine_problem(2)
-    m = uniform_mesh(unit_box(2), 2, 4)
+    m = uniform_mesh(unit_box(2), 4)
     sol = assemble_and_solve(p, m, space)
     estimate_report(p, m, space, SINE_D1, SINE_D2)
     l2_norm_error(sol, p.exact_solution)
@@ -337,7 +336,7 @@ def test_fem_never_builds_the_locate_table(space):
 
 def test_h1_diagnostic_is_finite_and_reported():
     p = sine_problem(1)
-    m = uniform_mesh([(0.0, 1.0)], 1, 16)
+    m = uniform_mesh([(0.0, 1.0)], 16)
     sol = assemble_and_solve(p, m, "P1")
     d = h1_seminorm_error(sol, p.exact_solution)
     assert math.isfinite(d) and d >= 0.0
@@ -348,7 +347,7 @@ def test_pi_star_h1_error_falls_like_h_squared():
     u = sine_problem(2).exact_solution
     errors = []
     for k in (4, 8, 16, 32):
-        m = uniform_mesh(unit_box(2), 2, k)
+        m = uniform_mesh(unit_box(2), k)
         errors.append(h1_seminorm_error(MeshInterpolant(m, u, corrected=True), u))
     ratios = [a / b for a, b in zip(errors, errors[1:])]
     assert all(abs(r - 4.0) <= 0.1 for r in ratios), ratios
@@ -356,10 +355,10 @@ def test_pi_star_h1_error_falls_like_h_squared():
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_p1_solution_evaluates_as_the_vertex_interpolant_bitwise(dim):
-    m = uniform_mesh(unit_box(dim), dim, 6)
+    m = uniform_mesh(unit_box(dim), 6)
     u = sine_problem(dim).exact_solution
     values = u.value_at(m.vertices)
-    sol = fem.FemSolution("P1", m, values, m.elements, m.vertices, EllipticProblem(dim, u))
+    sol = fem.FemSolution("P1", m, values, m.elements, m.vertices, EllipticProblem(u))
     interp = MeshInterpolant(m, u)
     bary, _ = simplex_rule(dim)
     ks = np.arange(len(m))
@@ -380,7 +379,7 @@ def test_p1_solution_evaluates_as_the_vertex_interpolant_bitwise(dim):
 @pytest.mark.parametrize("space", ["P1", "P2"])
 def test_cea_gap_holds(dim, space):
     p = sine_problem(dim)
-    m = uniform_mesh(unit_box(dim), dim, 16)
+    m = uniform_mesh(unit_box(dim), 16)
     sol = assemble_and_solve(p, m, space)
     lhs, rhs = cea_gap(sol, p)
     assert lhs <= rhs
@@ -388,14 +387,14 @@ def test_cea_gap_holds(dim, space):
 
 def test_cea_gap_trivial_when_u_in_space():
     p = parabola_problem()
-    sol = assemble_and_solve(p, uniform_mesh([(0.0, 1.0)], 1, 8), "P2")
+    sol = assemble_and_solve(p, uniform_mesh([(0.0, 1.0)], 8), "P2")
     lhs, _ = cea_gap(sol, p)
     assert lhs <= 1e-10
 
 
 def test_cea_gap_needs_exact_solution():
-    p = EllipticProblem(1, zero_field(1))
-    sol = assemble_and_solve(p, uniform_mesh([(0.0, 1.0)], 1, 4), "P1")
+    p = EllipticProblem(zero_field(1))
+    sol = assemble_and_solve(p, uniform_mesh([(0.0, 1.0)], 4), "P1")
     with pytest.raises(ValueError, match="exact"):
         cea_gap(sol, p)
 
@@ -405,7 +404,7 @@ def test_cea_gap_needs_exact_solution():
 def test_estimate_report_containments(dim, space):
     p = sine_problem(dim)
     for k in (8, 16):
-        m = uniform_mesh(unit_box(dim), dim, k)
+        m = uniform_mesh(unit_box(dim), k)
         rep = estimate_report(p, m, space, SINE_D1, SINE_D2)
         fac = p.stability_factor
         if space == "P1":
@@ -426,7 +425,7 @@ def test_estimate_report_containments(dim, space):
 
 def test_corrected_rhs_is_half_classical():
     p = sine_problem(2)
-    m = uniform_mesh(unit_box(2), 2, 8)
+    m = uniform_mesh(unit_box(2), 8)
     rep = estimate_report(p, m, "P2", SINE_D1, SINE_D2)
     assert rep.cea_rhs_classical == pytest.approx(2.0 * rep.cea_rhs_corrected, rel=1e-15)
 
@@ -435,7 +434,7 @@ def test_corrected_rhs_quarters_when_h_halves():
     # the corrected right-hand side is (C/a) d2/4 h^2 sqrt(mu): pure h^2
     p = sine_problem(1)
     reps = [
-        estimate_report(p, uniform_mesh([(0.0, 1.0)], 1, k), "P2", SINE_D1, SINE_D2)
+        estimate_report(p, uniform_mesh([(0.0, 1.0)], k), "P2", SINE_D1, SINE_D2)
         for k in (8, 16)
     ]
     assert reps[0].cea_rhs_corrected / reps[1].cea_rhs_corrected == pytest.approx(
@@ -447,9 +446,9 @@ def test_corrected_rhs_quarters_when_h_halves():
 
 
 def test_estimate_report_needs_exact_solution():
-    p = EllipticProblem(1, zero_field(1))
+    p = EllipticProblem(zero_field(1))
     with pytest.raises(ValueError, match="exact"):
-        estimate_report(p, uniform_mesh([(0.0, 1.0)], 1, 4), "P1", 1.0, 1.0)
+        estimate_report(p, uniform_mesh([(0.0, 1.0)], 4), "P1", 1.0, 1.0)
 
 
 def test_error_reports_reject_a_mesh_outside_the_problem_box():
@@ -457,7 +456,7 @@ def test_error_reports_reject_a_mesh_outside_the_problem_box():
     # constant (alpha 0.908); on [0, 2] the valid value is 0.712
     p = sine_problem(1)
     assert p.ellipticity == pytest.approx(1.0 / (1.0 + 1.0 / math.pi**2))
-    wide = uniform_mesh([(0.0, 2.0)], 1, 8)
+    wide = uniform_mesh([(0.0, 2.0)], 8)
     with pytest.raises(ValueError, match="problem box"):
         estimate_report(p, wide, "P1", SINE_D1, SINE_D2)
     with pytest.raises(ValueError, match="problem box"):
@@ -465,7 +464,7 @@ def test_error_reports_reject_a_mesh_outside_the_problem_box():
     # u does not vanish on the boundary of a mesh covering part of the box,
     # so the chains fail there (P1, k=64: lhs 0.500 against rhs 7.7e-5)
     for part in ([(0.25, 0.75)], [(0.0, 0.5)]):
-        inner = uniform_mesh(part, 1, 64)
+        inner = uniform_mesh(part, 64)
         with pytest.raises(ValueError, match="does not cover the problem box"):
             estimate_report(p, inner, "P1", SINE_D1, SINE_D2)
         with pytest.raises(ValueError, match="does not cover the problem box"):

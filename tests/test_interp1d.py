@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -126,6 +127,24 @@ def test_rate_for_beta_values():
         with pytest.raises(ValueError, match="smallest usable beta"):
             rate_for_beta(0.502, iv)
         assert rate_for_beta(0.503, iv) * iv.length == pytest.approx(4.0 / 0.006)
+
+
+def test_rate_for_beta_refuses_a_beta_without_a_positive_rate():
+    # (2 beta - 1) * length is inf here, so the rate would be 0
+    for beta in (math.inf, 1e308):
+        with pytest.raises(ValueError, match=re.escape(f"beta={beta:g} gives no positive rate")):
+            rate_for_beta(beta, UNIT)
+    assert rate_for_beta(1e300, UNIT) > 0.0
+
+
+def test_compare_bounds_refuses_a_square_past_a_float():
+    f = field_1d(lambda x: 0.0 * x, lambda x: 0.0 * x, lambda x: 0.0 * x)
+    # h = 5e199: h**2 raises OverflowError, which must read as the overflow ValueError
+    with pytest.raises(ValueError, match=r"on \[0, 1e\+200\] overflow a float"):
+        compare_bounds(f, Interval(0.0, 1e200), f1_sup=0.0, f2_sup=1.0)
+    # h = 5e149 still squares to a finite float
+    cmp = compare_bounds(f, Interval(0.0, 1e150), f1_sup=0.0, f2_sup=1.0)
+    assert cmp.classical == 0.5 * 5e149**2
 
 
 def test_class_p_sup_norms_refuse_overflow():

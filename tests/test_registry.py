@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from reftaylor.expansion import refined_expansion
+from reftaylor.expansion import SegmentBounds, refined_expansion
 from reftaylor.registry import (
+    FieldEntry,
     UnknownFieldError,
     known_names,
     lookup,
@@ -25,9 +26,12 @@ def test_static_names_present():
 
 
 def test_entries_are_consistent():
-    for entry in registry():
+    for entry in [*registry(), lookup("classP(beta=0.6)")]:
         assert entry.dim in (1, 2, 3)
-        assert len(entry.box) == entry.dim
+        assert entry.dim == len(entry.box) == entry.field().dim
+        norms = (entry.d1_inf, entry.d2_inf, entry.segment_bounds)
+        assert entry.analytic == all(v is not None for v in norms)
+        assert entry.analytic or all(v is None for v in norms)
         a, h = entry.segment
         assert a.shape == h.shape == (entry.dim,)
         box = np.asarray(entry.box)
@@ -36,7 +40,26 @@ def test_entries_are_consistent():
             assert np.all(point <= box[:, 1] + 1e-12)
         if entry.analytic:
             assert entry.d1_inf > 0 and entry.d2_inf >= 0
-            assert entry.segment_bounds is not None
+    assert not lookup("runge1d").analytic
+
+
+def test_field_entry_refuses_a_partial_norm_set_and_a_short_segment():
+    exp = lookup("exp1d")
+    norms = {"d1_inf": exp.d1_inf, "d2_inf": exp.d2_inf, "segment_bounds": exp.segment_bounds}
+
+    def entry(**changes):
+        fields = {"name": "e", "make": exp.make, "box": exp.box, "segment": exp.segment, **norms}
+        return FieldEntry(**{**fields, **changes})
+
+    assert entry().analytic and entry().dim == 1
+    assert not entry(d1_inf=None, d2_inf=None, segment_bounds=None).analytic
+    for missing in norms:
+        with pytest.raises(ValueError, match="all three or none"):
+            entry(**{missing: None})
+    with pytest.raises(ValueError, match="all three or none"):
+        entry(d1_inf=None, d2_inf=None)
+    with pytest.raises(ValueError, match="needs 2 components"):
+        entry(box=((0.0, 1.0),) * 2, segment_bounds=SegmentBounds(1.0, 2.0))
 
 
 def test_bare_name_resolves_to_1d_entry():
@@ -73,7 +96,7 @@ def test_known_names_mentions_parametric_family():
 
 
 def test_selftest_stays_below_tolerance():
-    report = registry_selftest(points_per_entry=10, seed=0)
+    report = registry_selftest(seed=0)
     assert set(report) == {e.name for e in registry()}
     assert max(report.values()) < 1e-6
 

@@ -222,7 +222,7 @@ def test_measured_errors_sit_under_bounds():
 
 
 def test_uniform_interval_mesh():
-    m = uniform_mesh([(0.0, 1.0)], 1, 4)
+    m = uniform_mesh([(0.0, 1.0)], 4)
     assert len(m) == 4
     assert m.mesh_size == pytest.approx(0.25)
     m.check_conforming()
@@ -230,14 +230,14 @@ def test_uniform_interval_mesh():
 
 def test_uniform_square_mesh_counts():
     for k in (1, 2, 5):
-        m = uniform_mesh([(0.0, 1.0), (0.0, 1.0)], 2, k)
+        m = uniform_mesh([(0.0, 1.0), (0.0, 1.0)], k)
         assert len(m) == 2 * k * k
         assert m.mesh_size == pytest.approx(math.sqrt(2.0) / k)
         m.check_conforming()
 
 
 def test_uniform_cube_mesh_counts():
-    m = uniform_mesh([(0.0, 1.0)] * 3, 3, 2)
+    m = uniform_mesh([(0.0, 1.0)] * 3, 2)
     assert len(m) == 6 * 2**3
     assert m.mesh_size == pytest.approx(math.sqrt(3.0) / 2)
     m.check_conforming()
@@ -245,7 +245,7 @@ def test_uniform_cube_mesh_counts():
 
 
 def test_mesh_covers_box_volume():
-    m = uniform_mesh([(0.0, 2.0), (-1.0, 1.0)], 2, 3)
+    m = uniform_mesh([(0.0, 2.0), (-1.0, 1.0)], 3)
     assert sum(m.volumes) == pytest.approx(4.0)
 
 
@@ -286,7 +286,7 @@ def test_uniform_mesh_matches_nested_loop_construction():
     for dim in (1, 2, 3):
         for k in (1, 2, 3, 4):
             bounds = [(0.0, 1.0), (-1.0, 2.0), (0.5, 1.5)][:dim]
-            m = uniform_mesh(bounds, dim, k)
+            m = uniform_mesh(bounds, k)
             axes = [np.linspace(lo, hi, k + 1) for lo, hi in bounds]
             np.testing.assert_array_equal(m.vertices, list(itertools.product(*axes)))
             np.testing.assert_array_equal(m.elements, _nested_loop_elements(dim, k))
@@ -301,7 +301,7 @@ def test_degenerate_mesh_element_rejected():
 def test_stacked_geometry_equals_per_element_simplices():
     rng = np.random.default_rng(23)
     for dim in (1, 2, 3):
-        base = uniform_mesh([(0.0, 1.0)] * dim, dim, 3)
+        base = uniform_mesh([(0.0, 1.0)] * dim, 3)
         shaken = base.vertices + rng.uniform(-0.05, 0.05, base.vertices.shape)
         m = Triangulation(shaken, base.elements)
         simplices = [Simplex(m.vertices[m.elements[k]]) for k in range(len(m))]
@@ -322,7 +322,7 @@ def test_stacked_geometry_equals_per_element_simplices():
 def test_pairwise_diameters_match_full_difference_tensor():
     rng = np.random.default_rng(29)
     for dim in (1, 2, 3):
-        base = uniform_mesh([(0.0, 1.0)] * dim, dim, 4)
+        base = uniform_mesh([(0.0, 1.0)] * dim, 4)
         m = Triangulation(base.vertices + rng.uniform(-0.05, 0.05, base.vertices.shape),
                           base.elements)
         verts = m.vertices[m.elements]
@@ -370,7 +370,7 @@ def _elements_with(mesh, face):
 
 def test_face_tables_match_np_unique():
     for dim, k in ((2, 5), (3, 3)):
-        m = uniform_mesh([(0.0, 1.0)] * dim, dim, k)
+        m = uniform_mesh([(0.0, 1.0)] * dim, k)
         keep = [[c for c in range(dim + 1) if c != drop] for drop in range(dim + 1)]
         rows = np.sort(m.elements[:, keep], axis=2).reshape(-1, dim)
         faces, face_of, counts = _unique_rows_by_np_unique(rows)
@@ -382,7 +382,21 @@ def test_face_tables_match_np_unique():
 
 def test_zero_subdivisions_rejected():
     with pytest.raises(ValueError, match="subdivisions"):
-        uniform_mesh([(0.0, 1.0)], 1, 0)
+        uniform_mesh([(0.0, 1.0)], 0)
+
+
+def test_uniform_mesh_dimension_is_the_number_of_pairs():
+    for dim in (1, 2, 3):
+        assert uniform_mesh([(0.0, 1.0)] * dim, 2).dim == dim
+    # a single bare pair is a 1D box
+    bare, listed = uniform_mesh((0.0, 2.0), 4), uniform_mesh([(0.0, 2.0)], 4)
+    assert np.array_equal(bare.vertices, listed.vertices)
+    assert np.array_equal(bare.elements, listed.elements)
+    for pairs in ([], [(0.0, 1.0)] * 4):
+        with pytest.raises(GeometryError, match="need 1, 2 or 3"):
+            uniform_mesh(pairs, 2)
+    with pytest.raises(ValueError, match=r"\(lo, hi\) pairs"):
+        uniform_mesh([(0.0, 0.5, 1.0)], 2)
 
 
 def test_nonconforming_mesh_detected():
@@ -400,22 +414,22 @@ def on_unit_box_boundary(points):
 
 def test_boundary_vertex_mask():
     for dim, k in ((2, 2), (3, 3)):
-        m = uniform_mesh([(0.0, 1.0)] * dim, dim, k)
+        m = uniform_mesh([(0.0, 1.0)] * dim, k)
         np.testing.assert_array_equal(m.boundary_vertex_mask(), on_unit_box_boundary(m.vertices))
 
 
 def test_locate_prefers_lowest_index():
-    m = uniform_mesh([(0.0, 1.0), (0.0, 1.0)], 2, 1)
+    m = uniform_mesh([(0.0, 1.0), (0.0, 1.0)], 1)
     k, lam = m.locate([0.5, 0.5])  # on the shared diagonal of both triangles
     assert k == 0
     assert abs(lam.sum() - 1.0) <= 1e-12
-    m1 = uniform_mesh([(0.0, 1.0)], 1, 4)
+    m1 = uniform_mesh([(0.0, 1.0)], 4)
     k, _ = m1.locate([0.25])  # endpoint shared by elements 0 and 1
     assert k == 0
 
 
 def test_locate_outside_raises():
-    m = uniform_mesh([(0.0, 1.0)], 1, 4)
+    m = uniform_mesh([(0.0, 1.0)], 4)
     with pytest.raises(DomainError, match="outside"):
         m.locate([1.5])
 
@@ -467,7 +481,7 @@ def _beyond_boundary(mesh, rng, lam_out, count):
 @pytest.mark.parametrize("jitter", [0.0, 0.1])
 def test_locate_matches_stacked_scan_bitwise(dim, k, jitter):
     rng = np.random.default_rng(1000 * dim + k)
-    m = uniform_mesh([(0.0, 1.0)] * dim, dim, k)
+    m = uniform_mesh([(0.0, 1.0)] * dim, k)
     if jitter:
         # move interior vertices by up to jitter cell widths per axis
         verts = m.vertices.copy()
@@ -492,14 +506,14 @@ def test_locate_matches_stacked_scan_bitwise(dim, k, jitter):
 
 def test_cached_tables_rest_on_read_only_arrays():
     # the face and locate tables are built once, so their sources cannot change
-    m = uniform_mesh([(0.0, 1.0)] * 2, 2, 2)
+    m = uniform_mesh([(0.0, 1.0)] * 2, 2)
     for source in (m.vertices, m.elements, m.bary_matrices):
         with pytest.raises(ValueError, match="read-only"):
             source[0] = 0
 
 
 def test_locate_rejects_wrong_dimension():
-    m = uniform_mesh([(0.0, 1.0)] * 2, 2, 2)
+    m = uniform_mesh([(0.0, 1.0)] * 2, 2)
     for p in ([0.5], [0.5, 0.5, 0.5]):
         with pytest.raises(ValueError, match="point has dim"):
             m.locate(p)
@@ -509,7 +523,7 @@ def test_locate_rejects_wrong_dimension():
 
 
 def test_global_interp_matches_elementwise():
-    m = uniform_mesh([(0.0, 1.0), (0.0, 1.0)], 2, 3)
+    m = uniform_mesh([(0.0, 1.0), (0.0, 1.0)], 3)
     f = exp_sum(2)
     I = MeshInterpolant(m, f)
     Istar = MeshInterpolant(m, f, corrected=True)
@@ -522,7 +536,7 @@ def test_global_interp_matches_elementwise():
 
 
 def test_global_pi_star_quadratic_exactness():
-    m = uniform_mesh([(0.0, 1.0), (0.0, 1.0)], 2, 3)
+    m = uniform_mesh([(0.0, 1.0), (0.0, 1.0)], 3)
     f = quadratic_2d()
     I = MeshInterpolant(m, f, corrected=True)
     rng = np.random.default_rng(37)
@@ -532,7 +546,7 @@ def test_global_pi_star_quadratic_exactness():
 
 
 def test_interpolants_match_vertex_values():
-    m = uniform_mesh([(0.0, 1.0), (0.0, 1.0)], 2, 2)
+    m = uniform_mesh([(0.0, 1.0), (0.0, 1.0)], 2)
     f = exp_sum(2)
     for interp in (MeshInterpolant(m, f), MeshInterpolant(m, f, corrected=True)):
         for p in m.vertices:
@@ -550,7 +564,7 @@ def test_corrected_interp_agrees_across_shared_diagonal():
         return abs(vals[0] - vals[1])
 
     # v = xy on the two-triangle unit square, probed along the diagonal
-    m = uniform_mesh([(0.0, 1.0), (0.0, 1.0)], 2, 1)
+    m = uniform_mesh([(0.0, 1.0), (0.0, 1.0)], 1)
     f = ScalarField(
         2,
         lambda p: p[:, 0] * p[:, 1],
@@ -562,7 +576,7 @@ def test_corrected_interp_agrees_across_shared_diagonal():
 
     # exp(x + y) on the k=3 square, plain and corrected, at points on every
     # interior face, from the two elements that share it
-    m = uniform_mesh([(0.0, 1.0), (0.0, 1.0)], 2, 3)
+    m = uniform_mesh([(0.0, 1.0), (0.0, 1.0)], 3)
     faces, counts = m.face_counts()
     w = np.random.default_rng(0).exponential(size=(8, 2))
     w /= w.sum(axis=1, keepdims=True)
@@ -574,7 +588,7 @@ def test_corrected_interp_agrees_across_shared_diagonal():
 
 
 def test_corrected_mesh_interp_beats_plain_on_smooth_field():
-    m = uniform_mesh([(0.0, 1.0), (0.0, 1.0)], 2, 4)
+    m = uniform_mesh([(0.0, 1.0), (0.0, 1.0)], 4)
     f = exp_sum(2)
     I = MeshInterpolant(m, f)
     Istar = MeshInterpolant(m, f, corrected=True)
@@ -591,7 +605,7 @@ _VALUES_AT_MESHES = pytest.mark.parametrize("dim, k", [(1, 6), (2, 4), (3, 2)])
 @_VALUES_AT_MESHES
 @pytest.mark.parametrize("corrected", [False, True])
 def test_values_at_rows_equal_one_point_calls_bitwise(dim, k, corrected):
-    m = uniform_mesh([(0.0, 1.0)] * dim, dim, k)
+    m = uniform_mesh([(0.0, 1.0)] * dim, k)
     I = MeshInterpolant(m, exp_sum(dim), corrected)
     pts = _probe_points(m, np.random.default_rng(67 + dim), 10)
     values = I.values_at(pts)
@@ -609,7 +623,7 @@ def test_values_at_rows_equal_one_point_calls_bitwise(dim, k, corrected):
 @pytest.mark.parametrize("corrected", [False, True])
 def test_values_at_takes_the_lowest_index_on_shared_faces(dim, k, corrected):
     # every coefficient of element e set to e: the shapes sum to 1, so the field reads e there
-    m = uniform_mesh([(0.0, 1.0)] * dim, dim, k)
+    m = uniform_mesh([(0.0, 1.0)] * dim, k)
     I = MeshInterpolant(m, exp_sum(dim), corrected)
     I.coefs = np.repeat(np.arange(len(m), dtype=float)[:, None], I.coefs.shape[1], axis=1)
     pts = _probe_points(m, np.random.default_rng(71 + dim), 10)
@@ -619,7 +633,7 @@ def test_values_at_takes_the_lowest_index_on_shared_faces(dim, k, corrected):
 
 @_VALUES_AT_MESHES
 def test_values_at_edge_cases(dim, k):
-    m = uniform_mesh([(0.0, 1.0)] * dim, dim, k)
+    m = uniform_mesh([(0.0, 1.0)] * dim, k)
     I = MeshInterpolant(m, exp_sum(dim), corrected=True)
     empty = I.values_at(np.empty((0, dim)))
     assert empty.shape == (0,) and empty.dtype == float
@@ -653,7 +667,7 @@ def test_p2_pi_star_matches_the_pointwise_correction(dim, k):
         grad=lambda p: np.cos(p @ np.arange(1.0, dim + 1))[:, None] * np.arange(1.0, dim + 1)
         + np.exp(p.sum(axis=1))[:, None],
     )
-    uniform = uniform_mesh([(0.0, 1.0)] * dim, dim, k)
+    uniform = uniform_mesh([(0.0, 1.0)] * dim, k)
     shift = rng.uniform(-0.2 / k, 0.2 / k, uniform.vertices.shape)
     for m in (uniform, Triangulation(uniform.vertices + shift, uniform.elements)):
         star = MeshInterpolant(m, f, corrected=True)
@@ -670,7 +684,7 @@ def test_p2_pi_star_matches_the_pointwise_correction(dim, k):
 def test_pi_star_midpoint_values_agree_bitwise_across_elements():
     # an edge's midpoint value is symmetric in its two ends, so every element
     # sharing the edge stores the same bits, whichever end each lists first
-    m = uniform_mesh([(0.0, 1.0)] * 3, 3, 2)
+    m = uniform_mesh([(0.0, 1.0)] * 3, 2)
     order = np.random.default_rng(59).permuted(np.tile(np.arange(4), (len(m), 1)), axis=1)
     m = Triangulation(m.vertices, np.take_along_axis(m.elements, order, axis=1))
     star = MeshInterpolant(m, exp_sum(3), corrected=True)
@@ -683,7 +697,7 @@ def test_pi_star_midpoint_values_agree_bitwise_across_elements():
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_take_gathers_the_same_element_vertices_as_fancy_indexing(dim):
-    mesh = uniform_mesh([(0.0, 1.0)] * dim, dim, 4)
+    mesh = uniform_mesh([(0.0, 1.0)] * dim, 4)
     gathered = mesh.vertices.take(mesh.elements, 0)
     assert gathered.shape == (len(mesh), dim + 1, dim)
     assert np.array_equal(gathered, mesh.vertices[mesh.elements])
