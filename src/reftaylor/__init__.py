@@ -33,7 +33,6 @@ from .expansion import (
     OPEN,
     ExpansionReport,
     SegmentBounds,
-    WeightFamily,
     estimate_segment_bounds,
     expansion_weights,
     phi,

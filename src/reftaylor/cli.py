@@ -52,7 +52,7 @@ from .interp1d import (
     compare_bounds,
     rate_for_beta,
 )
-from .registry import UnknownFieldError, lookup, registry, registry_selftest
+from .registry import lookup, registry, registry_selftest
 from .simplex import InterpBounds, MeshInterpolant, mesh_savings, uniform_mesh
 
 __all__ = [
@@ -586,7 +586,7 @@ def run_main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         return run(parse_argv(argv))
-    except (UsageError, UnknownFieldError, ValueError) as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NumericFailure as exc:

@@ -19,11 +19,13 @@ box's Poincare constant 1/(pi sqrt(dim)).  For diffusion > 0 and
 reaction >= 0 both are positive and C >= alpha.
 
 This module numbers the DOFs, assembles, solves and measures the norms.
-FemSolution is a simplex.MeshInterpolant with the solved DOF values as its
-coefficients, so it evaluates as pi_h and pi*_h (stored as P2 midpoint
-values) do, and the error norms take any MeshInterpolant and read its mesh.
-The error reports take only a mesh that covers the unit box: the
-manufactured solution vanishes on the box boundary, not inside it.
+FemSolution holds only the solve: it is a simplex.MeshInterpolant with the
+solved DOF values as its coefficients, so it evaluates as pi_h and pi*_h
+(stored as P2 midpoint values) do.  The error norms take any
+MeshInterpolant and read its mesh; the reports (cea_gap, estimate_report)
+measure the solution and interpolation errors themselves.  They take only
+a mesh that covers the unit box: the manufactured solution vanishes on the
+box boundary, not inside it.
 
 Assembly accumulates shape gradients, local stiffness matrices and
 quadrature points explicitly, one term at a time in a fixed order: the
@@ -133,27 +135,15 @@ def _dof_tables(mesh, space):
 
 
 class FemSolution(MeshInterpolant):
-    """Galerkin solution, a MeshInterpolant, with its measured errors against the exact field.
+    """Galerkin solution, a MeshInterpolant whose coefficients are the solved DOF values."""
 
-    l2_error and interp_l2_error are NaN when no manufactured solution is
-    attached; interp_l2_error compares the exact field with its plain vertex
-    interpolant for P1 and the gradient-corrected one for P2.
-    """
-
-    def __init__(self, space, mesh, dof_values, elem_dofs, dof_coords, problem):
+    def __init__(self, space, mesh, dof_values, elem_dofs, dof_coords):
         # MeshInterpolant.__init__ samples a field; here the solve gives the coefficients
         self.mesh = mesh
         self.space = space
         self.coefs = dof_values[elem_dofs]
         self.dof_values = dof_values
         self.dof_coords = dof_coords
-        self.l2_error = math.nan
-        self.interp_l2_error = math.nan
-        exact = problem.exact_solution
-        if exact is not None:
-            self.l2_error = l2_norm_error(self, exact)
-            interp = MeshInterpolant(mesh, exact, corrected=(space == "P2"))
-            self.interp_l2_error = l2_norm_error(interp, exact)
 
 
 # ------------------------------------------------------------- assembly
@@ -251,7 +241,7 @@ def assemble_and_solve(problem, mesh, space="P1"):
                 f"solver residual {resid:.3e} exceeds {RESIDUAL_RTOL:.0e} * {scale:.3e}"
             )
         x[free] = x_f
-    return FemSolution(space, mesh, x, elem_dofs, coords, problem)
+    return FemSolution(space, mesh, x, elem_dofs, coords)
 
 
 # ------------------------------------------------------------- L2 errors
@@ -306,6 +296,17 @@ def _check_reportable(problem, mesh, caller):
         raise ValueError(f"{caller}: mesh of volume {volume:.6g} does not cover the problem box")
 
 
+def _measured_errors(sol, exact):
+    """L2 distances from exact to the solution and to its interpolant in the solution space.
+
+    The interpolant is the plain vertex one for P1 and the gradient-corrected
+    one for P2.
+    """
+    solution_error = l2_norm_error(sol, exact)
+    interp = MeshInterpolant(sol.mesh, exact, corrected=(sol.space == "P2"))
+    return solution_error, l2_norm_error(interp, exact)
+
+
 def cea_gap(sol, problem):
     """Measured quasi-optimality pair (lhs, rhs).
 
@@ -314,7 +315,8 @@ def cea_gap(sol, problem):
     solution can never beat by more than the constants allow.
     """
     _check_reportable(problem, sol.mesh, "cea_gap")
-    return sol.l2_error, problem.stability_factor * sol.interp_l2_error
+    solution_error, interp_error = _measured_errors(sol, problem.exact_solution)
+    return solution_error, problem.stability_factor * interp_error
 
 
 @dataclass(frozen=True)
@@ -342,11 +344,12 @@ def estimate_report(problem, mesh, space, d1_inf, d2_inf):
     _check_reportable(problem, mesh, "estimate_report")
     b = InterpBounds(mesh.mesh_size, d1_inf, d2_inf)
     sol = assemble_and_solve(problem, mesh, space)
+    solution_error, interp_error = _measured_errors(sol, problem.exact_solution)
     scale = problem.stability_factor * math.sqrt(sum(mesh.volumes.tolist()))
     return EstimateReport(
         h=mesh.mesh_size,
-        measured_solution_error=sol.l2_error,
-        measured_interp_error=sol.interp_l2_error,
+        measured_solution_error=solution_error,
+        measured_interp_error=interp_error,
         cea_rhs_classical=scale * b.classical,
         cea_rhs_refined=scale * b.refined,
         cea_rhs_corrected=scale * b.corrected,

@@ -2,9 +2,10 @@
 
 Each entry bundles a ScalarField with the canonical box it is studied on,
 the sup norms of its first two derivatives over that box when they are known
-in closed form, and a default segment (a, a+h) inside the box together with
-derivative ranges along it.  An entry that leaves all three out is not
-analytic; consumers fall back to sampled estimates and lose the certification.
+in closed form, and derivative ranges along its default segment (a, a+h).
+An entry that leaves all three out is not analytic; consumers fall back to
+sampled estimates and lose the certification.  The segment is derived from
+the box: a is its low corner and a+h its high one.
 
 The classP(beta=...) family is parametric: any positive beta above one half
 names a member, built with unit forcing and flat initial slope so that the
@@ -30,7 +31,7 @@ E3 = math.e**3
 PI = math.pi
 
 
-class UnknownFieldError(KeyError):
+class UnknownFieldError(ValueError):
     """Requested name is not in the registry."""
 
     def __init__(self, name, known):
@@ -43,25 +44,31 @@ class UnknownFieldError(KeyError):
 
 @dataclass(frozen=True)
 class FieldEntry:
-    """A registry row for every command sweep; dim and analytic derive from box and d1_inf."""
+    """A registry row for every command sweep.
+
+    dim and segment derive from box, and analytic from d1_inf.
+    """
 
     name: str
     make: object                 # () -> ScalarField
     box: tuple                   # ((lo, hi), ...) canonical study domain
     d1_inf: float | None         # sup |grad| over box, None when not analytic
     d2_inf: float | None         # sup spectral |D2| over box
-    segment: tuple               # (a, h) default expansion segment in the box
     segment_bounds: SegmentBounds | None
 
     def __post_init__(self):
         if len({v is None for v in (self.d1_inf, self.d2_inf, self.segment_bounds)}) > 1:
             raise ValueError(f"{self.name}: d1_inf, d2_inf, segment_bounds: all three or none")
-        if any(np.size(v) != self.dim for v in self.segment):
-            raise ValueError(f"{self.name}: the segment (a, h) needs {self.dim} components each")
 
     @property
     def dim(self):
         return len(self.box)
+
+    @property
+    def segment(self):
+        """(a, h) = (box lo, box hi - lo), the default expansion segment: the box diagonal."""
+        lo, hi = np.array(self.box, dtype=float).T.copy()
+        return lo, hi - lo
 
     @property
     def analytic(self):
@@ -166,52 +173,42 @@ _SQRT3 = math.sqrt(3.0)
 _STATIC = [
     FieldEntry(
         "exp1d", lambda: _exp_nd(1), _UNIT, E1, E1,
-        (np.array([0.0]), np.array([1.0])),
         SegmentBounds(1.0, E1, 1.0, E1),
     ),
     FieldEntry(
         "sin1d", lambda: sine_product(1, 1.0, "sin1d"), ((0.0, PI),), 1.0, 1.0,
-        (np.array([0.0]), np.array([PI])),
         SegmentBounds(-1.0, 0.0, -1.0, 1.0),
     ),
     FieldEntry(
         "quad1d", lambda: _quad_nd(1, [[1.0]]), _UNIT, 2.0, 2.0,
-        (np.array([0.0]), np.array([1.0])),
         SegmentBounds(2.0, 2.0, 0.0, 2.0),
     ),
     FieldEntry(
         "cubic1d", _cubic1d, _UNIT, 3.0, 6.0,
-        (np.array([0.0]), np.array([1.0])),
         SegmentBounds(0.0, 6.0, 0.0, 3.0),
     ),
     FieldEntry(
         "runge1d", _runge1d, ((-1.0, 1.0),), None, None,
-        (np.array([-1.0]), np.array([2.0])),
         None,
     ),
     FieldEntry(
         "quad2d", lambda: _quad_nd(2, [[1.0, 0.5], [0.5, 1.0]]), _UNIT * 2, 3.0 * _SQRT2, 3.0,
-        (np.zeros(2), np.ones(2)),
         SegmentBounds(3.0, 3.0, 0.0, 3.0 * _SQRT2),
     ),
     FieldEntry(
         "exp2d", lambda: _exp_nd(2), _UNIT * 2, _SQRT2 * E2, 2.0 * E2,
-        (np.zeros(2), np.ones(2)),
         SegmentBounds(2.0, 2.0 * E2, _SQRT2, _SQRT2 * E2),
     ),
     FieldEntry(
         "sinsin2d", lambda: sine_product(2, PI, "sinsin2d"), _UNIT * 2, PI, PI**2,
-        (np.zeros(2), np.ones(2)),
         SegmentBounds(-(PI**2), PI**2, -PI / _SQRT2, PI / _SQRT2),
     ),
     FieldEntry(
         "quad3d", lambda: _quad_nd(3, np.eye(3)), _UNIT * 3, 2.0 * _SQRT3, 2.0,
-        (np.zeros(3), np.ones(3)),
         SegmentBounds(2.0, 2.0, 0.0, 2.0 * _SQRT3),
     ),
     FieldEntry(
         "exp3d", lambda: _exp_nd(3), _UNIT * 3, _SQRT3 * E3, 3.0 * E3,
-        (np.zeros(3), np.ones(3)),
         SegmentBounds(3.0, 3.0 * E3, _SQRT3, _SQRT3 * E3),
     ),
 ]
@@ -228,7 +225,6 @@ def _class_p_entry(beta):
     f1, f2 = class_p_sup_norms(params, iv)
     return FieldEntry(
         f"classP(beta={beta:g})", lambda: class_p_field(params, iv), ((iv.a, iv.b),), f1, f2,
-        (np.array([iv.a]), np.array([iv.length])),
         SegmentBounds(params.forcing, f2, 0.0, f1),
     )
 
@@ -253,7 +249,7 @@ def lookup(name):
             beta = float(match.group(1))
         except ValueError:
             beta = -1.0
-        if beta <= 0.5:
+        if not beta > 0.5:
             raise UnknownFieldError(name, known_names())
         return _class_p_entry(beta)
     raise UnknownFieldError(name, known_names())

@@ -264,14 +264,6 @@ class Simplex(Triangulation):
             raise GeometryError(f"need n+1 vertices in R^n, got shape {v.shape}")
         super().__init__(v, [range(len(v))])
 
-    @property
-    def volume(self):
-        return float(self.volumes[0])
-
-    @property
-    def diameter(self):
-        return self.mesh_size
-
     def random_points(self, rng, count):
         """Uniform samples inside the simplex (flat Dirichlet weights)."""
         w = rng.exponential(size=(count, self.dim + 1))
@@ -279,7 +271,7 @@ class Simplex(Triangulation):
         return w @ self.vertices
 
     def __repr__(self):
-        return f"Simplex(dim={self.dim}, diam={self.diameter:.3g})"
+        return f"Simplex(dim={self.dim}, diam={self.mesh_size:.3g})"
 
 
 def _basis(space, bary):

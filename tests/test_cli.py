@@ -221,6 +221,17 @@ def test_unknown_function_exits_usage_and_lists_registry(tmp_path, capsys):
     assert "exp1d" in err and "classP" in err
 
 
+@pytest.mark.parametrize("beta", ["0.5", "nan"])
+def test_class_p_beta_not_above_one_half_exits_usage_unquoted(tmp_path, capsys, beta):
+    name = f"classP(beta={beta})"
+    out = tmp_path / "x.csv"
+    assert run_main(["expand", "--function", name, "--output", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: unknown field '{name}'; known: exp1d, ")
+    assert '"' not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "args",
     [

@@ -66,15 +66,18 @@ def test_weight_examples():
     for (m, kind), want in [
         ((1, CLOSED), [0.5, 0.5]),
         ((2, CLOSED), [0.25, 0.5, 0.25]),
+        ((1, OPEN), [0.5, 1.0]),
         ((3, OPEN), [1 / 6, 1 / 3, 1 / 3, 1 / 3]),
     ]:
-        family = expansion_weights(m, kind)
-        assert family.kind == kind
-        w = family.weights
-        assert isinstance(w, np.ndarray) and w.dtype == np.float64 and not w.flags.writeable
+        # the weights are the array itself: m is len(w) - 1
+        w = expansion_weights(m, kind)
+        assert type(w) is np.ndarray and w.dtype == np.float64 and w.shape == (m + 1,)
+        assert not w.flags.writeable
         assert w.tolist() == want
         with pytest.raises(ValueError, match="read-only"):
             w[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            w += 1.0
 
 
 def test_weight_validation():
@@ -90,13 +93,13 @@ def test_weight_validation():
 
 def test_closed_weights_sum_to_one_up_to_64():
     for m in range(1, 65):
-        total = math.fsum(expansion_weights(m).weights)
+        total = math.fsum(expansion_weights(m))
         assert abs(total - 1.0) <= 1e-15, (m, total)
 
 
 def test_open_weights_sum():
     for m in range(1, 33):
-        total = math.fsum(expansion_weights(m, OPEN).weights)
+        total = math.fsum(expansion_weights(m, OPEN))
         assert abs(total - (1.0 + 1.0 / (2 * m))) <= 1e-15, (m, total)
 
 
@@ -392,15 +395,15 @@ def test_remainder_integral_matches_direct_random():
 
 
 def test_summation_identity_trivial_cases():
-    lhs, rhs = summation_identity_check([1.0], lambda t: 1.0, 1)
+    lhs, rhs = summation_identity_check([1.0], lambda t: 1.0)
     assert lhs == pytest.approx(1.0) and rhs == pytest.approx(1.0)
-    lhs, rhs = summation_identity_check([1.0, 1.0], lambda t: 1.0, 2)
+    lhs, rhs = summation_identity_check([1.0, 1.0], lambda t: 1.0)
     assert lhs == pytest.approx(3.0) and rhs == pytest.approx(3.0)
 
 
 def test_summation_identity_linear_hand_value():
     # hand integration: both sides equal 1/2 * 2 + 1/2 * 3/2 = 7/4
-    lhs, rhs = summation_identity_check([0.5, 0.5], lambda t: t, 2)
+    lhs, rhs = summation_identity_check([0.5, 0.5], lambda t: t)
     assert lhs == pytest.approx(1.75, abs=1e-12)
     assert rhs == pytest.approx(1.75, abs=1e-12)
 
@@ -417,10 +420,10 @@ def test_summation_identity_random_piecewise():
             # continuous piecewise-quadratic bumps with integer breakpoints
             return poly(t) + sum(c * max(0.0, t - j) ** 2 for j, c in enumerate(kinks))
 
-        lhs, rhs = summation_identity_check(coeffs, u, m)
+        lhs, rhs = summation_identity_check(coeffs, u)
         assert abs(lhs - rhs) <= 1e-9 * (1.0 + abs(lhs)), (m, lhs, rhs)
 
 
-def test_summation_identity_validates_length():
-    with pytest.raises(ValueError):
-        summation_identity_check([1.0, 2.0], lambda t: t, 3)
+def test_summation_identity_refuses_no_coefficients():
+    with pytest.raises(ValueError, match="at least one coefficient"):
+        summation_identity_check([], lambda t: t)

@@ -106,15 +106,17 @@ def test_p1_parabola_is_nodally_exact():
         np.testing.assert_allclose(sol.dof_values, want, atol=1e-12)
         # u_h equals the vertex interpolant, whose distance to the
         # parabola integrates in closed form
-        assert sol.l2_error == pytest.approx(k**-2 / math.sqrt(30), rel=1e-10)
+        err = l2_norm_error(sol, p.exact_solution)
+        assert err == pytest.approx(k**-2 / math.sqrt(30), rel=1e-10)
 
 
 def test_p2_contains_parabola_exactly():
     p = parabola_problem()
     m = uniform_mesh([(0.0, 1.0)], 8)
     sol = assemble_and_solve(p, m, "P2")
-    assert sol.l2_error <= 1e-10
-    assert sol.interp_l2_error <= 1e-12
+    assert l2_norm_error(sol, p.exact_solution) <= 1e-10
+    star = MeshInterpolant(m, p.exact_solution, corrected=True)
+    assert l2_norm_error(star, p.exact_solution) <= 1e-12
     assert h1_seminorm_error(sol, p.exact_solution) <= 1e-10
 
 
@@ -122,7 +124,7 @@ def test_zero_rhs_gives_zero_solution():
     p = EllipticProblem(zero_field(1), exact_solution=zero_field(1))
     sol = assemble_and_solve(p, uniform_mesh([(0.0, 1.0)], 16), "P1")
     assert np.abs(sol.dof_values).max() == 0.0
-    assert sol.l2_error == 0.0
+    assert l2_norm_error(sol, p.exact_solution) == 0.0
 
 
 def test_dof_counts():
@@ -262,7 +264,7 @@ def test_p1_convergence_1d():
     for k in (8, 16, 32, 64, 128):
         m = uniform_mesh([(0.0, 1.0)], k)
         sol = assemble_and_solve(p, m, "P1")
-        errs.append(sol.l2_error)
+        errs.append(l2_norm_error(sol, p.exact_solution))
         hs.append(m.mesh_size)
     slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
     assert slope == pytest.approx(2.0, abs=0.1)
@@ -279,7 +281,7 @@ def test_p1_convergence_2d():
     for k in (8, 16, 32):
         m = uniform_mesh(unit_box(2), k)
         sol = assemble_and_solve(p, m, "P1")
-        errs.append(sol.l2_error)
+        errs.append(l2_norm_error(sol, p.exact_solution))
         hs.append(m.mesh_size)
     slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
     assert slope == pytest.approx(2.0, abs=0.1)
@@ -292,7 +294,7 @@ def test_p2_convergence_order(dim, ks):
     errs, hs = [], []
     for k in ks:
         m = uniform_mesh(unit_box(dim), k)
-        errs.append(assemble_and_solve(p, m, "P2").l2_error)
+        errs.append(l2_norm_error(assemble_and_solve(p, m, "P2"), p.exact_solution))
         hs.append(m.mesh_size)
     slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
     assert slope == pytest.approx(3.0, abs=0.1)
@@ -301,8 +303,8 @@ def test_p2_convergence_order(dim, ks):
 def test_p2_beats_p1_on_smooth_data():
     p = sine_problem(1, reaction=1.0)
     m = uniform_mesh([(0.0, 1.0)], 16)
-    e1 = assemble_and_solve(p, m, "P1").l2_error
-    e2 = assemble_and_solve(p, m, "P2").l2_error
+    e1 = l2_norm_error(assemble_and_solve(p, m, "P1"), p.exact_solution)
+    e2 = l2_norm_error(assemble_and_solve(p, m, "P2"), p.exact_solution)
     assert e2 < e1 / 20
 
 
@@ -358,7 +360,7 @@ def test_p1_solution_evaluates_as_the_vertex_interpolant_bitwise(dim):
     m = uniform_mesh(unit_box(dim), 6)
     u = sine_problem(dim).exact_solution
     values = u.value_at(m.vertices)
-    sol = fem.FemSolution("P1", m, values, m.elements, m.vertices, EllipticProblem(u))
+    sol = fem.FemSolution("P1", m, values, m.elements, m.vertices)
     interp = MeshInterpolant(m, u)
     bary, _ = simplex_rule(dim)
     ks = np.arange(len(m))
@@ -421,6 +423,21 @@ def test_estimate_report_containments(dim, space):
         assert rep.cea_rhs_classical == scale * b.classical
         assert rep.cea_rhs_refined == scale * b.refined
         assert rep.cea_rhs_corrected == scale * b.corrected
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("space", ["P1", "P2"])
+def test_report_errors_are_the_direct_l2_norms(dim, space):
+    # the reports measure u - u_h and u - pi u, pi_h for P1 and pi*_h for P2
+    p = sine_problem(dim)
+    m = uniform_mesh(unit_box(dim), 6)
+    u = p.exact_solution
+    rep = estimate_report(p, m, space, SINE_D1, SINE_D2)
+    sol = assemble_and_solve(p, m, space)
+    interp_error = l2_norm_error(MeshInterpolant(m, u, corrected=(space == "P2")), u)
+    assert rep.measured_solution_error == l2_norm_error(sol, u)
+    assert rep.measured_interp_error == interp_error
+    assert cea_gap(sol, p) == (l2_norm_error(sol, u), p.stability_factor * interp_error)
 
 
 def test_corrected_rhs_is_half_classical():

@@ -70,7 +70,7 @@ def test_corrected_interpolant_reproduces_random_quadratics(case):
     grads = q.grad_at(simplex.vertices)
     # roundoff scale of the correction terms Dv(A_i).(A_i - P)
     scale = 1.0 + np.abs(q.value_at(simplex.vertices)).max() + (
-        np.linalg.norm(grads, axis=1).max() * simplex.diameter)
+        np.linalg.norm(grads, axis=1).max() * simplex.mesh_size)
     star = MeshInterpolant(simplex, q, corrected=True)
     assert abs(star(point) - exact) <= 1e-12 * scale
     assert abs(star.eval_on_element([0], lam[None])[0, 0] - exact) <= 1e-12 * scale

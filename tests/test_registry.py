@@ -1,9 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from reftaylor.expansion import SegmentBounds, refined_expansion
+from reftaylor.expansion import refined_expansion
 from reftaylor.registry import (
     FieldEntry,
     UnknownFieldError,
@@ -43,12 +44,12 @@ def test_entries_are_consistent():
     assert not lookup("runge1d").analytic
 
 
-def test_field_entry_refuses_a_partial_norm_set_and_a_short_segment():
+def test_field_entry_refuses_a_partial_norm_set():
     exp = lookup("exp1d")
     norms = {"d1_inf": exp.d1_inf, "d2_inf": exp.d2_inf, "segment_bounds": exp.segment_bounds}
 
     def entry(**changes):
-        fields = {"name": "e", "make": exp.make, "box": exp.box, "segment": exp.segment, **norms}
+        fields = {"name": "e", "make": exp.make, "box": exp.box, **norms}
         return FieldEntry(**{**fields, **changes})
 
     assert entry().analytic and entry().dim == 1
@@ -58,8 +59,16 @@ def test_field_entry_refuses_a_partial_norm_set_and_a_short_segment():
             entry(**{missing: None})
     with pytest.raises(ValueError, match="all three or none"):
         entry(d1_inf=None, d2_inf=None)
-    with pytest.raises(ValueError, match="needs 2 components"):
-        entry(box=((0.0, 1.0),) * 2, segment_bounds=SegmentBounds(1.0, 2.0))
+
+
+def test_segment_is_the_box_diagonal():
+    for entry in [*registry(), lookup("classP(beta=0.6)")]:
+        lo, hi = np.array(entry.box, dtype=float).T
+        a, h = entry.segment
+        assert a.dtype == h.dtype == np.float64
+        assert np.array_equal(a, lo) and np.array_equal(h, hi - lo)
+    # each call builds fresh arrays, so no caller can change an entry's segment
+    assert lookup("exp2d").segment[0] is not lookup("exp2d").segment[0]
 
 
 def test_bare_name_resolves_to_1d_entry():
@@ -70,16 +79,22 @@ def test_bare_name_resolves_to_1d_entry():
 def test_unknown_name_lists_known_fields():
     with pytest.raises(UnknownFieldError, match="exp1d"):
         lookup("nosuch")
+    # a ValueError, whose message prints as written; a KeyError's prints quoted
+    assert issubclass(UnknownFieldError, ValueError)
+    assert not issubclass(UnknownFieldError, KeyError)
 
 
 def test_classp_lookup_is_parametric():
     entry = lookup("classP(beta=0.9)")
     assert entry.analytic
     assert entry.d2_inf == pytest.approx(math.exp(4.0 / (2 * 0.9 - 1.0)), rel=1e-12)
-    with pytest.raises(UnknownFieldError):
-        lookup("classP(beta=0.5)")
-    with pytest.raises(UnknownFieldError):
-        lookup("classP(beta=oops)")
+
+
+@pytest.mark.parametrize("beta", ["0.5", "oops", "nan"])
+def test_classp_lookup_refuses_a_beta_not_above_one_half(beta):
+    name = f"classP(beta={beta})"
+    with pytest.raises(UnknownFieldError, match=re.escape(f"unknown field {name!r}; known: exp1d")):
+        lookup(name)
 
 
 def test_classp_lookup_rejects_beta_whose_exponential_overflows():

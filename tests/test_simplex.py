@@ -73,11 +73,11 @@ def test_barycentric_vertices_are_unit_rows():
 
 def test_simplex_measures():
     tri = unit_triangle()
-    assert tri.diameter == pytest.approx(math.sqrt(2.0))
-    assert tri.volume == pytest.approx(0.5)
+    assert tri.mesh_size == pytest.approx(math.sqrt(2.0))
+    assert tri.volumes[0] == pytest.approx(0.5)
     seg = Simplex([[1.0], [3.0]])
-    assert seg.diameter == pytest.approx(2.0)
-    assert seg.volume == pytest.approx(2.0)
+    assert seg.mesh_size == pytest.approx(2.0)
+    assert seg.volumes[0] == pytest.approx(2.0)
 
 
 def test_degenerate_simplex_rejected():
@@ -305,18 +305,17 @@ def test_stacked_geometry_equals_per_element_simplices():
         shaken = base.vertices + rng.uniform(-0.05, 0.05, base.vertices.shape)
         m = Triangulation(shaken, base.elements)
         simplices = [Simplex(m.vertices[m.elements[k]]) for k in range(len(m))]
-        assert np.array_equal(m.volumes, [s.volume for s in simplices])
-        assert np.array_equal(m.diameters, [s.diameter for s in simplices])
+        assert np.array_equal(m.volumes, [s.volumes[0] for s in simplices])
+        assert np.array_equal(m.diameters, [s.mesh_size for s in simplices])
         assert np.array_equal(
             m.bary_matrices[:, :, 1:], [s.bary_matrices[0, :, 1:] for s in simplices]
         )
-        assert m.mesh_size == max(s.diameter for s in simplices)
+        assert m.mesh_size == max(s.mesh_size for s in simplices)
         # a whole mesh takes the bounds at its largest element diameter
         assert InterpBounds(m.mesh_size, 1.5, 2.5).classical == 2.5 / 2.0 * m.mesh_size**2
         # and a Simplex is the one-element triangulation
         for s in simplices:
             assert isinstance(s, Triangulation) and len(s) == 1
-            assert s.volume == s.volumes[0] and s.diameter == s.mesh_size
 
 
 def test_pairwise_diameters_match_full_difference_tensor():
