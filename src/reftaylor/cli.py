@@ -27,15 +27,22 @@ Config-file keys are full flag names without the dashes (`m = 1,2,4`); the
 manifest names options as StudyConfig does (`m_values = 1,2,4`) and writes
 each real as repr does, so it reads back as the same float.
 
-While building rows, entries with analytic derivative norms are checked
-against their bounds; a violation aborts the run with exit code 2.  Exit
-codes: 0 success, 1 usage, 2 numeric failure, 3 I/O failure.
+StudyConfig.validate checks only what no library call sees: each option's
+type, shape and finiteness, the required --function, nonempty lists and the
+seed, points and samples minimums.  The range of every other value (m,
+beta, space, dim, ...) is checked by the library call that reads it, whose
+ValueError comes before any output is written and exits 1 like any usage
+error.  While building rows, entries with analytic derivative norms are
+checked against their bounds; a violation aborts the run with exit code 2.
+Exit codes: 0 success, 1 usage, 2 numeric failure, 3 I/O failure; a reader
+of stdout that stops early (`reftaylor registry | head -1`) is not a failure.
 """
 
 import argparse
 import copy
 import functools
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -81,9 +88,13 @@ _ENFORCE_ABS = 1e-15
 
 _SELFTEST_TOL = 1e-6
 
+# least value of each integer option no library call checks; the library
+# checks samples only for sampled entries
+_MINIMUM = {"seed": 0, "points": 1, "samples": 2}
 
-class UsageError(Exception):
-    """Bad flags, config keys or argument values."""
+
+class UsageError(ValueError):
+    """Bad flags, config keys or option values, found before the study runs."""
 
 
 class NumericFailure(RuntimeError):
@@ -113,6 +124,15 @@ class StudyConfig:
             setattr(self, name, copy.copy(options.get(name, default)))
 
     def validate(self):
+        """Check what no library call sees: each option's type, shape and finiteness.
+
+        Integer options must be integers and real options finite reals, in
+        their flag's shape (one value, a nonempty list or a pair); seed must be
+        at least 0, points at least 1 and samples at least 2, and expand and
+        simplex need --function.  Every other range (m >= 1, beta > 1/2, space
+        P1 or P2, ...) is checked by the library call that reads the value,
+        which raises ValueError before any output is written.
+        """
         # what a flag's parser refuses fails here too: a non-integer, a wrong shape, nan or +-inf
         for option, (flag, parse, _) in _FLAGS.items():
             if option not in vars(self) or parse in (None, str):
@@ -131,62 +151,13 @@ class StudyConfig:
                 if not finite:
                     raise UsageError(f"{flag} must be finite, got {_echo(value)}")
             scalar = parse in (int, _real)
-            if items.ndim != (not scalar) or (parse is _pair and items.size != 2):
-                shape = "two values" if parse is _pair else "one value" if scalar else "a list"
+            if items.ndim != (not scalar) or items.size == 0 or (parse is _pair and items.size != 2):
+                shape = "two values" if parse is _pair else "one value" if scalar else "a nonempty list"
                 raise UsageError(f"{flag} must be {shape}, got {value!r}")
-        if self.seed < 0:
-            raise UsageError("seed must be nonnegative")
-        if self.command == "expand":
-            self._require_function()
-            self._require_list("m", self.m_values, minimum=1)
-            if self.kind not in ("closed", "open"):
-                raise UsageError(f"kind must be 'closed' or 'open', got {self.kind!r}")
-            if self.samples < 2:
-                raise UsageError("samples must be at least 2")
-        elif self.command == "interp1d":
-            self._require_list("beta", self.beta_values)
-            if not all(beta > 0.5 for beta in self.beta_values):
-                raise UsageError("beta values must exceed 0.5")
-            if not self.forcing > 0:
-                raise UsageError("forcing must be positive")
-            if self.grid < 3:
-                raise UsageError("grid must be at least 3")
-            if not self.interval[0] < self.interval[1]:
-                raise UsageError("interval must satisfy a < b")
-        elif self.command == "simplex":
-            self._require_function()
-            self._require_list("subdivisions", self.subdivisions, minimum=1)
-            if self.points < 1:
-                raise UsageError("points must be at least 1")
-        elif self.command == "fem":
-            if self.dim not in (1, 2):
-                raise UsageError(f"fem dim must be 1 or 2, got {self.dim}")
-            self._require_list("subdivisions", self.subdivisions, minimum=1)
-            if self.space not in ("P1", "P2"):
-                raise UsageError(f"space must be P1 or P2, got {self.space!r}")
-            if not self.diffusion > 0:
-                raise UsageError("diffusion must be positive")
-            if not self.reaction >= 0:
-                raise UsageError("reaction must be nonnegative")
-        elif self.command == "savings":
-            self._require_list("eps", self.eps_values)
-            if not all(eps > 0 for eps in self.eps_values):
-                raise UsageError("eps values must be positive")
-            if self.dim not in (1, 2, 3):
-                raise UsageError(f"savings dim must be 1, 2 or 3, got {self.dim}")
-            if not (self.d2_inf > 0 and self.big_c > 0 and self.alpha > 0):
-                raise UsageError("d2, C and alpha must be positive")
-
-    def _require_function(self):
-        if not self.function:
+            if option in _MINIMUM and value < _MINIMUM[option]:
+                raise UsageError(f"{flag} must be at least {_MINIMUM[option]}, got {value}")
+        if "function" in vars(self) and not self.function:
             raise UsageError(f"{self.command} needs --function")
-
-    def _require_list(self, label, values, minimum=None):
-        # len, not truth: a numpy array has no truth value
-        if len(values) == 0:
-            raise UsageError(f"--{label} list must be nonempty")
-        if minimum is not None and min(values) < minimum:
-            raise UsageError(f"--{label} values must be >= {minimum}")
 
 
 # -------------------------------------------------------------- helpers
@@ -256,12 +227,9 @@ def _interp1d_rows(cfg):
     iv = Interval(*cfg.interval)
 
     def one(beta):
-        try:
-            params = ClassPParams(
-                rate=rate_for_beta(beta, iv), forcing=cfg.forcing, slope_at_a=cfg.slope
-            )
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        params = ClassPParams(
+            rate=rate_for_beta(beta, iv), forcing=cfg.forcing, slope_at_a=cfg.slope
+        )
         fld = class_p_field(params, iv)
         f1, f2 = class_p_sup_norms(params, iv)
         comp = compare_bounds(fld, iv, f1, f2, grid=cfg.grid)
@@ -585,8 +553,17 @@ def run_main(argv=None):
     """Console entry point; maps failures onto the documented exit codes."""
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        return run(parse_argv(argv))
-    except (UsageError, ValueError) as exc:
+        code = run(parse_argv(argv))
+        sys.stdout.flush()  # so a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # stdout's reader stopped early (`reftaylor registry | head -1`): not a failure.
+        # What is still buffered goes to devnull, so the flush at exit does not fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NumericFailure as exc:

@@ -206,7 +206,6 @@ def assemble_and_solve(problem, mesh, space="P1"):
     the rest; either way the solve must reach RESIDUAL_RTOL or SolverError
     is raised rather than returning a silently bad solution.
     """
-    space = str(space).upper()
     if space not in ("P1", "P2"):
         raise ValueError(f"space must be 'P1' or 'P2', got {space!r}")
     if mesh.dim != problem.dim:

@@ -230,11 +230,11 @@ class Triangulation:
         mask[faces[counts == 1].ravel()] = True
         return mask
 
-    def locate(self, point, tol=INSIDE_TOL):
+    def locate(self, point):
         """Containing element of a point: every element tested, lowest index wins.
 
         Returns (element index, barycentric coordinates).  A point with some
-        coordinate below -tol on every element raises DomainError.
+        coordinate below -INSIDE_TOL on every element raises DomainError.
         """
         point = np.atleast_1d(np.asarray(point, dtype=float))
         if point.size != self.dim:
@@ -243,7 +243,7 @@ class Triangulation:
             self._locate_rows = self.bary_matrices.transpose(1, 0, 2).reshape(-1, self.dim + 1)
         # lam[i, k] = lambda_i(P) on element k, from one matrix-vector product
         lam = (self._locate_rows @ np.concatenate([[1.0], point])).reshape(self.dim + 1, -1)
-        inside = np.minimum.reduce(lam, axis=0) >= -tol
+        inside = np.minimum.reduce(lam, axis=0) >= -INSIDE_TOL
         # argmax finds the first True, or index 0 when there is none
         k = int(inside.argmax())
         if not inside[k]:

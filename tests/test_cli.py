@@ -1,10 +1,13 @@
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
 import re
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -19,6 +22,7 @@ from reftaylor.registry import lookup
 
 DIGESTS = Path(__file__).resolve().parent.parent / "perfbench" / "digests.json"
 README = Path(__file__).resolve().parent.parent / "README.md"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _read_csv(path):
@@ -249,6 +253,40 @@ def test_usage_errors(args, tmp_path):
     assert run_main(args + ["--output", str(tmp_path / "x.csv")]) == EXIT_USAGE
 
 
+# each value range StudyConfig.validate leaves to the library call that reads
+# the value, with the message that call raises
+_LIBRARY_RANGE_CASES = [
+    (["expand", "--function", "exp", "--m", "0,1"], "m must be >= 1, got 0"),
+    (["expand", "--function", "exp", "--kind", "midpoint"],
+     "kind must be 'closed' or 'open', got 'midpoint'"),
+    (["interp1d", "--beta", "0.4"], "beta must exceed 1/2, got 0.4"),
+    (["interp1d", "--forcing", "0"], "forcing must be > 0, got 0.0"),
+    (["interp1d", "--interval", "1,0"], "need a < b, got [1.0, 0.0]"),
+    (["interp1d", "--grid", "2"], "grid must have at least 3 points, got 2"),
+    (["simplex", "--function", "quad2d", "--subdivisions", "0"],
+     "subdivisions must be >= 1, got 0"),
+    (["fem", "--subdivisions", "0"], "subdivisions must be >= 1, got 0"),
+    (["fem", "--dim", "0"], "dim must be >= 1, got 0"),
+    (["fem", "--dim", "3"], "dim must be 1 or 2, got 3"),
+    (["fem", "--space", "p2"], "space must be 'P1' or 'P2', got 'p2'"),
+    (["fem", "--diffusion", "0"], "diffusion must be positive, got 0.0"),
+    (["fem", "--reaction", "-1"], "reaction must be nonnegative, got -1.0"),
+    (["savings", "--eps", "0"], "eps, d2_inf, C and alpha must all be positive"),
+    (["savings", "--dim", "4"], "dim must be 1, 2 or 3, got 4"),
+    (["savings", "--alpha", "-1"], "eps, d2_inf, C and alpha must all be positive"),
+]
+
+
+@pytest.mark.parametrize("args, message", _LIBRARY_RANGE_CASES,
+                         ids=[" ".join(args[:1] + args[-2:]) for args, _ in _LIBRARY_RANGE_CASES])
+def test_library_range_check_exits_usage(args, message, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert run_main(args + ["--output", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+    assert not (tmp_path / "x.csv.manifest").exists()
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -331,6 +369,51 @@ def test_directory_as_output_exits_io(tmp_path):
     (tmp_path / "d.csv").mkdir()
     assert run_main(["savings", "--output", str(tmp_path / "d.csv")]) == EXIT_IO
     assert (tmp_path / "d.csv").is_dir()
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+def test_closed_stdout_exits_ok_and_silent(tmp_path, monkeypatch):
+    sink = tmp_path / "stdout"
+    fd = os.open(sink, os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fd))
+        monkeypatch.setattr(sys, "stderr", io.StringIO())
+        assert run_main(["registry"]) == EXIT_OK
+        assert sys.stderr.getvalue() == ""
+        # the descriptor now leads to devnull, so the flush at exit cannot fail
+        os.write(fd, b"buffered\n")
+    finally:
+        os.close(fd)
+    assert sink.read_bytes() == b""
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_reader_closing_stdout_early_is_not_a_failure(unbuffered):
+    # `reftaylor registry | head -1`: the reader leaves before the listing is written
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": str(SRC) + (os.pathsep + path if path else ""),
+           "PYTHONUNBUFFERED": unbuffered}
+    with subprocess.Popen([sys.executable, "-m", "reftaylor.cli", "registry"], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == EXIT_OK, err
+    assert err == b""
 
 
 def test_rerun_to_an_existing_output_writes_the_new_bytes(tmp_path):
@@ -456,17 +539,29 @@ def test_run_accepts_config_object(tmp_path, capsys):
     assert (tmp_path / "s.csv").exists()
 
 
-def test_config_validation_rejects_bad_values():
-    with pytest.raises(cli.UsageError):
+def test_config_validation_rejects_bad_values(tmp_path):
+    with pytest.raises(cli.UsageError, match="--m must be a nonempty list, got"):
         StudyConfig(command="expand", function="exp", m_values=[]).validate()
-    with pytest.raises(cli.UsageError):
-        StudyConfig(command="expand", function="exp", m_values=[0]).validate()
-    with pytest.raises(cli.UsageError):
-        StudyConfig(command="fem", diffusion=0.0).validate()
-    with pytest.raises(cli.UsageError):
-        StudyConfig(command="savings", alpha=-1.0).validate()
+    with pytest.raises(cli.UsageError, match="expand needs --function"):
+        StudyConfig(command="expand").validate()
+    with pytest.raises(cli.UsageError, match="--samples must be at least 2, got 1"):
+        StudyConfig(command="expand", function="exp", samples=1).validate()
+    with pytest.raises(cli.UsageError, match="--points must be at least 1, got 0"):
+        StudyConfig(command="simplex", function="quad2d", points=0).validate()
+    with pytest.raises(cli.UsageError, match="--seed must be at least 0, got -1"):
+        StudyConfig(command="savings", seed=-1).validate()
     with pytest.raises(cli.UsageError):
         StudyConfig(command="orbit").validate()
+    # a range is checked by the library call that reads the value, before any output
+    out = tmp_path / "x.csv"
+    for command, options in [
+        ("expand", {"function": "exp", "m_values": [0]}),
+        ("fem", {"diffusion": 0.0}),
+        ("savings", {"alpha": -1.0}),
+    ]:
+        with pytest.raises(ValueError):
+            cli.run(StudyConfig(command, **options, output_path=str(out)))
+        assert not out.exists()
     nan_options = [
         ("fem", {"diffusion": math.nan}),
         ("fem", {"reaction": math.nan}),
@@ -510,7 +605,7 @@ def test_numpy_array_list_option_runs_as_the_list(command, options, tmp_path):
         texts.append((out.read_bytes(), [line for line in manifest if line.startswith(name)]))
     assert texts[0] == texts[1]
     empty = StudyConfig(command, **{**options, name: np.array([], dtype=type(values[0]))})
-    with pytest.raises(cli.UsageError, match="list must be nonempty"):
+    with pytest.raises(cli.UsageError, match="must be a nonempty list"):
         empty.validate()
 
 
@@ -630,8 +725,8 @@ _BAD_OPTION_VALUES = [
 ] + [
     _bad_value("simplex", "subdivisions", [2.5], "an integer", "-float"),
     _bad_value("fem", "dim", 2.0, "an integer", "-float"),
-    _bad_value("fem", "subdivisions", 4, "a list", "-scalar"),
-    _bad_value("savings", "eps_values", 1e-4, "a list", "-scalar"),
+    _bad_value("fem", "subdivisions", 4, "a nonempty list", "-scalar"),
+    _bad_value("savings", "eps_values", 1e-4, "a nonempty list", "-scalar"),
     _bad_value("interp1d", "interval", (0.0,), "two values", "-one"),
 ]
 

@@ -169,6 +169,8 @@ def test_argument_validation():
     m = uniform_mesh([(0.0, 1.0)], 4)
     with pytest.raises(ValueError, match="space"):
         assemble_and_solve(p, m, "P3")
+    with pytest.raises(ValueError, match="space must be 'P1' or 'P2', got 'p2'"):
+        assemble_and_solve(p, m, "p2")
     with pytest.raises(ValueError, match="does not match"):
         assemble_and_solve(sine_problem(2), m, "P1")
 

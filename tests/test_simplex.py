@@ -99,7 +99,7 @@ def test_random_points_land_inside():
     tri = unit_triangle()
     pts = tri.random_points(np.random.default_rng(5), 200)
     for p in pts:
-        tri.locate(p, tol=1e-9)
+        tri.locate(p)
 
 
 # ------------------------------------------------------- interpolation
@@ -433,12 +433,12 @@ def test_locate_outside_raises():
         m.locate([1.5])
 
 
-def _scan_locate(mesh, point, tol):
+def _scan_locate(mesh, point):
     """Reference point location: the stacked (M, n+1, n+1) @ (1, P) product
     and a row minimum over each element's coordinates, lowest index first;
     None when no element contains the point."""
     lam = mesh.bary_matrices @ np.concatenate([[1.0], point])
-    inside = np.flatnonzero(lam.min(axis=1) >= -tol)
+    inside = np.flatnonzero(lam.min(axis=1) >= -INSIDE_TOL)
     return (int(inside[0]), lam[inside[0]]) if inside.size else None
 
 
@@ -487,20 +487,19 @@ def test_locate_matches_stacked_scan_bitwise(dim, k, jitter):
         inner = ~on_unit_box_boundary(verts)
         verts[inner] += rng.uniform(-jitter, jitter, verts[inner].shape) / k
         m = Triangulation(verts, m.elements)
-    for tol in (INSIDE_TOL, 1e-6):
-        cases = [(p, True) for p in _beyond_boundary(m, rng, -tol / 2, 4)]
-        cases += [(p, False) for p in _beyond_boundary(m, rng, -2 * tol, 4)]
-        cases += [(p, True) for p in _probe_points(m, rng, 40)]
-        for p, inside in cases:
-            want = _scan_locate(m, p, tol)
-            assert (want is not None) == inside
-            if not inside:
-                with pytest.raises(DomainError, match="outside"):
-                    m.locate(p, tol)
-                continue
-            got_k, got_lam = m.locate(p, tol)
-            assert got_k == want[0]
-            assert np.array_equal(got_lam, want[1])
+    cases = [(p, True) for p in _beyond_boundary(m, rng, -INSIDE_TOL / 2, 4)]
+    cases += [(p, False) for p in _beyond_boundary(m, rng, -2 * INSIDE_TOL, 4)]
+    cases += [(p, True) for p in _probe_points(m, rng, 40)]
+    for p, inside in cases:
+        want = _scan_locate(m, p)
+        assert (want is not None) == inside
+        if not inside:
+            with pytest.raises(DomainError, match="outside"):
+                m.locate(p)
+            continue
+        got_k, got_lam = m.locate(p)
+        assert got_k == want[0]
+        assert np.array_equal(got_lam, want[1])
 
 
 def test_cached_tables_rest_on_read_only_arrays():
@@ -626,7 +625,7 @@ def test_values_at_takes_the_lowest_index_on_shared_faces(dim, k, corrected):
     I = MeshInterpolant(m, exp_sum(dim), corrected)
     I.coefs = np.repeat(np.arange(len(m), dtype=float)[:, None], I.coefs.shape[1], axis=1)
     pts = _probe_points(m, np.random.default_rng(71 + dim), 10)
-    lowest = [_scan_locate(m, p, INSIDE_TOL)[0] for p in pts]
+    lowest = [_scan_locate(m, p)[0] for p in pts]
     np.testing.assert_allclose(I.values_at(pts), lowest, rtol=0.0, atol=1e-9)
 
 
