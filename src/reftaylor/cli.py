@@ -82,7 +82,7 @@ EXIT_IO = 3
 SINE_D1 = math.pi     # sup |grad| of the manufactured product-of-sines solution
 SINE_D2 = math.pi**2  # sup |D2|, both dims
 
-# slack applied when enforcing measured <= bound on analytic entries
+# slack of _enforce on analytic entries; the expansion gate allows ExpansionReport.roundoff
 _ENFORCE_REL = 1e-9
 _ENFORCE_ABS = 1e-15
 
@@ -208,7 +208,8 @@ def _expand_rows(cfg):
     def one(m):
         rep = refined_expansion(f, a, h, m, kind=cfg.kind, bounds=seg)
         if entry.analytic:
-            if not (rep.bound_lo - _ENFORCE_ABS <= rep.remainder_eps <= rep.bound_hi + _ENFORCE_ABS):
+            # a quadratic's enclosure has width 0: the computed remainder needs the rounding slack
+            if not (rep.bound_lo - rep.roundoff <= rep.remainder_eps <= rep.bound_hi + rep.roundoff):
                 raise NumericFailure(
                     f"{entry.name} m={m}: remainder {rep.remainder_eps:.6e} escapes "
                     f"[{rep.bound_lo:.6e}, {rep.bound_hi:.6e}]"
@@ -279,8 +280,10 @@ def _simplex_rows(cfg):
 
 def _fem_rows(cfg):
     # fem loads scipy; only this study needs it.
-    from .fem import SolverError, estimate_report, sine_problem
+    from .fem import SolverError, _check_space, estimate_report, sine_problem
 
+    # before any mesh is built: the smallest one can take seconds to build
+    _check_space(cfg.space)
     problem = sine_problem(cfg.dim, diffusion=cfg.diffusion, reaction=cfg.reaction)
     factor = problem.stability_factor
 

@@ -45,6 +45,8 @@ __all__ = [
 CLOSED = "closed"
 OPEN = "open"
 
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+
 
 @dataclass(frozen=True)
 class SegmentBounds:
@@ -76,7 +78,12 @@ class ExpansionReport:
     remainder_eps is derived, (exact - approx)/|h| (0 when h = 0), so exact ==
     approx + h_norm * remainder_eps by construction.  bound_lo and
     bound_hi enclose remainder_eps itself; the |h| factors the enclosures
-    carry are already inside the stored bound values.
+    carry are already inside the stored bound values.  roundoff is the slack
+    the computed remainder_eps is allowed around them: 4n u (sum |terms| +
+    |exact|)/|h| for the n terms approx sums, u the unit roundoff.  That is
+    four times the first-order error bound of the sum, (n - 1) u sum |terms|,
+    with room for the rounding of the terms, of exact and of the difference;
+    a slack, not a proven bound.
     """
 
     approx: float
@@ -84,6 +91,7 @@ class ExpansionReport:
     bound_lo: float
     bound_hi: float
     h_norm: float
+    roundoff: float
 
     @property
     def remainder_eps(self):
@@ -92,6 +100,11 @@ class ExpansionReport:
     @property
     def degenerate(self):
         return self.h_norm == 0.0
+
+
+def _roundoff(terms, exact, hn):
+    """ExpansionReport.roundoff for approx = sum(terms), summed in order."""
+    return 4 * len(terms) * _UNIT_ROUNDOFF * (float(np.abs(terms).sum()) + abs(exact)) / hn
 
 
 def expansion_weights(m, kind=CLOSED):
@@ -195,7 +208,7 @@ def estimate_segment_bounds(f, a, h, samples=201):
 
 def _degenerate_report(f, a):
     v = f.value(a)
-    return ExpansionReport(approx=v, exact=v, bound_lo=0.0, bound_hi=0.0, h_norm=0.0)
+    return ExpansionReport(approx=v, exact=v, bound_lo=0.0, bound_hi=0.0, h_norm=0.0, roundoff=0.0)
 
 
 def taylor_first_order(f, a, h, bounds=None):
@@ -212,14 +225,15 @@ def taylor_first_order(f, a, h, bounds=None):
     _require_inside(f, (a + h)[None], "segment endpoint")
     if bounds is None:
         bounds = estimate_segment_bounds(f, a, h)
-    approx = f.value(a) + f.d(a, h)
+    terms = (f.value(a), f.d(a, h))
     exact = f.value(a + h)
     return ExpansionReport(
-        approx=approx,
+        approx=terms[0] + terms[1],
         exact=exact,
         bound_lo=hn * bounds.m2 / 2.0,
         bound_hi=hn * bounds.M2 / 2.0,
         h_norm=hn,
+        roundoff=_roundoff(terms, exact, hn),
     )
 
 
@@ -261,6 +275,7 @@ def refined_expansion(f, a, h, m, kind=CLOSED, bounds=None):
         bound_lo=lo,
         bound_hi=hi,
         h_norm=hn,
+        roundoff=_roundoff(terms, exact, hn),
     )
 
 

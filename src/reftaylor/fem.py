@@ -27,6 +27,12 @@ measure the solution and interpolation errors themselves.  They take only
 a mesh that covers the unit box: the manufactured solution vanishes on the
 box boundary, not inside it.
 
+Systems of up to DENSE_DOF_LIMIT free DOFs are solved by dense LU, which
+factors one Fortran-ordered copy of the matrix in place: LAPACK's order,
+so its wrapper makes no second copy.  Larger systems go to the module's
+cg, the loop of SciPy's scipy.sparse.linalg.cg repeated operation for
+operation, so it gives the same bits without loading that package.
+
 Assembly accumulates shape gradients, local stiffness matrices and
 quadrature points explicitly, one term at a time in a fixed order: the
 order np.einsum adds the same products in.  That order keeps the outputs
@@ -40,7 +46,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 from scipy.sparse import coo_matrix
-from scipy.sparse.linalg import cg
 
 from .fields import ScalarField
 from .quadrature import simplex_rule
@@ -198,16 +203,58 @@ def _assemble(problem, mesh, space, elem_dofs, ndof):
     return A, b
 
 
+def _check_space(space):
+    """Refuse any space but "P1" and "P2"; needs no mesh, so callers can check first."""
+    if space not in ("P1", "P2"):
+        raise ValueError(f"space must be 'P1' or 'P2', got {space!r}")
+
+
+def cg(A, b, rtol, maxiter, callback=None):
+    """Conjugate gradient for a symmetric positive-definite A, from x = 0.
+
+    The loop of scipy.sparse.linalg.cg (SciPy 1.17) with no preconditioner
+    and atol = 0, operation for operation, so it returns the same bits and
+    iteration count: np.dot inner products, the stop test
+    norm(r) < rtol * norm(b) before each step, and A @ p as the product.
+    Returns (x, 0) on convergence, (b, 0) for b = 0 and (x, maxiter) when
+    the iterations run out; callback(x) follows each step.
+    """
+    bnorm = np.linalg.norm(b)
+    if bnorm == 0:
+        return b, 0
+    atol = rtol * bnorm
+    x = np.zeros_like(b)
+    r = b.copy()
+    for iteration in range(maxiter):
+        if np.linalg.norm(r) < atol:
+            return x, 0
+        rho = np.dot(r, r)
+        if iteration:
+            p *= rho / rho_prev
+            p += r
+        else:
+            p = r.copy()
+        q = A @ p
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+        if callback is not None:
+            callback(x)
+    return x, maxiter
+
+
 def assemble_and_solve(problem, mesh, space="P1"):
     """Assemble and solve the discrete system; checks the relative residual.
 
     Dirichlet DOFs are found from the mesh topology and eliminated.  Dense
-    LU handles systems up to DENSE_DOF_LIMIT unknowns, conjugate gradient
-    the rest; either way the solve must reach RESIDUAL_RTOL or SolverError
-    is raised rather than returning a silently bad solution.
+    LU handles systems up to DENSE_DOF_LIMIT unknowns, factoring one
+    Fortran-ordered copy of the matrix in place; the module's cg, which
+    returns the bits of SciPy's, handles the rest.  Either way the solve
+    must reach RESIDUAL_RTOL or SolverError is raised rather than returning
+    a silently bad solution.
     """
-    if space not in ("P1", "P2"):
-        raise ValueError(f"space must be 'P1' or 'P2', got {space!r}")
+    _check_space(space)
     if mesh.dim != problem.dim:
         raise ValueError(f"mesh dim {mesh.dim} does not match problem dim {problem.dim}")
     mesh.check_conforming()
@@ -225,8 +272,9 @@ def assemble_and_solve(problem, mesh, space="P1"):
     if free.any():
         n_free = int(free.sum())
         if n_free <= DENSE_DOF_LIMIT:
+            # LAPACK works on Fortran order: a C-ordered array would be copied again
             try:
-                x_f = lu_solve(lu_factor(A_ff.toarray()), b_f)
+                x_f = lu_solve(lu_factor(A_ff.toarray(order="F"), overwrite_a=True), b_f)
             except np.linalg.LinAlgError as exc:
                 raise SolverError(f"dense factorization failed: {exc}") from exc
         else:

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import reftaylor.cli as cli
+import reftaylor.expansion as expansion
 import reftaylor.fem as fem
 import reftaylor.simplex as simplex
 from reftaylor.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, StudyConfig, run_main
@@ -285,6 +286,42 @@ def test_library_range_check_exits_usage(args, message, tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
     assert not (tmp_path / "x.csv.manifest").exists()
+
+
+def test_fem_space_is_refused_before_any_mesh_is_built(tmp_path, monkeypatch, capsys):
+    # a 1024^2 mesh takes seconds and most of a gigabyte to build
+    def no_mesh(*args):
+        raise AssertionError("uniform_mesh called before the space check")
+
+    monkeypatch.setattr(cli, "uniform_mesh", no_mesh)
+    out = tmp_path / "x.csv"
+    args = ["fem", "--dim", "2", "--space", "p2", "--subdivisions", "1024", "--output", str(out)]
+    assert run_main(args) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: space must be 'P1' or 'P2', got 'p2'\n"
+    assert not out.exists()
+
+
+# quadratics have a zero-width closed enclosure, which only the rounding slack
+# of the (m+2)-term sum separates from the computed remainder
+_QUADRATIC_AT_LARGE_M = [("quad2d", "122"), ("quad1d", "290")]
+
+
+@pytest.mark.parametrize("name, m", _QUADRATIC_AT_LARGE_M)
+def test_zero_width_enclosure_allows_rounding(name, m, tmp_path):
+    _, rows = _run(["expand", "--function", name, "--m", m], tmp_path)
+    assert rows[0, 4] == 0.0  # bound_width
+    assert 0.0 < rows[0, 1] < 1e-14  # measured_abs_eps
+
+
+@pytest.mark.parametrize("name, m", _QUADRATIC_AT_LARGE_M)
+def test_expansion_gate_catches_a_derivative_sum_off_by_1e_9(name, m, tmp_path, monkeypatch, capsys):
+    weights = expansion.expansion_weights
+    monkeypatch.setattr(expansion, "expansion_weights",
+                        lambda m, kind: weights(m, kind) * (1.0 + 1e-9))
+    out = tmp_path / "x.csv"
+    assert run_main(["expand", "--function", name, "--m", m, "--output", str(out)]) == EXIT_NUMERIC
+    assert f"{name} m={m}: remainder" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

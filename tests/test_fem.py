@@ -1,6 +1,7 @@
 """Galerkin solves, error chains and the coarsening arithmetic."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -185,6 +186,55 @@ def test_cg_path_matches_dense():
     finally:
         fem.DENSE_DOF_LIMIT = limit
     np.testing.assert_allclose(iterative, dense, atol=1e-9)
+
+
+def _free_system(dim, space, k):
+    """The sine problem's system on the free DOFs of the unit-box mesh with k subdivisions."""
+    m = uniform_mesh(unit_box(dim), k)
+    coords, elem_dofs, bmask = fem._dof_tables(m, space)
+    A, b = fem._assemble(sine_problem(dim), m, space, elem_dofs, len(coords))
+    free = ~bmask
+    return A[free][:, free], b[free]
+
+
+# the two CG systems of the fem-sweep benchmark (3969 free DOFs each) and a 1D one
+@pytest.mark.parametrize("dim, space, k", [(2, "P1", 64), (2, "P2", 32), (1, "P2", 300)])
+@pytest.mark.parametrize("maxiter", [None, 3])
+def test_cg_matches_scipy_bitwise(dim, space, k, maxiter):
+    from scipy.sparse.linalg import cg as scipy_cg
+
+    A, b = _free_system(dim, space, k)
+    maxiter = maxiter or 10 * len(b)
+    ours, theirs = [], []
+    x, info = fem.cg(A, b, rtol=1e-12, maxiter=maxiter, callback=ours.append)
+    x_ref, info_ref = scipy_cg(A, b, rtol=1e-12, maxiter=maxiter, callback=theirs.append)
+    assert np.array_equal(x.view(np.int64), x_ref.view(np.int64))
+    assert info == info_ref == (3 if maxiter == 3 else 0)
+    assert len(ours) == len(theirs) > 0
+
+
+def test_cg_of_a_zero_rhs_returns_it():
+    A, _ = _free_system(1, "P1", 8)
+    b = np.zeros(A.shape[0])
+    calls = []
+    x, info = fem.cg(A, b, rtol=1e-12, maxiter=10, callback=calls.append)
+    assert x is b and info == 0 and calls == []
+
+
+def test_dense_solve_keeps_one_copy_of_the_matrix():
+    # the factorization works on the one Fortran-ordered copy: a C-ordered
+    # array would be copied again by LAPACK's wrapper, two dense matrices in all
+    p, m = sine_problem(2), uniform_mesh(unit_box(2), 32)
+    n_free = 31**2
+    assert n_free <= fem.DENSE_DOF_LIMIT
+    assemble_and_solve(p, m, "P1")
+    tracemalloc.start()
+    try:
+        assemble_and_solve(p, m, "P1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * n_free**2 * 8
 
 
 # ---------------------------------------------------- assembly kernels

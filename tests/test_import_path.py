@@ -8,7 +8,6 @@ from pathlib import Path
 
 import pytest
 import scipy.linalg
-import scipy.sparse.linalg
 
 import reftaylor
 import reftaylor.fem as fem
@@ -58,7 +57,20 @@ def test_fem_layer_loads_on_first_use():
     # the benchmark's tracer replaces the solvers where fem binds them
     assert vars(fem)["lu_factor"] is scipy.linalg.lu_factor
     assert vars(fem)["lu_solve"] is scipy.linalg.lu_solve
-    assert vars(fem)["cg"] is scipy.sparse.linalg.cg
+
+
+def test_fem_runs_cg_without_scipy_sparse_linalg():
+    # scipy.sparse.linalg loads its iterative, eigen and SuperLU solvers, none of them used
+    stdout = _probe(
+        """
+        import inspect
+        import reftaylor.fem as fem
+        assert "scipy.sparse.linalg" not in loaded(), loaded()
+        assert inspect.isfunction(vars(fem)["cg"]) and fem.cg.__module__ == "reftaylor.fem"
+        print("ok")
+        """
+    )
+    assert stdout == "ok"
 
 
 def test_cli_imports_load_only_numpy_beyond_the_standard_library():
