@@ -68,6 +68,7 @@ __all__ = [
 
 DENSE_DOF_LIMIT = 2000       # dense LU below, conjugate gradient above
 RESIDUAL_RTOL = 1e-10        # relative residual accepted from either solver
+CG_RTOL = 1e-12              # conjugate gradient stops below this relative residual
 
 
 class SolverError(RuntimeError):
@@ -209,20 +210,22 @@ def _check_space(space):
         raise ValueError(f"space must be 'P1' or 'P2', got {space!r}")
 
 
-def cg(A, b, rtol, maxiter, callback=None):
+def cg(A, b, callback=None):
     """Conjugate gradient for a symmetric positive-definite A, from x = 0.
 
-    The loop of scipy.sparse.linalg.cg (SciPy 1.17) with no preconditioner
-    and atol = 0, operation for operation, so it returns the same bits and
-    iteration count: np.dot inner products, the stop test
-    norm(r) < rtol * norm(b) before each step, and A @ p as the product.
-    Returns (x, 0) on convergence, (b, 0) for b = 0 and (x, maxiter) when
-    the iterations run out; callback(x) follows each step.
+    The loop of scipy.sparse.linalg.cg (SciPy 1.17) with no preconditioner,
+    rtol = CG_RTOL, atol = 0 and its default 10 * len(b) steps, operation
+    for operation, so it returns the same bits and iteration count: np.dot
+    inner products, the stop test norm(r) < CG_RTOL * norm(b) before each
+    step, and A @ p as the product.  Returns (x, 0) on convergence, (b, 0)
+    for b = 0 and (x, maxiter) when the steps run out; callback(x) follows
+    each step.
     """
     bnorm = np.linalg.norm(b)
     if bnorm == 0:
         return b, 0
-    atol = rtol * bnorm
+    atol = CG_RTOL * bnorm
+    maxiter = 10 * len(b)
     x = np.zeros_like(b)
     r = b.copy()
     for iteration in range(maxiter):
@@ -278,7 +281,7 @@ def assemble_and_solve(problem, mesh, space="P1"):
             except np.linalg.LinAlgError as exc:
                 raise SolverError(f"dense factorization failed: {exc}") from exc
         else:
-            x_f, info = cg(A_ff, b_f, rtol=1e-12, maxiter=10 * n_free)
+            x_f, info = cg(A_ff, b_f)
             if info != 0:
                 raise SolverError(f"conjugate gradient stopped with info={info}")
         resid = np.linalg.norm(A_ff @ x_f - b_f)

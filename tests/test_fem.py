@@ -197,27 +197,41 @@ def _free_system(dim, space, k):
     return A[free][:, free], b[free]
 
 
-# the two CG systems of the fem-sweep benchmark (3969 free DOFs each) and a 1D one
-@pytest.mark.parametrize("dim, space, k", [(2, "P1", 64), (2, "P2", 32), (1, "P2", 300)])
-@pytest.mark.parametrize("maxiter", [None, 3])
-def test_cg_matches_scipy_bitwise(dim, space, k, maxiter):
+def _cg_pair(A, b, rtol):
+    """fem.cg's and SciPy's (x, info, steps) on A x = b, SciPy at the given rtol."""
     from scipy.sparse.linalg import cg as scipy_cg
 
-    A, b = _free_system(dim, space, k)
-    maxiter = maxiter or 10 * len(b)
     ours, theirs = [], []
-    x, info = fem.cg(A, b, rtol=1e-12, maxiter=maxiter, callback=ours.append)
-    x_ref, info_ref = scipy_cg(A, b, rtol=1e-12, maxiter=maxiter, callback=theirs.append)
+    x, info = fem.cg(A, b, callback=ours.append)
+    x_ref, info_ref = scipy_cg(A, b, rtol=rtol, callback=theirs.append)
+    return (x, info, len(ours)), (x_ref, info_ref, len(theirs))
+
+
+# the two CG systems of the fem-sweep benchmark (3969 free DOFs each) and a 1D one
+@pytest.mark.parametrize("dim, space, k", [(2, "P1", 64), (2, "P2", 32), (1, "P2", 300)])
+def test_cg_matches_scipy_bitwise(dim, space, k):
+    A, b = _free_system(dim, space, k)
+    (x, info, steps), (x_ref, info_ref, steps_ref) = _cg_pair(A, b, fem.CG_RTOL)
     assert np.array_equal(x.view(np.int64), x_ref.view(np.int64))
-    assert info == info_ref == (3 if maxiter == 3 else 0)
-    assert len(ours) == len(theirs) > 0
+    assert info == info_ref == 0
+    assert steps == steps_ref > 0
+
+
+# with no tolerance the stop test never passes: both run their 10 * len(b) steps
+@pytest.mark.parametrize("space, k", [("P1", 64), ("P2", 8)])
+def test_cg_out_of_steps_matches_scipy_bitwise(monkeypatch, space, k):
+    A, b = _free_system(1, space, k)
+    monkeypatch.setattr(fem, "CG_RTOL", 0.0)
+    (x, info, steps), (x_ref, info_ref, steps_ref) = _cg_pair(A, b, 0.0)
+    assert np.array_equal(x.view(np.int64), x_ref.view(np.int64))
+    assert info == info_ref == steps == steps_ref == 10 * len(b)
 
 
 def test_cg_of_a_zero_rhs_returns_it():
     A, _ = _free_system(1, "P1", 8)
     b = np.zeros(A.shape[0])
     calls = []
-    x, info = fem.cg(A, b, rtol=1e-12, maxiter=10, callback=calls.append)
+    x, info = fem.cg(A, b, callback=calls.append)
     assert x is b and info == 0 and calls == []
 
 
