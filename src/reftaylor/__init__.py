@@ -11,7 +11,7 @@ The package has four layers:
   one InterpBounds formula for the interpolation bounds at a size h, and
   the mesh-savings arithmetic that inverts it; MeshInterpolant stores pi*_h
   as P2 vertex and edge-midpoint values;
-- fem: P1/P2 elliptic model problems, quasi-optimality gap measurements and
+- fem: P1/P2 elliptic model problems, one error report per solve against
   the a-priori bound chains; FemSolution shares MeshInterpolant's evaluation.
 
 The cli module exposes all of it as reproducible CSV studies.
@@ -81,7 +81,6 @@ _FEM_NAMES = frozenset({
     "FemSolution",
     "SolverError",
     "assemble_and_solve",
-    "cea_gap",
     "estimate_report",
     "h1_seminorm_error",
     "l2_norm_error",

@@ -15,23 +15,26 @@ from its coefficients, reported rather than certified: C = max(1 +
 diffusion, reaction), which bounds the form since |a(u,v)| <=
 max(diffusion, reaction) |u|_H1 |v|_H1, and alpha the better of
 min(diffusion, reaction) and diffusion/(1 + poincare^2), with the unit
-box's Poincare constant 1/(pi sqrt(dim)).  For diffusion > 0 and
-reaction >= 0 both are positive and C >= alpha.
+box's Poincare constant 1/(pi sqrt(dim)).  For finite diffusion > 0 and
+reaction >= 0, the only ones accepted, both are positive and C >= alpha.
 
 This module numbers the DOFs, assembles, solves and measures the norms.
 FemSolution holds only the solve: it is a simplex.MeshInterpolant with the
 solved DOF values as its coefficients, so it evaluates as pi_h and pi*_h
 (stored as P2 midpoint values) do.  The error norms take any
-MeshInterpolant and read its mesh; the reports (cea_gap, estimate_report)
-measure the solution and interpolation errors themselves.  They take only
-a mesh that covers the unit box: the manufactured solution vanishes on the
-box boundary, not inside it.
+MeshInterpolant and read its mesh.  estimate_report measures a solve's L2
+quasi-optimality pair, a measurement and not Cea's lemma, which holds in
+the energy norm.  It takes only a mesh that covers the unit box: the
+manufactured solution vanishes on the box boundary, not inside it.
 
 Systems of up to DENSE_DOF_LIMIT free DOFs are solved by dense LU, which
 factors one Fortran-ordered copy of the matrix in place: LAPACK's order,
 so its wrapper makes no second copy.  Larger systems go to the module's
 cg, the loop of SciPy's scipy.sparse.linalg.cg repeated operation for
 operation, so it gives the same bits without loading that package.
+Every failed solve raises SolverError: a system with an inf or nan entry
+(an overflowing coefficient makes one) before either solver runs, an
+exactly singular dense factor, or a residual above RESIDUAL_RTOL.
 
 Assembly accumulates shape gradients, local stiffness matrices and
 quadrature points explicitly, one term at a time in a fixed order: the
@@ -41,10 +44,11 @@ while the short contracted axes no longer pay for einsum's general loops.
 """
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 from scipy.sparse import coo_matrix
 
 from .fields import ScalarField
@@ -61,7 +65,6 @@ __all__ = [
     "assemble_and_solve",
     "l2_norm_error",
     "h1_seminorm_error",
-    "cea_gap",
     "estimate_report",
     "sine_problem",
 ]
@@ -97,6 +100,8 @@ class EllipticProblem:
             raise ValueError(f"diffusion must be positive, got {diffusion}")
         if not reaction >= 0:
             raise ValueError(f"reaction must be nonnegative, got {reaction}")
+        if not (math.isfinite(diffusion) and math.isfinite(reaction)):
+            raise ValueError(f"diffusion and reaction must be finite, got {diffusion}, {reaction}")
         self.dim = rhs.dim
         self.rhs = rhs
         self.diffusion = float(diffusion)
@@ -253,9 +258,11 @@ def assemble_and_solve(problem, mesh, space="P1"):
     Dirichlet DOFs are found from the mesh topology and eliminated.  Dense
     LU handles systems up to DENSE_DOF_LIMIT unknowns, factoring one
     Fortran-ordered copy of the matrix in place; the module's cg, which
-    returns the bits of SciPy's, handles the rest.  Either way the solve
-    must reach RESIDUAL_RTOL or SolverError is raised rather than returning
-    a silently bad solution.
+    returns the bits of SciPy's, handles the rest.  A system with an inf or
+    nan entry reaches neither solver, an exactly singular dense factor
+    stops the solve, and either way the solve must reach RESIDUAL_RTOL:
+    each failure raises SolverError rather than returning a silently bad
+    solution.
     """
     _check_space(space)
     if mesh.dim != problem.dim:
@@ -267,19 +274,26 @@ def assemble_and_solve(problem, mesh, space="P1"):
     free = ~bmask
     if not bmask.any() and problem.reaction == 0.0:
         raise SolverError("singular system: zero reaction and no boundary constraints")
-    A, b = _assemble(problem, mesh, space, elem_dofs, ndof)
+    # an overflowing coefficient gives inf or nan entries, refused below without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        A, b = _assemble(problem, mesh, space, elem_dofs, ndof)
 
     A_ff = A[free][:, free]
     b_f = b[free]
+    if not (np.isfinite(A_ff.data).all() and np.isfinite(b_f).all()):
+        raise SolverError("the assembled system has an inf or nan entry")
     x = np.zeros(ndof)
     if free.any():
         n_free = int(free.sum())
         if n_free <= DENSE_DOF_LIMIT:
-            # LAPACK works on Fortran order: a C-ordered array would be copied again
-            try:
-                x_f = lu_solve(lu_factor(A_ff.toarray(order="F"), overwrite_a=True), b_f)
-            except np.linalg.LinAlgError as exc:
-                raise SolverError(f"dense factorization failed: {exc}") from exc
+            # LAPACK works on Fortran order: a C-ordered array would be copied again.
+            # An exactly zero pivot only warns, and lu_solve then gives inf and nan.
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", LinAlgWarning)
+                try:
+                    x_f = lu_solve(lu_factor(A_ff.toarray(order="F"), overwrite_a=True), b_f)
+                except LinAlgWarning as exc:
+                    raise SolverError(f"dense factorization failed: {exc}") from None
         else:
             x_f, info = cg(A_ff, b_f)
             if info != 0:
@@ -330,43 +344,20 @@ def h1_seminorm_error(approx, exact):
     return _quadrature_norm(mesh, w, np.sum(diff**2, axis=2))
 
 
-def _check_reportable(problem, mesh, caller):
-    """The error reports need an exact solution and a mesh covering the unit box.
+def _check_reportable(problem, mesh):
+    """estimate_report needs an exact solution and a mesh covering the unit box.
 
     The exact solution vanishes on the box boundary only, so on part of the
     box the chains fail.  Vertices inside the box and a total volume of 1
     make the mesh cover it.
     """
     if problem.exact_solution is None:
-        raise ValueError(f"{caller} needs a manufactured exact solution")
+        raise ValueError("estimate_report needs a manufactured exact solution")
     if np.any(mesh.vertices < 0.0) or np.any(mesh.vertices > 1.0):
-        raise ValueError(f"{caller}: mesh leaves the problem box [0, 1]^{problem.dim}")
+        raise ValueError(f"mesh leaves the problem box [0, 1]^{problem.dim}")
     volume = float(mesh.volumes.sum())
     if abs(volume - 1.0) > 1e-12:
-        raise ValueError(f"{caller}: mesh of volume {volume:.6g} does not cover the problem box")
-
-
-def _measured_errors(sol, exact):
-    """L2 distances from exact to the solution and to its interpolant in the solution space.
-
-    The interpolant is the plain vertex one for P1 and the gradient-corrected
-    one for P2.
-    """
-    solution_error = l2_norm_error(sol, exact)
-    interp = MeshInterpolant(sol.mesh, exact, corrected=(sol.space == "P2"))
-    return solution_error, l2_norm_error(interp, exact)
-
-
-def cea_gap(sol, problem):
-    """Measured quasi-optimality pair (lhs, rhs).
-
-    lhs is |u - u_h| in L2; rhs is (C/alpha) times the measured L2 distance
-    from u to its interpolant in the solution space, the chain a Galerkin
-    solution can never beat by more than the constants allow.
-    """
-    _check_reportable(problem, sol.mesh, "cea_gap")
-    solution_error, interp_error = _measured_errors(sol, problem.exact_solution)
-    return solution_error, problem.stability_factor * interp_error
+        raise ValueError(f"mesh of volume {volume:.6g} does not cover the problem box")
 
 
 @dataclass(frozen=True)
@@ -384,22 +375,27 @@ class EstimateReport:
 def estimate_report(problem, mesh, space, d1_inf, d2_inf):
     """Solve and compare against the a-priori chains at mesh size h.
 
-    d1_inf and d2_inf are the analytic sup norms of the exact solution's
-    first and second derivatives over the domain; with sampled stand-ins
+    The measured errors are the L2 distances from the exact solution u to
+    the solution and to u's interpolant in the solution space (pi_h for P1,
+    pi*_h for P2); the solution error against stability_factor times the
+    interpolation error is the measured quasi-optimality pair.  d1_inf and
+    d2_inf are the analytic sup norms of the exact solution's first and
+    second derivatives over the domain; with sampled stand-ins
     the containment claims are only as good as the sampling.  Each chain is
     an InterpBounds value, taken at the largest element diameter
     h = mesh_size, times the stability factor C/alpha and sqrt of the domain
     measure mu: (C/a) * sqrt(mu) * bound.
     """
-    _check_reportable(problem, mesh, "estimate_report")
+    _check_reportable(problem, mesh)
     b = InterpBounds(mesh.mesh_size, d1_inf, d2_inf)
     sol = assemble_and_solve(problem, mesh, space)
-    solution_error, interp_error = _measured_errors(sol, problem.exact_solution)
+    u = problem.exact_solution
+    interp = MeshInterpolant(mesh, u, corrected=(space == "P2"))
     scale = problem.stability_factor * math.sqrt(sum(mesh.volumes.tolist()))
     return EstimateReport(
         h=mesh.mesh_size,
-        measured_solution_error=solution_error,
-        measured_interp_error=interp_error,
+        measured_solution_error=l2_norm_error(sol, u),
+        measured_interp_error=l2_norm_error(interp, u),
         cea_rhs_classical=scale * b.classical,
         cea_rhs_refined=scale * b.refined,
         cea_rhs_corrected=scale * b.corrected,

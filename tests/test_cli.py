@@ -527,6 +527,19 @@ def test_solver_failure_exits_numeric(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+# dense LU, then conjugate gradient: both refuse the overflowed system before solving
+@pytest.mark.parametrize("subdivisions", ["8", "4096"])
+def test_overflowing_fem_coefficients_exit_numeric(subdivisions, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    args = ["fem", "--dim", "1", "--diffusion", "1e308", "--reaction", "1e308",
+            "--subdivisions", subdivisions, "--output", str(out)]
+    assert run_main(args) == EXIT_NUMERIC
+    assert capsys.readouterr().err == (
+        "numeric failure: the assembled system has an inf or nan entry\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "measured, bound", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (0.5, math.inf)]
 )

@@ -59,6 +59,10 @@ def test_fem_layer_loads_on_first_use():
     assert vars(fem)["lu_solve"] is scipy.linalg.lu_solve
 
 
+def test_lazy_fem_names_are_the_fem_layer_public_names():
+    assert set(reftaylor._FEM_NAMES) == set(fem.__all__)
+
+
 def test_fem_runs_cg_without_scipy_sparse_linalg():
     # scipy.sparse.linalg loads its iterative, eigen and SuperLU solvers, none of them used
     stdout = _probe(
