@@ -32,8 +32,13 @@ type, shape and finiteness, the required --function, nonempty lists and the
 seed, points and samples minimums.  The range of every other value (m,
 beta, space, dim, ...) is checked by the library call that reads it, whose
 ValueError comes before any output is written and exits 1 like any usage
-error.  While building rows, entries with analytic derivative norms are
-checked against their bounds; a violation aborts the run with exit code 2.
+error.  While building rows, each measured value is checked against its
+bounds [lo, hi] by one gate, _check, with one slack s = 1e-9 max(|lo|, |hi|)
++ 1e-15, plus ExpansionReport.roundoff for the expansion remainder; a value
+outside [lo - s, hi + s], or a non-finite one, aborts the run with exit code
+2.  expand and simplex check only entries with analytic derivative norms:
+a sampled entry's norms (runge1d's) are estimates, and so are the bounds
+built from them.
 Exit codes: 0 success, 1 usage, 2 numeric failure, 3 I/O failure; a reader
 of stdout that stops early (`reftaylor registry | head -1`) is not a failure.
 """
@@ -81,10 +86,6 @@ EXIT_IO = 3
 
 SINE_D1 = math.pi     # sup |grad| of the manufactured product-of-sines solution
 SINE_D2 = math.pi**2  # sup |D2|, both dims
-
-# slack of _enforce on analytic entries; the expansion gate allows ExpansionReport.roundoff
-_ENFORCE_REL = 1e-9
-_ENFORCE_ABS = 1e-15
 
 _SELFTEST_TOL = 1e-6
 
@@ -172,14 +173,21 @@ def _map_ordered(fn, items):
     return [fn(item) for item in items]
 
 
-def _enforce(measured, bound, context):
+def _check(context, measured, lo, hi, roundoff=0.0):
+    """Require lo - s <= measured <= hi + s, s = 1e-9 max(|lo|, |hi|) + 1e-15 + roundoff.
+
+    context names the row and the quantity ("exp1d m=4 remainder"); an
+    error, a maximum of absolute values, is checked against [0, bound].
+    """
     # a nan compares false against anything, so it would pass the test below
-    if not (math.isfinite(measured) and math.isfinite(bound)):
+    if not all(map(math.isfinite, (measured, lo, hi, roundoff))):
         raise NumericFailure(
-            f"{context}: measured {measured:.6e} or bound {bound:.6e} is not finite"
+            f"{context} {measured:.6e}, bounds [{lo:.6e}, {hi:.6e}] or roundoff {roundoff:.6e} "
+            "is not finite"
         )
-    if measured > bound * (1.0 + _ENFORCE_REL) + _ENFORCE_ABS:
-        raise NumericFailure(f"{context}: measured {measured:.6e} exceeds bound {bound:.6e}")
+    slack = 1e-9 * max(abs(lo), abs(hi)) + 1e-15 + roundoff
+    if not lo - slack <= measured <= hi + slack:
+        raise NumericFailure(f"{context} {measured:.6e} escapes [{lo:.6e}, {hi:.6e}]")
 
 
 def _grid_points(box):
@@ -209,11 +217,8 @@ def _expand_rows(cfg):
         rep = refined_expansion(f, a, h, m, kind=cfg.kind, bounds=seg)
         if entry.analytic:
             # a quadratic's enclosure has width 0: the computed remainder needs the rounding slack
-            if not (rep.bound_lo - rep.roundoff <= rep.remainder_eps <= rep.bound_hi + rep.roundoff):
-                raise NumericFailure(
-                    f"{entry.name} m={m}: remainder {rep.remainder_eps:.6e} escapes "
-                    f"[{rep.bound_lo:.6e}, {rep.bound_hi:.6e}]"
-                )
+            _check(f"{entry.name} m={m} remainder", rep.remainder_eps,
+                   rep.bound_lo, rep.bound_hi, rep.roundoff)
         measured = abs(rep.remainder_eps)
         magnitude = max(abs(rep.bound_lo), abs(rep.bound_hi))
         width = rep.bound_hi - rep.bound_lo
@@ -234,7 +239,8 @@ def _interp1d_rows(cfg):
         fld = class_p_field(params, iv)
         f1, f2 = class_p_sup_norms(params, iv)
         comp = compare_bounds(fld, iv, f1, f2, grid=cfg.grid)
-        _enforce(comp.measured_sup_error, min(comp.classical, comp.refined), f"beta={beta:g}")
+        _check(f"classP(beta={beta:g}) sup error", comp.measured_sup_error,
+               0.0, min(comp.classical, comp.refined))
         return (
             beta,
             comp.measured_sup_error,
@@ -269,8 +275,8 @@ def _simplex_rows(cfg):
         err = np.max(np.abs(plain.values_at(pts) - vals))
         err_star = np.max(np.abs(star.values_at(pts) - vals))
         if entry.analytic:
-            _enforce(err, bounds.combined, f"{entry.name} k={k} plain")
-            _enforce(err_star, bounds.corrected, f"{entry.name} k={k} corrected")
+            _check(f"{entry.name} k={k} plain error", err, 0.0, bounds.combined)
+            _check(f"{entry.name} k={k} corrected error", err_star, 0.0, bounds.corrected)
         ratio = err / bounds.combined if bounds.combined > 0 else 0.0
         return (mesh.mesh_size, err, bounds.classical, bounds.refined, bounds.corrected, ratio)
 
@@ -294,8 +300,9 @@ def _fem_rows(cfg):
             applicable = min(rep.cea_rhs_classical, rep.cea_rhs_refined)
         else:
             applicable = rep.cea_rhs_corrected
-        _enforce(rep.measured_interp_error, applicable / factor, f"k={k} interpolation")
-        _enforce(rep.measured_solution_error, applicable, f"k={k} solution")
+        row = f"sine{cfg.dim}d {cfg.space} k={k}"
+        _check(f"{row} interpolation error", rep.measured_interp_error, 0.0, applicable / factor)
+        _check(f"{row} solution error", rep.measured_solution_error, 0.0, applicable)
         return (
             rep.h,
             rep.measured_solution_error,

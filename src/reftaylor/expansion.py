@@ -83,7 +83,8 @@ class ExpansionReport:
     |exact|)/|h| for the n terms approx sums, u the unit roundoff.  That is
     four times the first-order error bound of the sum, (n - 1) u sum |terms|,
     with room for the rounding of the terms, of exact and of the difference;
-    a slack, not a proven bound.
+    a slack, not a proven bound.  The CLI's gate (reftaylor.cli._check) adds
+    it to the slack it allows around [bound_lo, bound_hi].
     """
 
     approx: float

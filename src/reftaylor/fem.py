@@ -85,8 +85,9 @@ class EllipticProblem:
     Its Poincare constant 1/(pi sqrt(dim)), the inverse square root of the
     first Dirichlet eigenvalue dim*pi^2, gives the ellipticity constant;
     continuity and ellipticity are the module's formulas in diffusion and
-    reaction.  exact_solution, when present, must have the same dimension;
-    it marks a manufactured problem and enables the error reports.
+    reaction, and their ratio, the stability factor, must be finite.
+    exact_solution, when present, must have the same dimension; it marks a
+    manufactured problem and enables the error reports.
     """
 
     def __init__(self, rhs, diffusion=1.0, reaction=0.0, exact_solution=None):
@@ -113,6 +114,12 @@ class EllipticProblem:
             self.diffusion / (1.0 + self.poincare**2),
             min(self.diffusion, self.reaction),
         )
+        # a subnormal diffusion leaves alpha so small that C/alpha overflows
+        if not math.isfinite(self.stability_factor):
+            raise ValueError(
+                "diffusion and reaction give a stability factor C/alpha that is not finite, "
+                f"got {diffusion}, {reaction}"
+            )
 
     @property
     def stability_factor(self):

@@ -62,6 +62,27 @@ def test_expand_sampled_bounds_for_nonanalytic_field(tmp_path):
     assert np.all(rows[:, 4] > 0)
 
 
+def test_simplex_sampled_bounds_for_nonanalytic_field(tmp_path, monkeypatch):
+    # runge1d's norms are sampled on the probe grid, and its rows are not checked
+    probes = []
+    norms = cli.sampled_derivative_norms
+
+    def sampled_norms(f, points):
+        probes.append(len(points))
+        return norms(f, points)
+
+    def refused_check(*args):
+        raise AssertionError(f"a sampled entry was checked: {args}")
+
+    monkeypatch.setattr(cli, "sampled_derivative_norms", sampled_norms)
+    monkeypatch.setattr(cli, "_check", refused_check)
+    args = ["simplex", "--function", "runge1d", "--subdivisions", "2,4", "--points", "20"]
+    _, rows = _run(args, tmp_path)
+    assert probes == [len(cli._grid_points(lookup("runge1d").box))]
+    assert rows.shape == (2, 6)
+    assert np.all(np.isfinite(rows))
+
+
 def test_interp1d_ratio_tracks_beta(tmp_path):
     _, rows = _run(["interp1d", "--beta", "0.6,0.75,0.9"], tmp_path)
     ratios = rows[:, 5]
@@ -288,16 +309,32 @@ def test_library_range_check_exits_usage(args, message, tmp_path, capsys):
     assert not (tmp_path / "x.csv.manifest").exists()
 
 
+def _no_mesh(*args):
+    raise AssertionError("uniform_mesh called before the fem options were checked")
+
+
 def test_fem_space_is_refused_before_any_mesh_is_built(tmp_path, monkeypatch, capsys):
     # a 1024^2 mesh takes seconds and most of a gigabyte to build
-    def no_mesh(*args):
-        raise AssertionError("uniform_mesh called before the space check")
-
-    monkeypatch.setattr(cli, "uniform_mesh", no_mesh)
+    monkeypatch.setattr(cli, "uniform_mesh", _no_mesh)
     out = tmp_path / "x.csv"
     args = ["fem", "--dim", "2", "--space", "p2", "--subdivisions", "1024", "--output", str(out)]
     assert run_main(args) == EXIT_USAGE
     assert capsys.readouterr().err == "error: space must be 'P1' or 'P2', got 'p2'\n"
+    assert not out.exists()
+
+
+def test_fem_infinite_stability_factor_is_refused_before_any_mesh_is_built(
+    tmp_path, monkeypatch, capsys
+):
+    # C/alpha overflows, so every interpolation chain would read inf/inf = nan after the solve
+    monkeypatch.setattr(cli, "uniform_mesh", _no_mesh)
+    out = tmp_path / "x.csv"
+    args = ["fem", "--dim", "1", "--diffusion", "1e-320", "--subdivisions", "8", "--output", str(out)]
+    assert run_main(args) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: diffusion and reaction give a stability factor C/alpha that is not finite, "
+        "got 1e-320, 0.0\n"
+    )
     assert not out.exists()
 
 
@@ -320,7 +357,9 @@ def test_expansion_gate_catches_a_derivative_sum_off_by_1e_9(name, m, tmp_path, 
                         lambda m, kind: weights(m, kind) * (1.0 + 1e-9))
     out = tmp_path / "x.csv"
     assert run_main(["expand", "--function", name, "--m", m, "--output", str(out)]) == EXIT_NUMERIC
-    assert f"{name} m={m}: remainder" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"numeric failure: {name} m={m} remainder \S+ escapes \[\S+, \S+\]\n", err)
+    assert math.isfinite(float(err.split()[5]))  # the measured remainder
     assert not out.exists()
 
 
@@ -541,12 +580,32 @@ def test_overflowing_fem_coefficients_exit_numeric(subdivisions, tmp_path, capsy
 
 
 @pytest.mark.parametrize(
-    "measured, bound", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (0.5, math.inf)]
+    "measured, lo, hi, roundoff",
+    [
+        pytest.param(math.nan, 0.0, 1.0, 0.0, id="measured-nan"),
+        pytest.param(math.inf, 0.0, 1.0, 0.0, id="measured-inf"),
+        pytest.param(0.5, -math.inf, 1.0, 0.0, id="lo-inf"),
+        pytest.param(0.5, 0.0, math.nan, 0.0, id="hi-nan"),
+        pytest.param(0.5, 0.0, math.inf, 0.0, id="hi-inf"),
+        pytest.param(0.5, 0.0, 1.0, math.nan, id="roundoff-nan"),
+    ],
 )
-def test_enforce_refuses_a_non_finite_value(measured, bound):
-    # nan > bound is false, so only an explicit check stops a nan row
-    with pytest.raises(cli.NumericFailure, match="not finite"):
-        cli._enforce(measured, bound, "case")
+def test_check_refuses_a_non_finite_value(measured, lo, hi, roundoff):
+    # nan <= hi is false, so only an explicit check stops a nan row; an infinite
+    # bound or slack would let any value through
+    with pytest.raises(cli.NumericFailure, match="^case .* is not finite$"):
+        cli._check("case", measured, lo, hi, roundoff)
+
+
+# the last is a zero-width enclosure, as a quadratic's expansion remainder has,
+# which only the roundoff widens beyond 1e-15
+@pytest.mark.parametrize("lo, hi, roundoff", [(-3.0, 2.0, 0.0), (0.25, 0.5, 1e-12), (0.0, 0.0, 1e-12)])
+def test_check_allows_exactly_its_slack(lo, hi, roundoff):
+    s = 1e-9 * max(abs(lo), abs(hi)) + 1e-15 + roundoff
+    for edge, outward in [(hi + s, math.inf), (lo - s, -math.inf)]:
+        cli._check("case", edge, lo, hi, roundoff)
+        with pytest.raises(cli.NumericFailure, match=r"^case \S+ escapes \["):
+            cli._check("case", math.nextafter(edge, outward), lo, hi, roundoff)
 
 
 def test_nan_corrected_simplex_error_exits_numeric(tmp_path, monkeypatch, capsys):
@@ -563,7 +622,9 @@ def test_nan_corrected_simplex_error_exits_numeric(tmp_path, monkeypatch, capsys
     out = tmp_path / "x.csv"
     args = ["simplex", "--function", "quad2d", "--subdivisions", "2", "--output", str(out)]
     assert run_main(args) == EXIT_NUMERIC
-    assert "k=2 corrected: measured nan" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: quad2d k=2 corrected error nan, bounds [0.000000e+00, ")
+    assert err.endswith(" is not finite\n")
     assert not out.exists()
 
 

@@ -92,6 +92,15 @@ def test_problem_validation():
     for name, match in [("diffusion", "diffusion"), ("reaction", "reaction")]:
         with pytest.raises(ValueError, match=match):
             EllipticProblem(f, **{name: math.nan})
+    # a subnormal diffusion overflows C/alpha, which once gave a nan chain after the solve
+    for diffusion in (1e-320, 5e-324):
+        for reaction in (0.0, 1.0):
+            with pytest.raises(ValueError, match="diffusion and reaction give a stability factor"):
+                EllipticProblem(f, diffusion=diffusion, reaction=reaction)
+    for diffusion in (1e-308, 1e-300):
+        for reaction in (0.0, 1.0):
+            p = EllipticProblem(f, diffusion=diffusion, reaction=reaction)
+            assert math.isfinite(p.stability_factor)
 
 
 @pytest.mark.parametrize("name", ["diffusion", "reaction"])
