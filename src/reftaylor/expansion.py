@@ -18,8 +18,17 @@ centred enclosure for one shifted by first-derivative bounds.
 
 Everything here works on ScalarField instances; segments are parametrised by
 t in [0, 1] via phi(t) = Df(a + t h).(h), so phi'(t) = D2f(a + t h).(h, h).
+
+The Hessian form h.D2f(x).h is summed for all points at once: each of its two
+contractions starts at 0.0 and adds its products in index order, one array
+operation per term, instead of one small matmul per point.  Segment points
+a + t h are built one coordinate at a time, with the same products and sums.
+Tables that depend only on their key are built once, read-only and shared:
+the weights per (m, kind) and the remainder integral's Gauss nodes and
+kernel per m, each in a bounded cache.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,19 +117,30 @@ def _roundoff(terms, exact, hn):
     return 4 * len(terms) * _UNIT_ROUNDOFF * (float(np.abs(terms).sum()) + abs(exact)) / hn
 
 
+def _require_integer(name, value, least):
+    """ValueError naming `name` unless value is an integer (not a bool) >= least."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 def expansion_weights(m, kind=CLOSED):
     """Weights of the m-point averaged expansion, a read-only array of m+1 floats.
 
     Closed weights sum to exactly 1: 1/(2m) at both ends, 1/m inside.  Open
     weights keep 1/(2m) at the start but give every later point 1/m, summing
-    to 1 + 1/(2m).
+    to 1 + 1/(2m).  The array is built once per (m, kind) and shared by every
+    caller; the cache keeps the 64 most recently used keys.
     """
-    if not isinstance(m, (int, np.integer)) or isinstance(m, bool):
-        raise ValueError(f"m must be an integer, got {m!r}")
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    _require_integer("m", m, 1)
     if kind not in (CLOSED, OPEN):
         raise ValueError(f"kind must be 'closed' or 'open', got {kind!r}")
+    return _weights(int(m), kind)
+
+
+@functools.lru_cache(maxsize=64)
+def _weights(m, kind):
     w = np.full(m + 1, 1.0 / m)
     w[0] = 1.0 / (2 * m)
     if kind == CLOSED:
@@ -155,49 +175,98 @@ def _require_inside(f, points, what, labels=None):
         )
 
 
-def _segment_points(f, a, h, t):
-    """(a + t h for every t, h, shape of t), all points checked against the domain.
+def _line(a, h, ts):
+    """a + t h for every t of the flat array ts, shape (len(ts), len(h)).
 
-    Callers reshape their per-point values to the shape of t and index them
-    with (), which gives a scalar for a scalar t and the array otherwise.
+    Built one coordinate at a time: the products and sums of
+    a + ts[:, None] * h, without numpy's loop over rows of a short last axis.
+    """
+    x = np.empty((len(ts), len(h)))
+    for j in range(len(h)):
+        x[:, j] = a[j] + ts * h[j]
+    return x
+
+
+def _segment_points(f, a, h, ts):
+    """_line(a, h, ts), all points checked against f's domain.
+
+    a and h come from _prepare.
+    """
+    x = _line(a, h, ts)
+    _require_inside(f, x, "segment point t={}", ts)
+    return x
+
+
+def _unit_parameters(t):
+    """t as a float array, every entry of which must lie in [0, 1].
+
+    Callers reshape their per-point values to its shape and index them with
+    (), which gives a scalar for a scalar t and the array otherwise.
     """
     t = np.asarray(t, dtype=float)
     ts = t.reshape(-1)
     bad = ~((ts >= 0.0) & (ts <= 1.0))
     if bad.any():
         raise ValueError(f"t must lie in [0, 1], got {ts[bad][0]}")
-    a, h, _ = _prepare(f, a, h)
-    x = a + ts[:, None] * h
-    _require_inside(f, x, "segment point t={}", ts)
-    return x, h, t.shape
+    return t
+
+
+def _hessian_form(hess, h):
+    """h @ hess[p] @ h for every matrix of an (N, n, n) stack, shape (N,).
+
+    Both contractions start at 0.0 and add their products in index order,
+    first over the rows of each matrix and then over the n results, one array
+    operation per term for the whole stack.  A zero form comes out as +0.0.
+    """
+    out = 0.0
+    for j in range(len(h)):
+        col = 0.0
+        for i in range(len(h)):
+            col = col + h[i] * hess[:, i, j]
+        out = out + col * h[j]
+    return out
 
 
 def phi(f, a, h, t):
     """phi(t) = Df(a + t h).(h) for t in [0, 1], elementwise for an array of t."""
-    x, h, shape = _segment_points(f, a, h, t)
-    return (f.grad_at(x) @ h).reshape(shape)[()]
+    t = _unit_parameters(t)
+    a, h, _ = _prepare(f, a, h)
+    x = _segment_points(f, a, h, t.reshape(-1))
+    return (f.grad_at(x) @ h).reshape(t.shape)[()]
 
 
 def phi_prime(f, a, h, t):
-    """phi'(t) = D2f(a + t h).(h, h) for t in [0, 1], elementwise for an array of t."""
-    x, h, shape = _segment_points(f, a, h, t)
-    return (h @ f.hess_at(x) @ h).reshape(shape)[()]
+    """phi'(t) = D2f(a + t h).(h, h) for t in [0, 1], elementwise for an array of t.
+
+    The form is summed without a matmul per point, from 0.0 in index order:
+    see _hessian_form.  For every 1D field, and on each registry entry's
+    segment, where every product is exact, that gives the bits of
+    h @ f.hess_at(x) @ h.  Elsewhere a BLAS that fuses multiply-adds in its
+    matmul can differ from it in the last bit; this sum does not depend on
+    the BLAS build.
+    """
+    t = _unit_parameters(t)
+    a, h, _ = _prepare(f, a, h)
+    x = _segment_points(f, a, h, t.reshape(-1))
+    return _hessian_form(f.hess_at(x), h).reshape(t.shape)[()]
 
 
 def estimate_segment_bounds(f, a, h, samples=201):
     """Sampled SegmentBounds along [a, a+h] (flagged, not certified).
 
     Scans equally spaced t in [0, 1] for the extrema of the normalised
-    second-derivative form and of the normalised directional derivative.
+    second-derivative form and of the normalised directional derivative:
+    the points are built and checked against the domain once, and both forms
+    are evaluated on them as phi_prime and phi evaluate them.
     """
-    if samples < 2:
-        raise ValueError(f"need at least 2 samples, got {samples}")
+    _require_integer("samples", samples, 2)
     a, h, hn = _prepare(f, a, h)
     if hn == 0.0:
         raise ValueError("cannot estimate segment bounds for h = 0")
     ts = np.linspace(0.0, 1.0, samples)
-    vals2 = phi_prime(f, a, h, ts) / hn**2
-    vals1 = phi(f, a, h, ts) / hn
+    x = _segment_points(f, a, h, ts)
+    vals2 = _hessian_form(f.hess_at(x), h) / hn**2
+    vals1 = (f.grad_at(x) @ h) / hn
     return SegmentBounds(
         m2=float(vals2.min()),
         M2=float(vals2.max()),
@@ -254,7 +323,7 @@ def refined_expansion(f, a, h, m, kind=CLOSED, bounds=None):
     if bounds is None:
         bounds = estimate_segment_bounds(f, a, h)
 
-    nodes = a + (np.arange(m + 1) / m)[:, None] * h
+    nodes = _line(a, h, np.arange(m + 1) / m)
     _require_inside(f, nodes, "expansion node k={}")
     # accumulate adds left to right, so this is f(a) + w_0 s_0 + ... + w_m s_m
     # summed in that order, term by term, with the same bits
@@ -286,16 +355,35 @@ def remainder_integral(f, a, h, m):
     Equals sum_k over the m subintervals [k/m, (k+1)/m] of
     integral (S_k - t) phi'(t) dt with S_k = 1/(2m) + k/m.  Computed with 32
     equal 5-point Gauss-Legendre panels per subinterval; serves as the
-    independent cross-check of refined_expansion's exact - approx.
+    independent cross-check of refined_expansion's exact - approx.  The
+    nodes and the kernel weights * (S_k - t) are built once per m (see
+    _remainder_kernel); phi' is summed as phi_prime sums it.
     """
-    expansion_weights(m)  # validates m
+    _require_integer("m", m, 1)
     a, h, hn = _prepare(f, a, h)
     if hn == 0.0:
         return 0.0
-    # 32 panels on each subinterval [k/m, (k+1)/m], in order
+    ts, kernel = _remainder_kernel(int(m))
+    form = _hessian_form(f.hess_at(_segment_points(f, a, h, ts)), h)
+    return float(np.sum(kernel * form.reshape(kernel.shape)))
+
+
+@functools.lru_cache(maxsize=8)
+def _remainder_kernel(m):
+    """(flat nodes, kernel) of remainder_integral at m, both read-only and shared.
+
+    The nodes are those of 32 equal 5-point Gauss-Legendre panels on each
+    subinterval [k/m, (k+1)/m], in order; the kernel is weights * (S_k - t)
+    on the (32 m, 5) panel grid.  The cache keeps the 8 most recently used m,
+    at 2560 m bytes each.
+    """
     nodes, weights = gauss_panels(0.0, 1.0, 5, m * 32)
     s_k = 1.0 / (2.0 * m) + (np.arange(m * 32) // 32 / m)[:, None]
-    return float(np.sum(weights * (s_k - nodes) * phi_prime(f, a, h, nodes)))
+    kernel = weights * (s_k - nodes)
+    ts = nodes.reshape(-1)
+    ts.flags.writeable = False
+    kernel.flags.writeable = False
+    return ts, kernel
 
 
 def summation_identity_check(coeffs, u):

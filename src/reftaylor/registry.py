@@ -111,9 +111,9 @@ def sine_product(dim, freq, name):
     reduction per row.
     """
 
-    def factors(pts):
+    def factors(pts, cosines=True):
         z = freq * pts
-        return list(np.sin(z).T), list(np.cos(z).T)
+        return list(np.sin(z).T), list(np.cos(z).T) if cosines else None
 
     def product(cols):
         return functools.reduce(np.multiply, cols)
@@ -133,7 +133,8 @@ def sine_product(dim, freq, name):
         return -s[i] if j == k else c[i]
 
     def hess(pts):
-        s, c = factors(pts)
+        # only an off-diagonal entry reads a cosine, and 1D has none
+        s, c = factors(pts, cosines=dim > 1)
         out = np.empty((len(pts), dim, dim))
         for j in range(dim):
             for k in range(dim):
@@ -218,7 +219,12 @@ _CLASS_P = re.compile(r"^classP\(beta=([^)]+)\)$")
 _DEFAULT_CLASS_P_BETA = 0.75
 
 
+@functools.lru_cache(maxsize=32)
 def _class_p_entry(beta):
+    """The class-(P) entry of a beta above one half, built once and shared.
+
+    The cache keeps the 32 most recently used betas.
+    """
     iv = Interval(0.0, 1.0)
     params = ClassPParams(rate=rate_for_beta(beta, iv), forcing=1.0)
     # f' rises from 0 to its sup f1 at b, and f'' from forcing to its sup f2

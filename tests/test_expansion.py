@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from reftaylor import expansion
 from reftaylor.expansion import (
     CLOSED,
     OPEN,
@@ -17,7 +18,8 @@ from reftaylor.expansion import (
     taylor_first_order,
 )
 from reftaylor.fields import DomainError, ScalarField
-from reftaylor.registry import lookup
+from reftaylor.quadrature import gauss_panels
+from reftaylor.registry import lookup, registry
 
 
 def field_1d(value, deriv, deriv2, domain=None, name=""):
@@ -334,8 +336,12 @@ def test_segment_bounds_sin_example():
 def test_segment_bounds_validation():
     with pytest.raises(ValueError):
         estimate_segment_bounds(square1d(), 0.0, 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="samples"):
         estimate_segment_bounds(square1d(), 0.0, 1.0, samples=1)
+    for samples in (2.5, np.float64(3.0), "5", True):
+        with pytest.raises(ValueError, match="samples must be an integer"):
+            estimate_segment_bounds(square1d(), 0.0, 1.0, samples=samples)
+    assert estimate_segment_bounds(square1d(), 0.0, 1.0, samples=np.int64(3)).m2 == 2.0
     with pytest.raises(ValueError):
         SegmentBounds(m2=2.0, M2=1.0)
 
@@ -350,6 +356,144 @@ def test_segment_bounds_direction_reversal():
     assert fwd.M2 == pytest.approx(bwd.M2, abs=1e-12)
     assert fwd.m1 == pytest.approx(-bwd.M1, abs=1e-12)
     assert fwd.M1 == pytest.approx(-bwd.m1, abs=1e-12)
+
+
+# ------------------------------------------------- kernels keep their bits
+#
+# The references are the formulas the kernels replace: one matmul per point
+# for the Hessian form and a fresh gauss_panels table per remainder integral.
+# On every registry segment the products are exact and each sum has at most
+# two distinct terms, so a BLAS matmul gives these bits however it orders or
+# fuses its multiply-adds; on other 2D and 3D fields it need not.
+
+
+def _hex(values):
+    return [float(v).hex() for v in np.atleast_1d(values)]
+
+
+def _entry_points(entry, ts):
+    a, h = entry.segment
+    return a, h, a + ts[:, None] * h
+
+
+@pytest.mark.parametrize("name", [e.name for e in registry()])
+def test_phi_forms_match_the_matmul_formulas_bitwise(name):
+    entry = lookup(name)
+    f = entry.field()
+    ts = np.concatenate(([0.0, 1.0], np.random.default_rng(11).random(300)))
+    a, h, x = _entry_points(entry, ts)
+    assert _hex(phi_prime(f, a, h, ts)) == _hex(h @ f.hess_at(x) @ h)
+    assert _hex(phi(f, a, h, ts)) == _hex(f.grad_at(x) @ h)
+    for t in (0.0, 1.0):
+        assert phi_prime(f, a, h, t).hex() == float(h @ f.hess(a + t * h) @ h).hex()
+
+
+@pytest.mark.parametrize("name", [e.name for e in registry()])
+@pytest.mark.parametrize("samples", [2, 201, 10001])
+def test_segment_bounds_match_the_matmul_formulas_bitwise(name, samples):
+    entry = lookup(name)
+    f = entry.field()
+    a, h, x = _entry_points(entry, np.linspace(0.0, 1.0, samples))
+    hn = float(np.linalg.norm(h))
+    vals2 = (h @ f.hess_at(x) @ h) / hn**2
+    vals1 = (f.grad_at(x) @ h) / hn
+    sb = estimate_segment_bounds(f, a, h, samples=samples)
+    assert _hex([sb.m2, sb.M2, sb.m1, sb.M1]) == _hex(
+        [vals2.min(), vals2.max(), vals1.min(), vals1.max()])
+
+
+@pytest.mark.parametrize("name", [e.name for e in registry()])
+@pytest.mark.parametrize("m", [1, 7, 64])
+def test_remainder_integral_matches_the_gauss_panels_formula_bitwise(name, m):
+    entry = lookup(name)
+    f = entry.field()
+    nodes, weights = gauss_panels(0.0, 1.0, 5, m * 32)
+    s_k = 1.0 / (2.0 * m) + (np.arange(m * 32) // 32 / m)[:, None]
+    a, h, x = _entry_points(entry, nodes.reshape(-1))
+    form = (h @ f.hess_at(x) @ h).reshape(nodes.shape)
+    want = float(np.sum(weights * (s_k - nodes) * form))
+    assert remainder_integral(f, a, h, m).hex() == want.hex()
+
+
+def test_hessian_form_adds_in_index_order_from_zero():
+    # the documented order, checked one float at a time on products that round;
+    # a BLAS matmul may fuse its multiply-adds here and differ in the last bit
+    rng = np.random.default_rng(12)
+    for dim in (1, 2, 3, 4):
+        hess = rng.standard_normal((40, dim, dim))
+        h = rng.standard_normal(dim)
+        want = []
+        for mat in hess.tolist():
+            out = 0.0
+            for j in range(dim):
+                col = 0.0
+                for i in range(dim):
+                    col = col + float(h[i]) * mat[i][j]
+                out = out + col * float(h[j])
+            want.append(out)
+        assert _hex(expansion._hessian_form(hess, h)) == _hex(want)
+
+
+def test_segment_points_match_the_broadcast_formula_bitwise():
+    rng = np.random.default_rng(13)
+    ts = np.concatenate(([0.0, 1.0], rng.random(257)))
+    for dim in (1, 2, 3, 4):
+        a, h = rng.uniform(-3.0, 3.0, (2, dim))
+        got = expansion._line(a, h, ts)
+        assert got.flags.c_contiguous
+        assert _hex(got.ravel()) == _hex((a + ts[:, None] * h).ravel())
+
+
+def test_zero_hessian_form_is_positive_zero():
+    # every product h_i * 0.0 is -0.0 for a negative h_i; the sums start at 0.0
+    f = ScalarField(
+        2,
+        value=lambda pts: pts @ np.array([3.0, -1.0]) + 0.5,
+        grad=lambda pts: np.broadcast_to([3.0, -1.0], pts.shape),
+        hess=lambda pts: np.zeros((len(pts), 2, 2)),
+        name="affine",
+    )
+    a, h = np.array([0.2, 0.7]), np.array([-0.5, -0.25])
+    ts = np.linspace(0.0, 1.0, 5)
+    want = h @ f.hess_at(a + ts[:, None] * h) @ h
+    got = phi_prime(f, a, h, ts)
+    assert _hex(got) == _hex(want) == [(0.0).hex()] * 5
+    assert all(math.copysign(1.0, v) == 1.0 for v in got)
+    sb = estimate_segment_bounds(f, a, h, samples=5)
+    assert [math.copysign(1.0, v) for v in (sb.m2, sb.M2)] == [1.0, 1.0]
+    assert remainder_integral(f, a, h, 3) == 0.0
+
+
+# ----------------------------------------------------------- shared tables
+
+
+def test_tables_are_shared_and_read_only():
+    for m, kind in [(1, CLOSED), (7, OPEN), (64, CLOSED)]:
+        w = expansion_weights(m, kind)
+        assert expansion_weights(np.int64(m), kind) is w
+        with pytest.raises(ValueError, match="read-only"):
+            w[0] = 0.0
+        ts, kernel = expansion._remainder_kernel(m)
+        again = expansion._remainder_kernel(m)
+        assert again[0] is ts and again[1] is kernel
+        assert ts.shape == (m * 32 * 5,) and kernel.shape == (m * 32, 5)
+        for table in (ts, kernel):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0.0
+    # a refused key is refused again: nothing of it was cached
+    for _ in range(2):
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            expansion_weights(0)
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            remainder_integral(exp1d(), 0.0, 1.0, 0)
+
+
+def test_each_cache_is_bounded_and_documents_its_bound():
+    for cache, doc in [(expansion._weights, expansion_weights.__doc__),
+                       (expansion._remainder_kernel, expansion._remainder_kernel.__doc__)]:
+        maxsize = cache.cache_info().maxsize
+        assert maxsize is not None
+        assert f"the {maxsize} most recently used" in " ".join(doc.split())
 
 
 # ------------------------------------------------------ integral oracle

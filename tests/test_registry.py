@@ -1,3 +1,4 @@
+import importlib
 import math
 import re
 
@@ -157,3 +158,21 @@ def test_sine_product_matches_row_products_bit_for_bit(dim):
     assert np.array_equal(f.value_at(pts), np.prod(s, axis=1))
     assert np.array_equal(f.grad_at(pts), freq * grad)
     assert np.array_equal(f.hess_at(pts), freq**2 * hess)
+
+
+def test_classp_entries_are_built_once_per_beta():
+    # the package binds the name registry to a function of that module
+    registry_module = importlib.import_module("reftaylor.registry")
+    entry = lookup("classP(beta=0.75)")
+    assert lookup("classP(beta=0.75)") is entry
+    assert lookup("classP(beta=0.750)") is entry
+    assert entry in registry()
+    # a refused beta is refused again: nothing of it was cached
+    for _ in range(2):
+        with pytest.raises(UnknownFieldError):
+            lookup("classP(beta=0.5)")
+        with pytest.raises(ValueError, match="smallest usable beta"):
+            lookup("classP(beta=0.502)")
+    maxsize = registry_module._class_p_entry.cache_info().maxsize
+    assert maxsize is not None
+    assert f"the {maxsize} most recently used" in registry_module._class_p_entry.__doc__
