@@ -21,20 +21,21 @@ t in [0, 1] via phi(t) = Df(a + t h).(h), so phi'(t) = D2f(a + t h).(h, h).
 
 The Hessian form h.D2f(x).h is summed for all points at once: each of its two
 contractions starts at 0.0 and adds its products in index order, one array
-operation per term, instead of one small matmul per point.  Segment points
-a + t h are built one coordinate at a time, with the same products and sums.
-Tables that depend only on their key are built once, read-only and shared:
-the weights per (m, kind) and the remainder integral's Gauss nodes and
-kernel per m, each in a bounded cache.
+operation per term, instead of one small matmul per point.  Above 1D,
+segment points a + t h are built one coordinate at a time, with the same
+products and sums, and a segment-bound scan builds and domain-checks its points once for both
+derivative forms.  The remainder integral holds its Gauss panels node by
+panel, so each array operation runs along the panels, and sums its terms
+panel by panel, the order gauss_panels gives them.
 """
 
-import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fields import DomainError
-from .quadrature import composite_gauss, gauss_panels
+from .quadrature import composite_gauss, gauss_legendre_01
 
 __all__ = [
     "CLOSED",
@@ -130,17 +131,11 @@ def expansion_weights(m, kind=CLOSED):
 
     Closed weights sum to exactly 1: 1/(2m) at both ends, 1/m inside.  Open
     weights keep 1/(2m) at the start but give every later point 1/m, summing
-    to 1 + 1/(2m).  The array is built once per (m, kind) and shared by every
-    caller; the cache keeps the 64 most recently used keys.
+    to 1 + 1/(2m).
     """
     _require_integer("m", m, 1)
     if kind not in (CLOSED, OPEN):
         raise ValueError(f"kind must be 'closed' or 'open', got {kind!r}")
-    return _weights(int(m), kind)
-
-
-@functools.lru_cache(maxsize=64)
-def _weights(m, kind):
     w = np.full(m + 1, 1.0 / m)
     w[0] = 1.0 / (2 * m)
     if kind == CLOSED:
@@ -156,7 +151,7 @@ def _prepare(f, a, h):
         raise ValueError(
             f"a and h must have dim {f.dim}, got {a.size} and {h.size}"
         )
-    return a, h, float(np.linalg.norm(h))
+    return a, h, math.sqrt(h @ h)  # np.linalg.norm's formula for a vector
 
 
 def _require_inside(f, points, what, labels=None):
@@ -176,15 +171,29 @@ def _require_inside(f, points, what, labels=None):
 
 
 def _line(a, h, ts):
-    """a + t h for every t of the flat array ts, shape (len(ts), len(h)).
+    """a + ts[:, None] * h for the flat array ts, shape (len(ts), len(h)).
 
-    Built one coordinate at a time: the products and sums of
-    a + ts[:, None] * h, without numpy's loop over rows of a short last axis.
+    Above 1D it is built one coordinate at a time, with the same products and
+    sums, since numpy would loop over rows of the short last axis; in 1D that
+    axis has length 1 and numpy runs one loop anyway.
     """
+    if len(h) == 1:
+        return a + ts[:, None] * h
     x = np.empty((len(ts), len(h)))
     for j in range(len(h)):
         x[:, j] = a[j] + ts * h[j]
     return x
+
+
+def _unit_grid(n):
+    """np.linspace(0.0, 1.0, n) for n >= 2, bit for bit.
+
+    The same products k * (1 / (n - 1)), with the last point set to 1.0,
+    without linspace's argument handling on every call.
+    """
+    ts = np.arange(n) * (1.0 / (n - 1))
+    ts[-1] = 1.0
+    return ts
 
 
 def _segment_points(f, a, h, ts):
@@ -263,7 +272,7 @@ def estimate_segment_bounds(f, a, h, samples=201):
     a, h, hn = _prepare(f, a, h)
     if hn == 0.0:
         raise ValueError("cannot estimate segment bounds for h = 0")
-    ts = np.linspace(0.0, 1.0, samples)
+    ts = _unit_grid(samples)
     x = _segment_points(f, a, h, ts)
     vals2 = _hessian_form(f.hess_at(x), h) / hn**2
     vals1 = (f.grad_at(x) @ h) / hn
@@ -356,34 +365,25 @@ def remainder_integral(f, a, h, m):
     integral (S_k - t) phi'(t) dt with S_k = 1/(2m) + k/m.  Computed with 32
     equal 5-point Gauss-Legendre panels per subinterval; serves as the
     independent cross-check of refined_expansion's exact - approx.  The
-    nodes and the kernel weights * (S_k - t) are built once per m (see
-    _remainder_kernel); phi' is summed as phi_prime sums it.
+    panels are those of gauss_panels(0, 1, 5, 32 m), held node by panel so
+    that every array operation runs along the panels; the products are summed
+    in gauss_panels' row order, panel by panel, and phi' as phi_prime sums it.
     """
     _require_integer("m", m, 1)
     a, h, hn = _prepare(f, a, h)
     if hn == 0.0:
         return 0.0
-    ts, kernel = _remainder_kernel(int(m))
-    form = _hessian_form(f.hess_at(_segment_points(f, a, h, ts)), h)
-    return float(np.sum(kernel * form.reshape(kernel.shape)))
-
-
-@functools.lru_cache(maxsize=8)
-def _remainder_kernel(m):
-    """(flat nodes, kernel) of remainder_integral at m, both read-only and shared.
-
-    The nodes are those of 32 equal 5-point Gauss-Legendre panels on each
-    subinterval [k/m, (k+1)/m], in order; the kernel is weights * (S_k - t)
-    on the (32 m, 5) panel grid.  The cache keeps the 8 most recently used m,
-    at 2560 m bytes each.
-    """
-    nodes, weights = gauss_panels(0.0, 1.0, 5, m * 32)
-    s_k = 1.0 / (2.0 * m) + (np.arange(m * 32) // 32 / m)[:, None]
-    kernel = weights * (s_k - nodes)
-    ts = nodes.reshape(-1)
-    ts.flags.writeable = False
-    kernel.flags.writeable = False
-    return ts, kernel
+    # 32 panels on each subinterval [k/m, (k+1)/m], in order; row i holds
+    # node i of every panel
+    t, w = gauss_legendre_01(5)
+    edges = _unit_grid(32 * m + 1)
+    lo, width = edges[:-1], edges[1:] - edges[:-1]
+    nodes = lo + width * t[:, None]
+    s_k = 1.0 / (2.0 * m) + np.arange(32 * m) // 32 / m
+    kernel = (width * w[:, None]) * (s_k - nodes)
+    form = _hessian_form(f.hess_at(_segment_points(f, a, h, nodes.reshape(-1))), h)
+    kernel *= form.reshape(nodes.shape)
+    return float(np.sum(kernel.T.copy()))
 
 
 def summation_identity_check(coeffs, u):

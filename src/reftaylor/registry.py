@@ -79,16 +79,32 @@ class FieldEntry:
 
 
 def _exp_nd(dim):
-    def value(pts):
-        return np.exp(pts.sum(axis=1))
+    """exp(x_1 + ... + x_dim); every first and second derivative equals it.
 
-    return ScalarField(
-        dim,
-        value,
-        grad=lambda pts: np.repeat(value(pts)[:, None], dim, axis=1),
-        hess=lambda pts: value(pts)[:, None, None] * np.ones((dim, dim)),
-        name=f"exp{dim}d",
-    )
+    The exponent adds whole columns to 0.0 left to right, the order
+    pts.sum(axis=1) takes along a row (a row of -0.0 sums to +0.0), so it
+    gives the same bits without a reduction per row.
+    """
+
+    def value(pts):
+        total = 0.0
+        for j in range(dim):
+            total = total + pts[:, j]
+        return np.exp(total)
+
+    def grad(pts):
+        v = value(pts)
+        out = np.empty((len(pts), dim))
+        for j in range(dim):
+            out[:, j] = v
+        return out
+
+    def hess(pts):
+        out = np.empty((len(pts), dim, dim))
+        out[...] = value(pts)[:, None, None]
+        return out
+
+    return ScalarField(dim, value, grad=grad, hess=hess, name=f"exp{dim}d")
 
 
 def _quad_nd(dim, A):
@@ -111,9 +127,9 @@ def sine_product(dim, freq, name):
     reduction per row.
     """
 
-    def factors(pts, cosines=True):
+    def factors(pts):
         z = freq * pts
-        return list(np.sin(z).T), list(np.cos(z).T) if cosines else None
+        return list(np.sin(z).T), list(np.cos(z).T)
 
     def product(cols):
         return functools.reduce(np.multiply, cols)
@@ -133,8 +149,9 @@ def sine_product(dim, freq, name):
         return -s[i] if j == k else c[i]
 
     def hess(pts):
-        # only an off-diagonal entry reads a cosine, and 1D has none
-        s, c = factors(pts, cosines=dim > 1)
+        if dim == 1:  # the one entry is -sin, so no cosine is needed
+            return freq**2 * -np.sin(freq * pts)[:, :, None]
+        s, c = factors(pts)
         out = np.empty((len(pts), dim, dim))
         for j in range(dim):
             for k in range(dim):
@@ -219,12 +236,7 @@ _CLASS_P = re.compile(r"^classP\(beta=([^)]+)\)$")
 _DEFAULT_CLASS_P_BETA = 0.75
 
 
-@functools.lru_cache(maxsize=32)
 def _class_p_entry(beta):
-    """The class-(P) entry of a beta above one half, built once and shared.
-
-    The cache keeps the 32 most recently used betas.
-    """
     iv = Interval(0.0, 1.0)
     params = ClassPParams(rate=rate_for_beta(beta, iv), forcing=1.0)
     # f' rises from 0 to its sup f1 at b, and f'' from forcing to its sup f2

@@ -361,7 +361,8 @@ def test_segment_bounds_direction_reversal():
 # ------------------------------------------------- kernels keep their bits
 #
 # The references are the formulas the kernels replace: one matmul per point
-# for the Hessian form and a fresh gauss_panels table per remainder integral.
+# for the Hessian form and the (panel, node) gauss_panels table of the remainder
+# integral.
 # On every registry segment the products are exact and each sum has at most
 # two distinct terms, so a BLAS matmul gives these bits however it orders or
 # fuses its multiply-adds; on other 2D and 3D fields it need not.
@@ -444,6 +445,20 @@ def test_segment_points_match_the_broadcast_formula_bitwise():
         assert _hex(got.ravel()) == _hex((a + ts[:, None] * h).ravel())
 
 
+def test_unit_grid_is_linspace_bitwise():
+    for n in [*range(2, 300), 2049, 10001, 32 * 64 + 1, 32 * 1000 + 1]:
+        assert expansion._unit_grid(n).tobytes() == np.linspace(0.0, 1.0, n).tobytes()
+
+
+def test_segment_norm_is_linalg_norm_bitwise():
+    rng = np.random.default_rng(14)
+    for dim in (1, 2, 3, 4):
+        f = ScalarField(dim, lambda pts: pts[:, 0])
+        for h in rng.standard_normal((50, dim)) * 10.0 ** rng.integers(-150, 150, (50, 1)):
+            hn = expansion._prepare(f, np.zeros(dim), h)[2]
+            assert hn.hex() == float(np.linalg.norm(h)).hex()
+
+
 def test_zero_hessian_form_is_positive_zero():
     # every product h_i * 0.0 is -0.0 for a negative h_i; the sums start at 0.0
     f = ScalarField(
@@ -462,38 +477,6 @@ def test_zero_hessian_form_is_positive_zero():
     sb = estimate_segment_bounds(f, a, h, samples=5)
     assert [math.copysign(1.0, v) for v in (sb.m2, sb.M2)] == [1.0, 1.0]
     assert remainder_integral(f, a, h, 3) == 0.0
-
-
-# ----------------------------------------------------------- shared tables
-
-
-def test_tables_are_shared_and_read_only():
-    for m, kind in [(1, CLOSED), (7, OPEN), (64, CLOSED)]:
-        w = expansion_weights(m, kind)
-        assert expansion_weights(np.int64(m), kind) is w
-        with pytest.raises(ValueError, match="read-only"):
-            w[0] = 0.0
-        ts, kernel = expansion._remainder_kernel(m)
-        again = expansion._remainder_kernel(m)
-        assert again[0] is ts and again[1] is kernel
-        assert ts.shape == (m * 32 * 5,) and kernel.shape == (m * 32, 5)
-        for table in (ts, kernel):
-            with pytest.raises(ValueError, match="read-only"):
-                table[0] = 0.0
-    # a refused key is refused again: nothing of it was cached
-    for _ in range(2):
-        with pytest.raises(ValueError, match="m must be >= 1"):
-            expansion_weights(0)
-        with pytest.raises(ValueError, match="m must be >= 1"):
-            remainder_integral(exp1d(), 0.0, 1.0, 0)
-
-
-def test_each_cache_is_bounded_and_documents_its_bound():
-    for cache, doc in [(expansion._weights, expansion_weights.__doc__),
-                       (expansion._remainder_kernel, expansion._remainder_kernel.__doc__)]:
-        maxsize = cache.cache_info().maxsize
-        assert maxsize is not None
-        assert f"the {maxsize} most recently used" in " ".join(doc.split())
 
 
 # ------------------------------------------------------ integral oracle

@@ -1,4 +1,3 @@
-import importlib
 import math
 import re
 
@@ -160,19 +159,14 @@ def test_sine_product_matches_row_products_bit_for_bit(dim):
     assert np.array_equal(f.hess_at(pts), freq**2 * hess)
 
 
-def test_classp_entries_are_built_once_per_beta():
-    # the package binds the name registry to a function of that module
-    registry_module = importlib.import_module("reftaylor.registry")
-    entry = lookup("classP(beta=0.75)")
-    assert lookup("classP(beta=0.75)") is entry
-    assert lookup("classP(beta=0.750)") is entry
-    assert entry in registry()
-    # a refused beta is refused again: nothing of it was cached
-    for _ in range(2):
-        with pytest.raises(UnknownFieldError):
-            lookup("classP(beta=0.5)")
-        with pytest.raises(ValueError, match="smallest usable beta"):
-            lookup("classP(beta=0.502)")
-    maxsize = registry_module._class_p_entry.cache_info().maxsize
-    assert maxsize is not None
-    assert f"the {maxsize} most recently used" in registry_module._class_p_entry.__doc__
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_exp_entries_match_row_sums_bit_for_bit(dim):
+    # the reference is the row-wise formula the column sums replace; mixed
+    # magnitudes make every order of the additions but one differ somewhere
+    f = lookup(f"exp{dim}d").field()
+    rng = np.random.default_rng(dim)
+    pts = rng.standard_normal((4096, dim)) * 10.0 ** rng.integers(-12, 3, (4096, dim))
+    value = np.exp(pts.sum(axis=1))
+    assert f.value_at(pts).tobytes() == value.tobytes()
+    assert f.grad_at(pts).tobytes() == np.repeat(value[:, None], dim, axis=1).tobytes()
+    assert f.hess_at(pts).tobytes() == (value[:, None, None] * np.ones((dim, dim))).tobytes()
