@@ -119,16 +119,28 @@ def test_csv_bytes_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_benchmark_csv_bytes_match_recorded_digests(tmp_path):
+_DIGEST_TABLE = json.loads(DIGESTS.read_text(encoding="utf-8"))
+
+
+def _digest_id(key):
+    """expand-exp3d, simplex-sinsin2d, fem-2d-P2, ...: the op's command and what it sweeps."""
+    args = key.split()
+    opts = dict(zip(args[1::2], args[2::2]))
+    if args[0] == "fem":
+        return f"fem-{opts['--dim']}d-{opts['--space']}"
+    return f"{args[0]}-{opts['--function']}"
+
+
+@pytest.mark.parametrize("key", sorted(_DIGEST_TABLE), ids=_digest_id)
+def test_benchmark_csv_bytes_match_recorded_digests(key, tmp_path):
     # the benchmark's byte contract: perfbench/digests.json holds the SHA-256
     # of each benchmark CSV at seed 0 ("0"), or at every seed ("any")
-    table = json.loads(DIGESTS.read_text(encoding="utf-8"))
-    assert len(table) == 6
-    for key, by_seed in table.items():
-        out = tmp_path / "golden.csv"
-        assert run_main(key.split() + ["--seed", "0", "--output", str(out)]) == EXIT_OK
-        digest = hashlib.sha256(out.read_bytes()).hexdigest()
-        assert digest == by_seed.get("0", by_seed.get("any")), key
+    assert len(_DIGEST_TABLE) == 6
+    by_seed = _DIGEST_TABLE[key]
+    out = tmp_path / "golden.csv"
+    assert run_main(key.split() + ["--seed", "0", "--output", str(out)]) == EXIT_OK
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == by_seed.get("0", by_seed.get("any"))
 
 
 def test_seed_changes_sampled_rows(tmp_path):
@@ -629,11 +641,22 @@ def test_nan_corrected_simplex_error_exits_numeric(tmp_path, monkeypatch, capsys
 
 
 def test_registry_listing(capsys):
+    # dim and analytic are derived from each entry; the listing keeps its lines
     assert run_main(["registry"]) == EXIT_OK
-    text = capsys.readouterr().out
-    assert "name,dim,analytic" in text
-    assert "exp1d,1,true" in text
-    assert "runge1d,1,false" in text
+    assert capsys.readouterr().out == "".join(line + "\n" for line in [
+        "name,dim,analytic",
+        "exp1d,1,true",
+        "sin1d,1,true",
+        "quad1d,1,true",
+        "cubic1d,1,true",
+        "runge1d,1,false",
+        "quad2d,2,true",
+        "exp2d,2,true",
+        "sinsin2d,2,true",
+        "quad3d,3,true",
+        "exp3d,3,true",
+        "classP(beta=0.75),1,true",
+    ])
 
 
 def test_registry_selftest_passes(capsys):

@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from mpmath import iv
 
 from reftaylor.expansion import refined_expansion
 from reftaylor.registry import (
@@ -170,3 +171,87 @@ def test_exp_entries_match_row_sums_bit_for_bit(dim):
     assert f.value_at(pts).tobytes() == value.tobytes()
     assert f.grad_at(pts).tobytes() == np.repeat(value[:, None], dim, axis=1).tobytes()
     assert f.hess_at(pts).tobytes() == (value[:, None, None] * np.ones((dim, dim))).tobytes()
+
+
+# f' and f'' of each 1D analytic entry as functions of an mpmath interval x
+_INTERVAL_DERIVATIVES = {
+    "exp1d": (iv.exp, iv.exp),
+    "sin1d": (iv.cos, lambda x: -iv.sin(x)),
+    "quad1d": (lambda x: 2 * x, lambda x: 0 * x + 2),
+    "cubic1d": (lambda x: 3 * x**2, lambda x: 6 * x),
+    # f'' - rate f' = 1 with f'(0) = 0; rate = 4 / ((2 beta - 1) L) = 8 at beta = 0.75, L = 1
+    "classP(beta=0.75)": (lambda x: (iv.exp(8 * x) - 1) / 8, lambda x: iv.exp(8 * x)),
+}
+
+
+@pytest.fixture
+def iv_prec():
+    # at 80 bits each certified bound lies far inside a float ulp of what it bounds
+    saved = iv.prec
+    iv.prec = 80
+    yield
+    iv.prec = saved
+
+
+def _sup_enclosure(g, lo, hi):
+    """(below, above) with below <= sup of g over [lo, hi] <= above, both certified.
+
+    Branch and bound: g of a piece bounds g on it from above, and g at a point
+    bounds the sup from below.  Pieces that cannot beat the best point value
+    are dropped; the rest are halved until the two bounds agree to 1e-9.
+    """
+    below = max(g(iv.mpf(t)).a for t in (lo, hi))
+    pieces = [iv.mpf([lo, hi])]
+    while True:
+        tops = [g(piece).b for piece in pieces]
+        above = max(tops)
+        if (above - below).b <= 1e-9 * abs(above) + 1e-15:
+            return below, above
+        halves = []
+        for piece, top in zip(pieces, tops):
+            if top > below:
+                mid = piece.mid
+                below = max(below, g(mid).a)
+                halves += [iv.mpf([piece.a, mid]), iv.mpf([mid, piece.b])]
+        pieces = halves
+
+
+@pytest.mark.parametrize("name", sorted(_INTERVAL_DERIVATIVES))
+def test_interval_derivatives_are_the_registry_fields(name, iv_prec):
+    f = lookup(name).field()
+    ((lo, hi),) = lookup(name).box
+    x = np.linspace(lo, hi, 101)
+    d1, d2 = _INTERVAL_DERIVATIVES[name]
+    for form, values in [(d1, f.grad_at(x[:, None])[:, 0]), (d2, f.hess_at(x[:, None])[:, 0, 0])]:
+        for t, value in zip(x, values):
+            assert abs(value - float(form(iv.mpf(t)).mid)) <= 1e-13 * (1.0 + abs(value)), t
+
+
+@pytest.mark.parametrize("name", sorted(_INTERVAL_DERIVATIVES))
+def test_registry_norms_are_certified(name, iv_prec):
+    entry = lookup(name)
+    ((lo, hi),) = entry.box
+    # in 1D the segment is the box run left to right (test_segment_is_the_box_diagonal),
+    # so h/|h| = 1 and its normalised forms Df.h/|h| and D2f.(h, h)/|h|^2 are f' and f''
+    sup = {}
+    for key, g in zip(("d1", "d2"), _INTERVAL_DERIVATIVES[name]):
+        sup[key] = _sup_enclosure(g, lo, hi)
+        sup["-" + key] = _sup_enclosure(lambda x, g=g: -g(x), lo, hi)
+    b = entry.segment_bounds
+    # each value bounds a sup from above: m1 and m2 bound inf f' and inf f''
+    # from below, so -m1 and -m2 bound sup -f' and sup -f''
+    claims = [
+        ("d1_inf", entry.d1_inf, tuple(map(max, sup["d1"], sup["-d1"]))),
+        ("d2_inf", entry.d2_inf, tuple(map(max, sup["d2"], sup["-d2"]))),
+        ("M1", b.M1, sup["d1"]),
+        ("-m1", -b.m1, sup["-d1"]),
+        ("M2", b.M2, sup["d2"]),
+        ("-m2", -b.m2, sup["-d2"]),
+    ]
+    for label, value, (below, above) in claims:
+        # valid, to one ulp: exp1d's math.e lies 0.33 ulp below e, so its four
+        # e-valued claims sit just under the certified sup; the gates' relative
+        # slack of 1e-9 covers that, and rounding the constants up could move CSV bytes
+        assert above - math.ulp(value) <= value, label
+        # tight: at most 1e-6 above the certified sup
+        assert value <= below + (1e-6 * abs(value) + 1e-12), label
