@@ -35,8 +35,6 @@ from .expansion import (
     SegmentBounds,
     estimate_segment_bounds,
     expansion_weights,
-    phi,
-    phi_prime,
     refined_expansion,
     remainder_integral,
     summation_identity_check,

@@ -21,12 +21,13 @@ t in [0, 1] via phi(t) = Df(a + t h).(h), so phi'(t) = D2f(a + t h).(h, h).
 
 The Hessian form h.D2f(x).h is summed for all points at once: each of its two
 contractions starts at 0.0 and adds its products in index order, one array
-operation per term, instead of one small matmul per point.  Above 1D,
-segment points a + t h are built one coordinate at a time, with the same
-products and sums, and a segment-bound scan builds and domain-checks its points once for both
-derivative forms.  The remainder integral holds its Gauss panels node by
-panel, so each array operation runs along the panels, and sums its terms
-panel by panel, the order gauss_panels gives them.
+operation per term, instead of one small matmul per point.  Every point on
+a segment, whether an expansion node, a segment-bound sample or a Gauss
+node, is built and domain-checked by one helper; above 1D it builds a + t h
+one coordinate at a time, with the same products and sums.  A segment-bound
+scan builds its points once for both derivative forms.  The remainder
+integral takes its Gauss panels from gauss_panels, node by panel, so each
+array operation runs along the panels, and sums its terms panel by panel.
 """
 
 import math
@@ -34,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import DomainError
-from .quadrature import composite_gauss, gauss_legendre_01
+from .fields import DomainError, _require_integer
+from .quadrature import _grid, composite_gauss, gauss_panels
 
 __all__ = [
     "CLOSED",
@@ -45,8 +46,6 @@ __all__ = [
     "expansion_weights",
     "taylor_first_order",
     "refined_expansion",
-    "phi",
-    "phi_prime",
     "remainder_integral",
     "estimate_segment_bounds",
     "summation_identity_check",
@@ -118,14 +117,6 @@ def _roundoff(terms, exact, hn):
     return 4 * len(terms) * _UNIT_ROUNDOFF * (float(np.abs(terms).sum()) + abs(exact)) / hn
 
 
-def _require_integer(name, value, least):
-    """ValueError naming `name` unless value is an integer (not a bool) >= least."""
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ValueError(f"{name} must be >= {least}, got {value}")
-
-
 def expansion_weights(m, kind=CLOSED):
     """Weights of the m-point averaged expansion, a read-only array of m+1 floats.
 
@@ -185,39 +176,15 @@ def _line(a, h, ts):
     return x
 
 
-def _unit_grid(n):
-    """np.linspace(0.0, 1.0, n) for n >= 2, bit for bit.
-
-    The same products k * (1 / (n - 1)), with the last point set to 1.0,
-    without linspace's argument handling on every call.
-    """
-    ts = np.arange(n) * (1.0 / (n - 1))
-    ts[-1] = 1.0
-    return ts
-
-
-def _segment_points(f, a, h, ts):
+def _segment_points(f, a, h, ts, what, labels=None):
     """_line(a, h, ts), all points checked against f's domain.
 
-    a and h come from _prepare.
+    a and h come from _prepare; what and labels name a point outside as
+    _require_inside does.
     """
     x = _line(a, h, ts)
-    _require_inside(f, x, "segment point t={}", ts)
+    _require_inside(f, x, what, labels)
     return x
-
-
-def _unit_parameters(t):
-    """t as a float array, every entry of which must lie in [0, 1].
-
-    Callers reshape their per-point values to its shape and index them with
-    (), which gives a scalar for a scalar t and the array otherwise.
-    """
-    t = np.asarray(t, dtype=float)
-    ts = t.reshape(-1)
-    bad = ~((ts >= 0.0) & (ts <= 1.0))
-    if bad.any():
-        raise ValueError(f"t must lie in [0, 1], got {ts[bad][0]}")
-    return t
 
 
 def _hessian_form(hess, h):
@@ -226,6 +193,10 @@ def _hessian_form(hess, h):
     Both contractions start at 0.0 and add their products in index order,
     first over the rows of each matrix and then over the n results, one array
     operation per term for the whole stack.  A zero form comes out as +0.0.
+    For every 1D field, and on each registry entry's segment, where every
+    product is exact, that gives the bits of h @ hess[p] @ h.  Elsewhere a
+    BLAS that fuses multiply-adds in its matmul can differ from it in the
+    last bit; this sum does not depend on the BLAS build.
     """
     out = 0.0
     for j in range(len(h)):
@@ -236,44 +207,20 @@ def _hessian_form(hess, h):
     return out
 
 
-def phi(f, a, h, t):
-    """phi(t) = Df(a + t h).(h) for t in [0, 1], elementwise for an array of t."""
-    t = _unit_parameters(t)
-    a, h, _ = _prepare(f, a, h)
-    x = _segment_points(f, a, h, t.reshape(-1))
-    return (f.grad_at(x) @ h).reshape(t.shape)[()]
-
-
-def phi_prime(f, a, h, t):
-    """phi'(t) = D2f(a + t h).(h, h) for t in [0, 1], elementwise for an array of t.
-
-    The form is summed without a matmul per point, from 0.0 in index order:
-    see _hessian_form.  For every 1D field, and on each registry entry's
-    segment, where every product is exact, that gives the bits of
-    h @ f.hess_at(x) @ h.  Elsewhere a BLAS that fuses multiply-adds in its
-    matmul can differ from it in the last bit; this sum does not depend on
-    the BLAS build.
-    """
-    t = _unit_parameters(t)
-    a, h, _ = _prepare(f, a, h)
-    x = _segment_points(f, a, h, t.reshape(-1))
-    return _hessian_form(f.hess_at(x), h).reshape(t.shape)[()]
-
-
 def estimate_segment_bounds(f, a, h, samples=201):
     """Sampled SegmentBounds along [a, a+h] (flagged, not certified).
 
     Scans equally spaced t in [0, 1] for the extrema of the normalised
     second-derivative form and of the normalised directional derivative:
     the points are built and checked against the domain once, and both forms
-    are evaluated on them as phi_prime and phi evaluate them.
+    are evaluated on them.
     """
     _require_integer("samples", samples, 2)
     a, h, hn = _prepare(f, a, h)
     if hn == 0.0:
         raise ValueError("cannot estimate segment bounds for h = 0")
-    ts = _unit_grid(samples)
-    x = _segment_points(f, a, h, ts)
+    ts = _grid(0.0, 1.0, samples)
+    x = _segment_points(f, a, h, ts, "segment point t={}", ts)
     vals2 = _hessian_form(f.hess_at(x), h) / hn**2
     vals1 = (f.grad_at(x) @ h) / hn
     return SegmentBounds(
@@ -332,8 +279,7 @@ def refined_expansion(f, a, h, m, kind=CLOSED, bounds=None):
     if bounds is None:
         bounds = estimate_segment_bounds(f, a, h)
 
-    nodes = _line(a, h, np.arange(m + 1) / m)
-    _require_inside(f, nodes, "expansion node k={}")
+    nodes = _segment_points(f, a, h, np.arange(m + 1) / m, "expansion node k={}")
     # accumulate adds left to right, so this is f(a) + w_0 s_0 + ... + w_m s_m
     # summed in that order, term by term, with the same bits
     terms = np.concatenate(([f.value(a)], weights * (f.grad_at(nodes) @ h)))
@@ -365,24 +311,20 @@ def remainder_integral(f, a, h, m):
     integral (S_k - t) phi'(t) dt with S_k = 1/(2m) + k/m.  Computed with 32
     equal 5-point Gauss-Legendre panels per subinterval; serves as the
     independent cross-check of refined_expansion's exact - approx.  The
-    panels are those of gauss_panels(0, 1, 5, 32 m), held node by panel so
-    that every array operation runs along the panels; the products are summed
-    in gauss_panels' row order, panel by panel, and phi' as phi_prime sums it.
+    panels come from gauss_panels(0, 1, 5, 32 m), node by panel, so every
+    array operation runs along the panels; the products are summed panel by
+    panel, and phi' as _hessian_form sums it.
     """
     _require_integer("m", m, 1)
     a, h, hn = _prepare(f, a, h)
     if hn == 0.0:
         return 0.0
-    # 32 panels on each subinterval [k/m, (k+1)/m], in order; row i holds
-    # node i of every panel
-    t, w = gauss_legendre_01(5)
-    edges = _unit_grid(32 * m + 1)
-    lo, width = edges[:-1], edges[1:] - edges[:-1]
-    nodes = lo + width * t[:, None]
+    # 32 panels on each subinterval [k/m, (k+1)/m], in order
+    nodes, weights = gauss_panels(0.0, 1.0, 5, 32 * m)
     s_k = 1.0 / (2.0 * m) + np.arange(32 * m) // 32 / m
-    kernel = (width * w[:, None]) * (s_k - nodes)
-    form = _hessian_form(f.hess_at(_segment_points(f, a, h, nodes.reshape(-1))), h)
-    kernel *= form.reshape(nodes.shape)
+    ts = nodes.reshape(-1)
+    form = _hessian_form(f.hess_at(_segment_points(f, a, h, ts, "segment point t={}", ts)), h)
+    kernel = weights * (s_k - nodes) * form.reshape(nodes.shape)
     return float(np.sum(kernel.T.copy()))
 
 

@@ -31,6 +31,14 @@ class DomainError(ValueError):
     """A point fell outside the domain an operation needs it in."""
 
 
+def _require_integer(name, value, least):
+    """ValueError naming `name` unless value is an integer (not a bool) >= least."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 class Box:
     """Axis-aligned box given by per-axis (lo, hi) bounds."""
 

@@ -1,9 +1,10 @@
 """Gauss-type quadrature rules used across the package.
 
-Line integrals use composite Gauss-Legendre panels.  Simplex integrals use
-fixed reference rules exact for polynomials of degree 4, which covers every
-integrand the error norms need exactly (products of piecewise-quadratic
-functions are degree 4).
+Line integrals use composite Gauss-Legendre panels, all built by
+gauss_panels; composite_gauss and expansion.remainder_integral take theirs
+from it.  Simplex integrals use fixed reference rules exact for polynomials
+of degree 4, which covers every integrand the error norms need exactly
+(products of piecewise-quadratic functions are degree 4).
 """
 
 import numpy as np
@@ -39,29 +40,44 @@ def gauss_legendre_01(order):
     return rule
 
 
+def _grid(a, b, n):
+    """np.linspace(a, b, n) for floats a, b and n >= 2, bit for bit.
+
+    linspace's formula, a + k * ((b - a) / (n - 1)) with the last point set
+    to b, without its argument handling on every call.  Only a step that
+    underflows to zero while b != a, which linspace special-cases, gives
+    other bits.
+    """
+    x = a + np.arange(n) * ((b - a) / (n - 1))
+    x[-1] = b
+    return x
+
+
 def gauss_panels(a, b, order, panels):
     """Nodes and weights of `panels` equal Gauss-Legendre panels over [a, b].
 
-    Both come back as (panels, order) arrays, one row per panel, so
+    Both come back as (order, panels) arrays: row i holds node i of every
+    panel, so array operations on a row run along the panels, and
     sum(weights * func(nodes)) integrates func.
     """
     if panels < 1:
         raise ValueError(f"panel count must be >= 1, got {panels}")
     t, w = gauss_legendre_01(order)
-    edges = np.linspace(a, b, panels + 1)
-    lo, width = edges[:-1, None], np.diff(edges)[:, None]
-    return lo + width * t, width * w
+    edges = _grid(float(a), float(b), panels + 1)
+    lo, width = edges[:-1], edges[1:] - edges[:-1]
+    return lo + width * t[:, None], width * w[:, None]
 
 
 def composite_gauss(func, a, b, order=5, panels=32):
     """Integrate a scalar callable over [a, b] with equal Gauss-Legendre panels.
 
-    func is called once per node.  The 5-point default integrates polynomials
-    up to degree 9 exactly on each panel, so piecewise-polynomial integrands
-    are exact whenever their breakpoints fall on panel boundaries.
+    func is called once per node, and the terms are added panel by panel.
+    The 5-point default integrates polynomials up to degree 9 exactly on each
+    panel, so piecewise-polynomial integrands are exact whenever their
+    breakpoints fall on panel boundaries.
     """
     nodes, weights = gauss_panels(a, b, order, panels)
-    return sum(w * func(x) for x, w in zip(nodes.ravel(), weights.ravel()))
+    return sum(w * func(x) for x, w in zip(nodes.T.ravel(), weights.T.ravel()))
 
 
 # Reference rules on the unit simplex, given as barycentric coordinates and

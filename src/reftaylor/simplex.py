@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from .fields import DomainError
+from .fields import DomainError, _require_integer
 
 __all__ = [
     "GeometryError",
@@ -392,8 +392,7 @@ def uniform_mesh(bounds, subdivisions):
     dim = len(bounds)
     if dim not in (1, 2, 3):
         raise GeometryError(f"need 1, 2 or 3 (lo, hi) pairs, got {dim}")
-    if subdivisions < 1:
-        raise ValueError(f"subdivisions must be >= 1, got {subdivisions}")
+    _require_integer("subdivisions", subdivisions, 1)
     if bounds.shape != (dim, 2):
         raise ValueError(f"bounds must be (lo, hi) pairs, got shape {bounds.shape}")
     k = subdivisions

@@ -10,15 +10,13 @@ from reftaylor.expansion import (
     SegmentBounds,
     estimate_segment_bounds,
     expansion_weights,
-    phi,
-    phi_prime,
     refined_expansion,
     remainder_integral,
     summation_identity_check,
     taylor_first_order,
 )
 from reftaylor.fields import DomainError, ScalarField
-from reftaylor.quadrature import gauss_panels
+from reftaylor.quadrature import gauss_legendre_01
 from reftaylor.registry import lookup, registry
 
 
@@ -278,36 +276,6 @@ def test_width_ratio_is_half_per_point():
         assert abs(ratio - 1.0 / (2 * m)) <= 1e-14, (m, ratio)
 
 
-# ----------------------------------------------------------- phi helpers
-
-
-def test_phi_endpoint_values():
-    f = exp1d()
-    a, h = 0.25, 0.5
-    assert phi(f, a, h, 0.0) == pytest.approx(f.d(a, h))
-    assert phi(f, a, h, 1.0) == pytest.approx(f.d(a + h, h))
-    assert phi_prime(f, 0.0, 1.0, 0.5) == pytest.approx(math.exp(0.5))
-
-
-def test_phi_prime_square_is_constant_two():
-    assert phi_prime(square1d(), 0.0, 1.0, 0.5) == pytest.approx(2.0)
-
-
-def test_phi_rejects_t_outside_unit_interval():
-    f = exp1d()
-    for t in (-0.1, 1.1):
-        with pytest.raises(ValueError):
-            phi(f, 0.0, 1.0, t)
-        with pytest.raises(ValueError):
-            phi_prime(f, 0.0, 1.0, t)
-
-
-def test_phi_rejects_point_outside_domain():
-    f = exp1d(domain=((0.0, 1.0),))
-    with pytest.raises(DomainError):
-        phi(f, 0.5, 1.0, 1.0)
-
-
 # ------------------------------------------------------ segment bounds
 
 
@@ -346,6 +314,14 @@ def test_segment_bounds_validation():
         SegmentBounds(m2=2.0, M2=1.0)
 
 
+def test_segment_scan_and_integral_name_the_point_outside_domain():
+    f = exp1d(domain=((0.0, 1.0),))
+    with pytest.raises(DomainError, match=r"segment point t=1\.0 at \[1\.5\]"):
+        estimate_segment_bounds(f, 0.5, 1.0, samples=2)
+    with pytest.raises(DomainError, match=r"segment point t=0\.5"):
+        remainder_integral(f, 0.5, 1.0, 1)
+
+
 def test_segment_bounds_direction_reversal():
     # the |h|-normalised second form has the same extrema either way along
     # the segment; the first form flips sign
@@ -361,8 +337,8 @@ def test_segment_bounds_direction_reversal():
 # ------------------------------------------------- kernels keep their bits
 #
 # The references are the formulas the kernels replace: one matmul per point
-# for the Hessian form and the (panel, node) gauss_panels table of the remainder
-# integral.
+# for the Hessian form, and for the remainder integral a (panel, node) table
+# of Gauss panels on np.linspace edges, built here without gauss_panels.
 # On every registry segment the products are exact and each sum has at most
 # two distinct terms, so a BLAS matmul gives these bits however it orders or
 # fuses its multiply-adds; on other 2D and 3D fields it need not.
@@ -379,14 +355,12 @@ def _entry_points(entry, ts):
 
 @pytest.mark.parametrize("name", [e.name for e in registry()])
 def test_phi_forms_match_the_matmul_formulas_bitwise(name):
+    # phi'(t) = D2f(a + t h).(h, h) as the kernels sum it, at any t of the segment
     entry = lookup(name)
     f = entry.field()
     ts = np.concatenate(([0.0, 1.0], np.random.default_rng(11).random(300)))
-    a, h, x = _entry_points(entry, ts)
-    assert _hex(phi_prime(f, a, h, ts)) == _hex(h @ f.hess_at(x) @ h)
-    assert _hex(phi(f, a, h, ts)) == _hex(f.grad_at(x) @ h)
-    for t in (0.0, 1.0):
-        assert phi_prime(f, a, h, t).hex() == float(h @ f.hess(a + t * h) @ h).hex()
+    _, h, x = _entry_points(entry, ts)
+    assert _hex(expansion._hessian_form(f.hess_at(x), h)) == _hex(h @ f.hess_at(x) @ h)
 
 
 @pytest.mark.parametrize("name", [e.name for e in registry()])
@@ -408,7 +382,10 @@ def test_segment_bounds_match_the_matmul_formulas_bitwise(name, samples):
 def test_remainder_integral_matches_the_gauss_panels_formula_bitwise(name, m):
     entry = lookup(name)
     f = entry.field()
-    nodes, weights = gauss_panels(0.0, 1.0, 5, m * 32)
+    t, w = gauss_legendre_01(5)
+    edges = np.linspace(0.0, 1.0, m * 32 + 1)
+    lo, width = edges[:-1, None], np.diff(edges)[:, None]
+    nodes, weights = lo + width * t, width * w
     s_k = 1.0 / (2.0 * m) + (np.arange(m * 32) // 32 / m)[:, None]
     a, h, x = _entry_points(entry, nodes.reshape(-1))
     form = (h @ f.hess_at(x) @ h).reshape(nodes.shape)
@@ -445,11 +422,6 @@ def test_segment_points_match_the_broadcast_formula_bitwise():
         assert _hex(got.ravel()) == _hex((a + ts[:, None] * h).ravel())
 
 
-def test_unit_grid_is_linspace_bitwise():
-    for n in [*range(2, 300), 2049, 10001, 32 * 64 + 1, 32 * 1000 + 1]:
-        assert expansion._unit_grid(n).tobytes() == np.linspace(0.0, 1.0, n).tobytes()
-
-
 def test_segment_norm_is_linalg_norm_bitwise():
     rng = np.random.default_rng(14)
     for dim in (1, 2, 3, 4):
@@ -469,9 +441,9 @@ def test_zero_hessian_form_is_positive_zero():
         name="affine",
     )
     a, h = np.array([0.2, 0.7]), np.array([-0.5, -0.25])
-    ts = np.linspace(0.0, 1.0, 5)
-    want = h @ f.hess_at(a + ts[:, None] * h) @ h
-    got = phi_prime(f, a, h, ts)
+    hess = f.hess_at(a + np.linspace(0.0, 1.0, 5)[:, None] * h)
+    want = h @ hess @ h
+    got = expansion._hessian_form(hess, h)
     assert _hex(got) == _hex(want) == [(0.0).hex()] * 5
     assert all(math.copysign(1.0, v) == 1.0 for v in got)
     sb = estimate_segment_bounds(f, a, h, samples=5)

@@ -28,3 +28,30 @@ def test_no_unused_module_imports():
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
     assert len(modules) >= 8
     assert [u for p in modules for u in _unused_imports(p)] == []
+
+
+def _private_names(tree):
+    """Module-level private names a module defines: functions, classes, assignments."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def test_every_private_module_name_is_read_in_the_package():
+    # a helper whose last caller went away is dead code that still reads as live
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = [f"{name}:{n}" for name, tree in sorted(trees.items())
+              for n in sorted(_private_names(tree) - read)]
+    assert unread == []

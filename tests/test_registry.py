@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -193,27 +194,40 @@ def iv_prec():
     iv.prec = saved
 
 
-def _sup_enclosure(g, lo, hi):
-    """(below, above) with below <= sup of g over [lo, hi] <= above, both certified.
+def _sup_enclosure(g, box):
+    """(below, above) with below <= sup of g over the box <= above, both certified.
 
+    g takes one interval per axis of the box, a sequence of (lo, hi) pairs.
     Branch and bound: g of a piece bounds g on it from above, and g at a point
     bounds the sup from below.  Pieces that cannot beat the best point value
-    are dropped; the rest are halved until the two bounds agree to 1e-9.
+    are dropped; the rest are halved along every axis until the two bounds
+    agree to 1e-9.
     """
-    below = max(g(iv.mpf(t)).a for t in (lo, hi))
-    pieces = [iv.mpf([lo, hi])]
+    below = max(g(*map(iv.mpf, corner)).a for corner in itertools.product(*box))
+    pieces = [tuple(iv.mpf(list(side)) for side in box)]
     while True:
-        tops = [g(piece).b for piece in pieces]
+        tops = [g(*piece).b for piece in pieces]
         above = max(tops)
         if (above - below).b <= 1e-9 * abs(above) + 1e-15:
             return below, above
         halves = []
         for piece, top in zip(pieces, tops):
             if top > below:
-                mid = piece.mid
-                below = max(below, g(mid).a)
-                halves += [iv.mpf([piece.a, mid]), iv.mpf([mid, piece.b])]
+                below = max(below, g(*(side.mid for side in piece)).a)
+                halves += itertools.product(
+                    *[(iv.mpf([side.a, side.mid]), iv.mpf([side.mid, side.b])) for side in piece])
         pieces = halves
+
+
+def _assert_certified(claims, ulps=None):
+    """Each (label, value, (below, above)) claim bounds its certified sup, validly and tightly.
+
+    Valid to one ulp, or to ulps[label] where a claim is listed there; tight:
+    at most 1e-6 above the certified sup.
+    """
+    for label, value, (below, above) in claims:
+        assert above - (ulps or {}).get(label, 1) * math.ulp(value) <= value, label
+        assert value <= below + (1e-6 * abs(value) + 1e-12), label
 
 
 @pytest.mark.parametrize("name", sorted(_INTERVAL_DERIVATIVES))
@@ -230,13 +244,12 @@ def test_interval_derivatives_are_the_registry_fields(name, iv_prec):
 @pytest.mark.parametrize("name", sorted(_INTERVAL_DERIVATIVES))
 def test_registry_norms_are_certified(name, iv_prec):
     entry = lookup(name)
-    ((lo, hi),) = entry.box
     # in 1D the segment is the box run left to right (test_segment_is_the_box_diagonal),
     # so h/|h| = 1 and its normalised forms Df.h/|h| and D2f.(h, h)/|h|^2 are f' and f''
     sup = {}
     for key, g in zip(("d1", "d2"), _INTERVAL_DERIVATIVES[name]):
-        sup[key] = _sup_enclosure(g, lo, hi)
-        sup["-" + key] = _sup_enclosure(lambda x, g=g: -g(x), lo, hi)
+        sup[key] = _sup_enclosure(g, entry.box)
+        sup["-" + key] = _sup_enclosure(lambda x, g=g: -g(x), entry.box)
     b = entry.segment_bounds
     # each value bounds a sup from above: m1 and m2 bound inf f' and inf f''
     # from below, so -m1 and -m2 bound sup -f' and sup -f''
@@ -248,10 +261,103 @@ def test_registry_norms_are_certified(name, iv_prec):
         ("M2", b.M2, sup["d2"]),
         ("-m2", -b.m2, sup["-d2"]),
     ]
-    for label, value, (below, above) in claims:
-        # valid, to one ulp: exp1d's math.e lies 0.33 ulp below e, so its four
-        # e-valued claims sit just under the certified sup; the gates' relative
-        # slack of 1e-9 covers that, and rounding the constants up could move CSV bytes
-        assert above - math.ulp(value) <= value, label
-        # tight: at most 1e-6 above the certified sup
-        assert value <= below + (1e-6 * abs(value) + 1e-12), label
+    # valid to one ulp: exp1d's math.e lies 0.33 ulp below e, so its four
+    # e-valued claims sit just under the certified sup; the gates' relative
+    # slack of 1e-9 covers that, and rounding the constants up could move CSV bytes
+    _assert_certified(claims)
+
+
+# For each 2D and 3D analytic entry, as functions of mpmath intervals: |grad f|
+# and the spectral norm of D2f at the point (x, y[, z]), then the segment's
+# normalised forms Df.h/|h| and D2f.(h, h)/|h|^2 at a + t h.  Each box is the
+# unit square or cube, so a = 0 and h = (1, ..., 1).  Constants are computed
+# inside the functions, at the working precision.
+def _iv_max(p, q):
+    return iv.mpf([max(p.a, q.a), max(p.b, q.b)])
+
+
+_INTERVAL_NORMS = {
+    "quad2d": (
+        lambda x, y: iv.sqrt((2 * x + y) ** 2 + (x + 2 * y) ** 2),
+        lambda x, y: 0 * x + 3,  # D2f = [[2, 1], [1, 2]], eigenvalues 1 and 3
+        lambda t: 3 * iv.sqrt(2) * t,
+        lambda t: 0 * t + 3,
+    ),
+    "exp2d": (
+        lambda x, y: iv.sqrt(2) * iv.exp(x + y),
+        # exp(x + y) times the all-ones matrix, eigenvalues 2 exp(x + y) and 0
+        lambda x, y: 2 * iv.exp(x + y),
+        lambda t: iv.sqrt(2) * iv.exp(2 * t),
+        lambda t: 2 * iv.exp(2 * t),
+    ),
+    "sinsin2d": (
+        # cos(pi x) sin(pi y) and sin(pi x) cos(pi y) are half the difference
+        # and half the sum of sin(pi (x + y)) and sin(pi (x - y))
+        lambda x, y: iv.pi * iv.sqrt(
+            (iv.sin(iv.pi * (x + y)) ** 2 + iv.sin(iv.pi * (x - y)) ** 2) / 2),
+        # the eigenvalues are pi^2 cos(pi (x + y)) and -pi^2 cos(pi (x - y))
+        lambda x, y: iv.pi**2 * _iv_max(abs(iv.cos(iv.pi * (x + y))),
+                                        abs(iv.cos(iv.pi * (x - y)))),
+        lambda t: iv.pi * iv.sin(2 * iv.pi * t) / iv.sqrt(2),
+        lambda t: iv.pi**2 * iv.cos(2 * iv.pi * t),
+    ),
+    "quad3d": (
+        lambda x, y, z: 2 * iv.sqrt(x**2 + y**2 + z**2),
+        lambda x, y, z: 0 * x + 2,  # D2f = 2 I
+        lambda t: 2 * iv.sqrt(3) * t,
+        lambda t: 0 * t + 2,
+    ),
+    "exp3d": (
+        lambda x, y, z: iv.sqrt(3) * iv.exp(x + y + z),
+        # exp(x + y + z) times the all-ones matrix, eigenvalues 3 exp(x + y + z) and 0
+        lambda x, y, z: 3 * iv.exp(x + y + z),
+        lambda t: iv.sqrt(3) * iv.exp(3 * t),
+        lambda t: 3 * iv.exp(3 * t),
+    ),
+}
+
+
+def _at(form, point):
+    return float(form(*(iv.mpf(float(c)) for c in point)).mid)
+
+
+@pytest.mark.parametrize("name", sorted(_INTERVAL_NORMS))
+def test_interval_norms_are_the_registry_fields(name, iv_prec):
+    entry = lookup(name)
+    f = entry.field()
+    rng = np.random.default_rng(0)
+    x = np.vstack([list(itertools.product((0.0, 1.0), repeat=entry.dim)), rng.random((100, entry.dim))])
+    t = np.linspace(0.0, 1.0, 101)
+    a, h = entry.segment
+    hn = np.linalg.norm(h)
+    seg = a + t[:, None] * h
+    grad_norm, hess_norm, s1, s2 = _INTERVAL_NORMS[name]
+    checks = [
+        (grad_norm, x, np.linalg.norm(f.grad_at(x), axis=1)),
+        (hess_norm, x, np.linalg.norm(f.hess_at(x), 2, axis=(1, 2))),
+        (s1, t[:, None], f.grad_at(seg) @ h / hn),
+        (s2, t[:, None], h @ f.hess_at(seg) @ h / hn**2),
+    ]
+    for form, points, values in checks:
+        for point, value in zip(points, values):
+            assert abs(value - _at(form, point)) <= 1e-13 * (1.0 + abs(value)), point
+
+
+@pytest.mark.parametrize("name", sorted(_INTERVAL_NORMS))
+def test_registry_norms_above_1d_are_certified(name, iv_prec):
+    entry = lookup(name)
+    grad_norm, hess_norm, s1, s2 = _INTERVAL_NORMS[name]
+    unit = ((0.0, 1.0),)
+    b = entry.segment_bounds
+    claims = [
+        ("d1_inf", entry.d1_inf, _sup_enclosure(grad_norm, entry.box)),
+        ("d2_inf", entry.d2_inf, _sup_enclosure(hess_norm, entry.box)),
+        ("M1", b.M1, _sup_enclosure(s1, unit)),
+        ("-m1", -b.m1, _sup_enclosure(lambda t: -s1(t), unit)),
+        ("M2", b.M2, _sup_enclosure(s2, unit)),
+        ("-m2", -b.m2, _sup_enclosure(lambda t: -s2(t), unit)),
+    ]
+    # exp3d's sqrt(3) e^3 rounds 1.38 ulp below its value (math.e is 0.33 ulp
+    # low, and the power and the product round too); as for exp1d, the gates'
+    # slack covers that, and rounding it up would move the exp3d CSV bytes
+    _assert_certified(claims, ulps={"d1_inf": 2, "M1": 2} if name == "exp3d" else None)

@@ -226,6 +226,7 @@ def test_uniform_interval_mesh():
     assert len(m) == 4
     assert m.mesh_size == pytest.approx(0.25)
     m.check_conforming()
+    assert np.array_equal(uniform_mesh([(0.0, 1.0)], np.int64(4)).vertices, m.vertices)
 
 
 def test_uniform_square_mesh_counts():
@@ -382,6 +383,12 @@ def test_face_tables_match_np_unique():
 def test_zero_subdivisions_rejected():
     with pytest.raises(ValueError, match="subdivisions"):
         uniform_mesh([(0.0, 1.0)], 0)
+
+
+@pytest.mark.parametrize("subdivisions", [2.5, 2.0, np.float64(3.0), "4", True])
+def test_non_integer_subdivisions_rejected(subdivisions):
+    with pytest.raises(ValueError, match="subdivisions must be an integer, got "):
+        uniform_mesh([(0.0, 1.0)], subdivisions)
 
 
 def test_uniform_mesh_dimension_is_the_number_of_pairs():
