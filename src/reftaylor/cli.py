@@ -106,17 +106,16 @@ class StudyConfig:
     """One study run: the command plus the options it reads.
 
     StudyConfig(command, **options) holds the command's options from
-    _COMMANDS, an output_path and a seed.  Options left out take the
-    command's defaults, the same ones the flags have; output_path defaults to
-    "<command>.csv" and seed to 0.  An option the command does not read is a
-    UsageError.
+    _COMMANDS, an output_path (studies only: registry writes no file) and a
+    seed.  Options left out take the command's defaults, the same ones the
+    flags have; output_path defaults to "<command>.csv" and seed to 0.  An
+    option the command does not read is a UsageError.
     """
 
     def __init__(self, command, **options):
         if command not in _COMMANDS:
             raise UsageError(f"unknown command {command!r}")
-        _, _, defaults = _COMMANDS[command]
-        defaults = {**defaults, "output_path": f"{command}.csv", "seed": 0}
+        defaults = _defaults(command)
         unread = sorted(options.keys() - defaults.keys())
         if unread:
             raise UsageError(f"{command} does not read {', '.join(unread)}")
@@ -487,8 +486,11 @@ _COMMANDS = {
 }
 
 
-def _options(command):
-    return [*_COMMANDS[command][2], "output_path", "seed"]
+def _defaults(command):
+    """Every option the command reads, with its default, in flag order."""
+    _, build_rows, defaults = _COMMANDS[command]
+    written = {"output_path": f"{command}.csv"} if build_rows else {}
+    return {**defaults, **written, "seed": 0}
 
 
 @functools.cache
@@ -502,7 +504,7 @@ def _build_parser():
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     for command, (summary, _, defaults) in _COMMANDS.items():
         sub = subs.add_parser(command, help=summary, argument_default=argparse.SUPPRESS)
-        for option in _options(command):
+        for option in _defaults(command):
             flag, parse, help_text = _FLAGS[option]
             how = {"action": "store_true"} if parse is None else {"type": parse}
             sub.add_argument(flag, dest=option, help=help_text, **how)
@@ -539,7 +541,7 @@ def parse_argv(argv):
             raise UsageError(
                 f"config file names command {file_command!r} but {command!r} was invoked"
             )
-        parsers = dict(_FLAGS[option][:2] for option in _options(command))
+        parsers = dict(_FLAGS[option][:2] for option in _defaults(command))
         spliced = [command]
         for key, value in mapping.items():
             flag = f"--{key}"

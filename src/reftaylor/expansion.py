@@ -10,7 +10,8 @@ with trapezoid-style weights w_0 = w_m = 1/(2m) and w_k = 1/m in between,
 shrinks the remainder enclosure by a factor 2m: where the classical remainder
 lives in [|h| m2 / 2, |h| M2 / 2], the averaged one lives in
 [-|h|(M2 - m2)/(8m), +|h|(M2 - m2)/(8m)], m2 and M2 being bounds on the
-normalised second-derivative form along the segment.
+normalised second-derivative form along the segment.  The classical
+expansion is the one-term case, one node at t = 0 with weight 1.
 
 A variant drops the endpoint term ("open" weights, all interior points get
 weight 1/m and the far endpoint keeps 1/(2m) extra), trading the tight
@@ -19,15 +20,15 @@ centred enclosure for one shifted by first-derivative bounds.
 Everything here works on ScalarField instances; segments are parametrised by
 t in [0, 1] via phi(t) = Df(a + t h).(h), so phi'(t) = D2f(a + t h).(h, h).
 
-The Hessian form h.D2f(x).h is summed for all points at once: each of its two
-contractions starts at 0.0 and adds its products in index order, one array
-operation per term, instead of one small matmul per point.  Every point on
-a segment, whether an expansion node, a segment-bound sample or a Gauss
-node, is built and domain-checked by one helper; above 1D it builds a + t h
-one coordinate at a time, with the same products and sums.  A segment-bound
-scan builds its points once for both derivative forms.  The remainder
-integral takes its Gauss panels from gauss_panels, node by panel, so each
-array operation runs along the panels, and sums its terms panel by panel.
+Every point a + t h a routine evaluates (a Taylor end, an expansion node,
+a segment-bound sample or a Gauss node) is built and domain-checked by one
+helper, and a point outside the domain is named by its t.  Both expansions
+build their ExpansionReport through one helper, which sums their terms left
+to right.  The Hessian form h.D2f(x).h is summed for all points at once:
+each of its two contractions starts at 0.0 and adds its products in index
+order, one array operation per term, instead of one matmul per point.  The
+remainder integral takes its Gauss panels from gauss_panels, node by panel,
+so each array operation runs along the panels, and sums them panel by panel.
 """
 
 import math
@@ -112,11 +113,6 @@ class ExpansionReport:
         return self.h_norm == 0.0
 
 
-def _roundoff(terms, exact, hn):
-    """ExpansionReport.roundoff for approx = sum(terms), summed in order."""
-    return 4 * len(terms) * _UNIT_ROUNDOFF * (float(np.abs(terms).sum()) + abs(exact)) / hn
-
-
 def expansion_weights(m, kind=CLOSED):
     """Weights of the m-point averaged expansion, a read-only array of m+1 floats.
 
@@ -145,45 +141,24 @@ def _prepare(f, a, h):
     return a, h, math.sqrt(h @ h)  # np.linalg.norm's formula for a vector
 
 
-def _require_inside(f, points, what, labels=None):
-    """DomainError naming the first row of `points` outside f's domain.
+def _segment_points(f, a, h, ts):
+    """a + ts[:, None] * h for the flat array ts, each point checked against f's domain.
 
-    `what` is formatted with that row's label, its row index by default.
+    a and h come from _prepare.  The points are built one coordinate at a
+    time, with the same products and sums as the broadcast, since numpy would
+    loop over rows of the short last axis.  The first point outside f's
+    domain raises DomainError naming its t.
     """
-    if f.domain is None:
-        return
-    outside = np.flatnonzero(~f.domain.inside(points))
-    if outside.size:
-        i = outside[0]
-        label = i if labels is None else labels[i]
-        raise DomainError(
-            f"{what.format(label)} at {points[i].tolist()} lies outside the domain {f.domain}"
-        )
-
-
-def _line(a, h, ts):
-    """a + ts[:, None] * h for the flat array ts, shape (len(ts), len(h)).
-
-    Above 1D it is built one coordinate at a time, with the same products and
-    sums, since numpy would loop over rows of the short last axis; in 1D that
-    axis has length 1 and numpy runs one loop anyway.
-    """
-    if len(h) == 1:
-        return a + ts[:, None] * h
     x = np.empty((len(ts), len(h)))
     for j in range(len(h)):
         x[:, j] = a[j] + ts * h[j]
-    return x
-
-
-def _segment_points(f, a, h, ts, what, labels=None):
-    """_line(a, h, ts), all points checked against f's domain.
-
-    a and h come from _prepare; what and labels name a point outside as
-    _require_inside does.
-    """
-    x = _line(a, h, ts)
-    _require_inside(f, x, what, labels)
+    if f.domain is not None:
+        outside = np.flatnonzero(~f.domain.inside(x))
+        if outside.size:
+            i = outside[0]
+            raise DomainError(
+                f"segment point t={ts[i]} at {x[i].tolist()} lies outside the domain {f.domain}"
+            )
     return x
 
 
@@ -220,7 +195,7 @@ def estimate_segment_bounds(f, a, h, samples=201):
     if hn == 0.0:
         raise ValueError("cannot estimate segment bounds for h = 0")
     ts = _grid(0.0, 1.0, samples)
-    x = _segment_points(f, a, h, ts, "segment point t={}", ts)
+    x = _segment_points(f, a, h, ts)
     vals2 = _hessian_form(f.hess_at(x), h) / hn**2
     vals1 = (f.grad_at(x) @ h) / hn
     return SegmentBounds(
@@ -237,30 +212,37 @@ def _degenerate_report(f, a):
     return ExpansionReport(approx=v, exact=v, bound_lo=0.0, bound_hi=0.0, h_norm=0.0, roundoff=0.0)
 
 
+def _report(f, a, h, hn, terms, lo, hi):
+    """ExpansionReport of approx = the terms summed left to right, exact = f(a+h).
+
+    np.add.accumulate adds in order, term by term, so approx has the bits of
+    terms[0] + terms[1] + ... written out.  roundoff is 4 n u (sum |terms| +
+    |exact|)/|h| for the n terms.
+    """
+    exact = f.value(a + h)
+    approx = float(np.add.accumulate(terms)[-1])
+    roundoff = 4 * len(terms) * _UNIT_ROUNDOFF * (float(np.abs(terms).sum()) + abs(exact)) / hn
+    return ExpansionReport(approx, exact, lo, hi, hn, roundoff)
+
+
 def taylor_first_order(f, a, h, bounds=None):
     """Classical expansion f(a) + Df(a).(h) with its Hessian-based enclosure.
 
-    The normalised remainder eps = (f(a+h) - approx)/|h| satisfies
-    |h| m2 / 2 <= |h| eps <= |h| M2 / 2.  When `bounds` is omitted a sampled
-    estimate is used (and is, like any sampled bound, not certified).
+    The one-term case of refined_expansion: one derivative node at t = 0
+    with weight 1.  The normalised remainder eps = (f(a+h) - approx)/|h|
+    satisfies |h| m2 / 2 <= |h| eps <= |h| M2 / 2.  When `bounds` is omitted
+    a sampled estimate is used (and is, like any sampled bound, not
+    certified).  Both ends of the segment, t = 0 and t = 1, must lie in f's
+    domain.
     """
     a, h, hn = _prepare(f, a, h)
-    _require_inside(f, a[None], "base point")
+    _segment_points(f, a, h, np.array([0.0, 1.0]))
     if hn == 0.0:
         return _degenerate_report(f, a)
-    _require_inside(f, (a + h)[None], "segment endpoint")
     if bounds is None:
         bounds = estimate_segment_bounds(f, a, h)
     terms = (f.value(a), f.d(a, h))
-    exact = f.value(a + h)
-    return ExpansionReport(
-        approx=terms[0] + terms[1],
-        exact=exact,
-        bound_lo=hn * bounds.m2 / 2.0,
-        bound_hi=hn * bounds.M2 / 2.0,
-        h_norm=hn,
-        roundoff=_roundoff(terms, exact, hn),
-    )
+    return _report(f, a, h, hn, terms, hn * bounds.m2 / 2.0, hn * bounds.M2 / 2.0)
 
 
 def refined_expansion(f, a, h, m, kind=CLOSED, bounds=None):
@@ -269,39 +251,24 @@ def refined_expansion(f, a, h, m, kind=CLOSED, bounds=None):
     approx = f(a) + sum_k w_k Df(a + k h / m).(h).  With closed weights the
     normalised remainder eps lies in +-|h| (M2 - m2)/(8m); with open weights
     it lies in [|h|(m2 - M2)/(8m) - M1/(2m), |h|(M2 - m2)/(8m) - m1/(2m)],
-    which needs the first-derivative bounds m1, M1 as well.
+    which needs the first-derivative bounds m1, M1 as well.  Every node
+    t = k/m, both ends of the segment included, must lie in f's domain.
     """
     weights = expansion_weights(m, kind)
     a, h, hn = _prepare(f, a, h)
-    _require_inside(f, a[None], "base point")
+    nodes = _segment_points(f, a, h, np.arange(m + 1) / m)
     if hn == 0.0:
         return _degenerate_report(f, a)
     if bounds is None:
         bounds = estimate_segment_bounds(f, a, h)
-
-    nodes = _segment_points(f, a, h, np.arange(m + 1) / m, "expansion node k={}")
-    # accumulate adds left to right, so this is f(a) + w_0 s_0 + ... + w_m s_m
-    # summed in that order, term by term, with the same bits
     terms = np.concatenate(([f.value(a)], weights * (f.grad_at(nodes) @ h)))
-    acc = float(np.add.accumulate(terms)[-1])
-    exact = f.value(a + h)
-
     spread = hn * (bounds.M2 - bounds.m2) / (8.0 * m)
-    if kind == CLOSED:
-        lo, hi = -spread, spread
-    else:
+    lo, hi = -spread, spread
+    if kind == OPEN:
         if bounds.m1 is None or bounds.M1 is None:
             raise ValueError("open-weight enclosure needs first-derivative bounds m1, M1")
-        lo = -spread - bounds.M1 / (2.0 * m)
-        hi = spread - bounds.m1 / (2.0 * m)
-    return ExpansionReport(
-        approx=acc,
-        exact=exact,
-        bound_lo=lo,
-        bound_hi=hi,
-        h_norm=hn,
-        roundoff=_roundoff(terms, exact, hn),
-    )
+        lo, hi = lo - bounds.M1 / (2.0 * m), hi - bounds.m1 / (2.0 * m)
+    return _report(f, a, h, hn, terms, lo, hi)
 
 
 def remainder_integral(f, a, h, m):
@@ -323,7 +290,7 @@ def remainder_integral(f, a, h, m):
     nodes, weights = gauss_panels(0.0, 1.0, 5, 32 * m)
     s_k = 1.0 / (2.0 * m) + np.arange(32 * m) // 32 / m
     ts = nodes.reshape(-1)
-    form = _hessian_form(f.hess_at(_segment_points(f, a, h, ts, "segment point t={}", ts)), h)
+    form = _hessian_form(f.hess_at(_segment_points(f, a, h, ts)), h)
     kernel = weights * (s_k - nodes) * form.reshape(nodes.shape)
     return float(np.sum(kernel.T.copy()))
 

@@ -233,7 +233,9 @@ def test_config_file_keys_are_full_flag_names(command, line, tmp_path, capsys):
     cfg = tmp_path / "study.cfg"
     cfg.write_text(line + "\n")
     out = tmp_path / "x.csv"
-    assert run_main([command, "--config", str(cfg), "--output", str(out)]) == EXIT_USAGE
+    # registry writes no file, so it has no --output
+    written = ["--output", str(out)] if "output_path" in cli._defaults(command) else []
+    assert run_main([command, "--config", str(cfg), *written]) == EXIT_USAGE
     key = line.partition(" = ")[0]
     assert f"unknown key {key!r}" in capsys.readouterr().err
     assert not out.exists()
@@ -659,6 +661,21 @@ def test_registry_listing(capsys):
     ])
 
 
+def test_registry_takes_no_output_path(tmp_path, monkeypatch, capsys):
+    # registry prints its listing and writes no file, so it has no --output
+    monkeypatch.chdir(tmp_path)
+    assert run_main(["registry", "--output", "x.csv"]) == EXIT_USAGE
+    assert "unrecognized arguments: --output x.csv" in capsys.readouterr().err
+    cfg = tmp_path / "r.cfg"
+    cfg.write_text("output = x.csv\n")
+    assert run_main(["registry", "--config", str(cfg)]) == EXIT_USAGE
+    assert "unknown key 'output'" in capsys.readouterr().err
+    with pytest.raises(cli.UsageError, match="registry does not read output_path"):
+        StudyConfig("registry", output_path="x.csv")
+    assert "output_path" not in vars(StudyConfig("registry"))
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def test_registry_selftest_passes(capsys):
     assert run_main(["registry", "--selftest"]) == EXIT_OK
     text = capsys.readouterr().out
@@ -867,7 +884,10 @@ _BAD_OPTION_VALUES = [
 
 @pytest.mark.parametrize("command, option, value, message", _BAD_OPTION_VALUES)
 def test_non_numeric_real_option_is_a_usage_error(command, option, value, message, tmp_path):
-    cfg = StudyConfig(command, **{option: value, "output_path": str(tmp_path / "x.csv")})
+    options = {option: value}
+    if "output_path" in cli._defaults(command):  # registry writes no file
+        options["output_path"] = str(tmp_path / "x.csv")
+    cfg = StudyConfig(command, **options)
     with pytest.raises(cli.UsageError, match=re.escape(message)):
         cli.run(cfg)
     assert not (tmp_path / "x.csv").exists()

@@ -240,8 +240,19 @@ def test_refined_expansion_matches_scalar_loop_bitwise(name, kind):
 
 def test_refined_node_outside_domain_names_offender():
     f = exp1d(domain=((0.0, 1.0),))
-    with pytest.raises(DomainError, match="k=2"):
+    with pytest.raises(DomainError, match=r"t=1\.0"):
         refined_expansion(f, 0.0, 1.5, m=2, bounds=SegmentBounds(0.0, 1.0))
+
+
+def test_taylor_end_outside_domain_names_its_t():
+    f = exp1d(domain=((0.0, 1.0),))
+    bounds = SegmentBounds(0.0, 1.0)
+    with pytest.raises(DomainError, match=r"segment point t=0\.0 at \[-0\.5\]"):
+        taylor_first_order(f, -0.5, 1.0, bounds=bounds)
+    with pytest.raises(DomainError, match=r"segment point t=0\.0 at \[1\.5\]"):
+        taylor_first_order(f, 1.5, 0.0, bounds=bounds)  # checked before the h = 0 report
+    with pytest.raises(DomainError, match=r"segment point t=1\.0 at \[1\.5\]"):
+        taylor_first_order(f, 0.5, 1.0, bounds=bounds)
 
 
 def test_open_kind_containment_exp():
@@ -417,7 +428,7 @@ def test_segment_points_match_the_broadcast_formula_bitwise():
     ts = np.concatenate(([0.0, 1.0], rng.random(257)))
     for dim in (1, 2, 3, 4):
         a, h = rng.uniform(-3.0, 3.0, (2, dim))
-        got = expansion._line(a, h, ts)
+        got = expansion._segment_points(ScalarField(dim, lambda pts: pts[:, 0]), a, h, ts)
         assert got.flags.c_contiguous
         assert _hex(got.ravel()) == _hex((a + ts[:, None] * h).ravel())
 

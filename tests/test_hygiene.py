@@ -55,3 +55,33 @@ def test_every_private_module_name_is_read_in_the_package():
     unread = [f"{name}:{n}" for name, tree in sorted(trees.items())
               for n in sorted(_private_names(tree) - read)]
     assert unread == []
+
+
+def _unread_parameters(tree):
+    """Parameters of each function or lambda that its body never reads.
+
+    A method's self is exempt: the call protocol passes it whether it is read
+    or not.
+    """
+    methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+    unread = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+        if id(node) in methods:
+            params = params[1:]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(node, "name", "lambda")
+        unread += [f"{name}:{node.lineno} {p.arg}" for p in params if p and p.arg not in read]
+    return unread
+
+
+def test_every_parameter_is_read():
+    # a parameter whose last use went away still shapes every call that passes it
+    unread = {p.name: _unread_parameters(ast.parse(p.read_text(encoding="utf-8")))
+              for p in sorted(PACKAGE.glob("*.py"))}
+    assert {name: u for name, u in unread.items() if u} == {}
