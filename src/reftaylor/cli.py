@@ -274,7 +274,11 @@ def _simplex_rows(cfg):
         err = np.max(np.abs(plain.values_at(pts) - vals))
         err_star = np.max(np.abs(star.values_at(pts) - vals))
         if entry.analytic:
-            _check(f"{entry.name} k={k} plain error", err, 0.0, bounds.combined)
+            # Waldron's sharp d2 R^2/2, R the radius of the smallest ball holding an
+            # element: every uniform_mesh element has its longest edge as that ball's
+            # diameter, so R = mesh_size / 2
+            sharp = InterpBounds(mesh.mesh_size / 2.0, d1, d2).classical
+            _check(f"{entry.name} k={k} plain error", err, 0.0, sharp)
             _check(f"{entry.name} k={k} corrected error", err_star, 0.0, bounds.corrected)
         ratio = err / bounds.combined if bounds.combined > 0 else 0.0
         return (mesh.mesh_size, err, bounds.classical, bounds.refined, bounds.corrected, ratio)

@@ -55,7 +55,7 @@ __all__ = [
 CLOSED = "closed"
 OPEN = "open"
 
-_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+_UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2
 
 
 @dataclass(frozen=True)

@@ -64,13 +64,16 @@ def _simplex_geometry(verts):
     verts is an (M, n+1, n) array.  Row i of each (n+1, n+1) barycentric
     matrix maps (1, P) to lambda_i(P), so its columns 1: are the constant
     barycentric gradients.  Degeneracy is measured against the scale of each
-    simplex: the volume must exceed 1e-12 * diameter^n.
+    simplex: the volume must exceed 1e-12 * diameter^n.  The squared
+    diameters are folded one vertex pair at a time, so no (M, E, n)
+    difference tensor is held beside the det and inv work.
     """
     n = verts.shape[2]
-    # each vertex pair once: the same sums the full (n+1)^2 difference tensor holds
-    i, j = _edge_pairs(n).T
-    diffs = verts[:, j] - verts[:, i]
-    diameters = np.sqrt((diffs**2).sum(axis=2).max(axis=1))
+    squared = np.zeros(len(verts))
+    for i, j in _edge_pairs(n):
+        diff = verts[:, j] - verts[:, i]
+        np.maximum(squared, (diff**2).sum(axis=1), out=squared)
+    diameters = np.sqrt(squared)
     volumes = np.abs(np.linalg.det(verts[:, 1:] - verts[:, :1])) / math.factorial(n)
     bad = np.flatnonzero((diameters <= 0.0) | (volumes <= 1e-12 * diameters**n))
     if bad.size:
@@ -328,7 +331,9 @@ class MeshInterpolant:
     P2: the vertex values plus, on each edge A_i A_j, the cubic Hermite value
     (v_i + v_j)/2 - (Dv(A_i) - Dv(A_j)).(A_i - A_j)/8 at its midpoint.  That
     value is symmetric in i and j to the bit, so elements sharing an edge
-    store the same one.  Evaluation is per element, so face points follow
+    store the same one.  v is sampled once per mesh vertex, and each edge
+    column is filled from those tables one edge at a time, so no (M, E, n)
+    gather is built.  Evaluation is per element, so face points follow
     the point-location tie rule (lowest element index).
 
     values_at(points) evaluates a (P, n) block of points: it locates each
@@ -339,13 +344,18 @@ class MeshInterpolant:
     def __init__(self, mesh, v, corrected=False):
         self.mesh = mesh
         self.space = "P2" if corrected else "P1"
-        self.coefs = v.value_at(mesh.vertices)[mesh.elements]
-        if corrected:
-            g, x = (t.take(mesh.elements, 0) for t in (v.grad_at(mesh.vertices), mesh.vertices))
-            i, j = _edge_pairs(mesh.dim).T
-            mids = (0.5 * (self.coefs[:, i] + self.coefs[:, j])
-                    - np.einsum("men,men->me", g[:, i] - g[:, j], x[:, i] - x[:, j]) / 8.0)
-            self.coefs = np.concatenate([self.coefs, mids], axis=1)
+        values = v.value_at(mesh.vertices)
+        if not corrected:
+            self.coefs = values[mesh.elements]
+            return
+        grads, x, elements = v.grad_at(mesh.vertices), mesh.vertices, mesh.elements
+        pairs = _edge_pairs(mesh.dim)
+        self.coefs = np.empty((len(elements), mesh.dim + 1 + len(pairs)))
+        self.coefs[:, : mesh.dim + 1] = values[elements]
+        for e, (i, j) in enumerate(pairs, start=mesh.dim + 1):
+            a, b = elements[:, i], elements[:, j]
+            dot = np.einsum("mn,mn->m", grads[a] - grads[b], x[a] - x[b])
+            self.coefs[:, e] = 0.5 * (self.coefs[:, i] + self.coefs[:, j]) - dot / 8.0
 
     def eval_on_element(self, ks, bary):
         """Values (K, Q) at barycentric points of the elements ks (K,).

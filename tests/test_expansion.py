@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -235,7 +236,9 @@ def test_refined_expansion_matches_scalar_loop_bitwise(name, kind):
         got = (rep.approx, rep.remainder_eps, rep.bound_lo, rep.bound_hi)
         want = _refined_by_scalar_loop(f, a, h, m, kind, bounds)
         assert [x.hex() for x in got] == [float(x).hex() for x in want], m
-        assert type(rep.approx) is float
+        for report in (rep, taylor_first_order(f, a, h, bounds=bounds)):
+            values = [getattr(report, field.name) for field in dataclasses.fields(report)]
+            assert all(type(x) is float for x in [*values, report.remainder_eps]), report
 
 
 def test_refined_node_outside_domain_names_offender():

@@ -107,6 +107,58 @@ def test_closed_half_width_is_sharp(m):
 
 
 @pytest.mark.parametrize("m", MS)
+def test_closed_weights_minimise_the_kernel_integral(m):
+    # for weights summing to 1 on the nodes k/m, K on piece k is (1 - s) - c_k,
+    # c_k the weight right of s; its integral |K| over a piece of length 1/m is
+    # least, 1/(4m^2), when its root is the piece's midpoint (a root off the
+    # piece gives at least 1/(2m^2)), and each c_k is free, so the minimum over
+    # all such weights is 1/(4m): the closed weights put every root there
+    nodes, w = [sympy.Rational(k, m) for k in range(m + 1)], _weights(m, CLOSED)
+    c = sympy.Symbol("c", real=True)
+    for lo, hi, K in _segment_kernel(nodes, w, 1):
+        middle = sympy.sympify(lo + hi) / 2
+        assert sympy.solve(K, s) == [middle]
+        root = 1 - c  # the root of (1 - s) - c, taken inside the piece
+        area = ((root - lo) ** 2 + (hi - root) ** 2) / 2
+        assert sympy.solve(sympy.diff(area, c), c) == [1 - middle]
+        assert area.subs(c, 1 - middle) == sympy.Rational(1, 4 * m * m)
+        assert area.subs(c, 1 - lo) == area.subs(c, 1 - hi) == sympy.Rational(1, 2 * m * m)
+    assert sum(_parts(_segment_kernel(nodes, w, 1), s)) == sympy.Rational(1, 4 * m)
+
+
+@pytest.mark.parametrize("m", MS)
+def test_zero_sum_perturbations_widen_the_kernel_integral(m):
+    # a zero-sum change keeps the rule exact on constants, so it still has a
+    # first kernel, and moving off the closed weights makes integral |K| grow
+    nodes, w = [sympy.Rational(k, m) for k in range(m + 1)], _weights(m, CLOSED)
+    best = sympy.Rational(1, 4 * m)
+    rng = np.random.default_rng(m)
+    for scale in (sympy.Rational(1, 10), sympy.Rational(1, 1000), sympy.Rational(1, 10**6)):
+        for _ in range(4):
+            r = [sympy.Integer(int(v)) for v in rng.integers(-50, 51, size=m + 1)]
+            mean = sum(r) / (m + 1)
+            if all(v == mean for v in r):
+                continue
+            delta = [scale * (v - mean) / 50 for v in r]
+            assert sum(delta) == 0
+            perturbed = [wk + dk for wk, dk in zip(w, delta)]
+            assert sum(_parts(_segment_kernel(nodes, perturbed, 1), s)) > best
+
+
+@pytest.mark.parametrize("m", MS)
+def test_sine_witness_reads_two_over_pi_of_the_half_width(m):
+    # f = -sin(2 pi m x)/(4 pi^2 m^2) has f'' = sin(2 pi m x) in [-1, 1] and
+    # f' = -1/(2 pi m) at every node k/m: eps = 1/(2 pi m) against the
+    # half-width 1/(4m), so no smaller constant than 2/pi times /(8m) can hold
+    w = 2.0 * math.pi * m
+    f = ScalarField(1, lambda p: -np.sin(w * p[:, 0]) / (w * w),
+                    grad=lambda p: -np.cos(w * p) / w)
+    rep = refined_expansion(f, 0.0, 1.0, m, bounds=SegmentBounds(-1.0, 1.0))
+    assert rep.bound_hi == -rep.bound_lo == 1.0 / (4 * m)
+    assert rep.remainder_eps / rep.bound_hi == pytest.approx(2.0 / math.pi, abs=1e-12)
+
+
+@pytest.mark.parametrize("m", MS)
 def test_open_weight_shift_is_one_over_2m(m):
     # open minus closed: every first-kernel piece drops by 1/(2m) and so does
     # E(1), so E_open(phi) = E_closed(phi) - phi(1)/(2m), phi(1)/|h| in [m1, M1]

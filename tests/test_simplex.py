@@ -2,11 +2,13 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from reftaylor.fields import DomainError, ScalarField
+from reftaylor.registry import lookup, registry
 from reftaylor.simplex import (
     INSIDE_TOL,
     GeometryError,
@@ -706,3 +708,104 @@ def test_take_gathers_the_same_element_vertices_as_fancy_indexing(dim):
     gathered = mesh.vertices.take(mesh.elements, 0)
     assert gathered.shape == (len(mesh), dim + 1, dim)
     assert np.array_equal(gathered, mesh.vertices[mesh.elements])
+
+
+def _stacked_diameters(mesh):
+    """Diameters from the whole (M, E, n) difference tensor at once."""
+    verts = mesh.vertices.take(mesh.elements, 0)
+    i, j = _edge_pairs(mesh.dim).T
+    diffs = verts[:, j] - verts[:, i]
+    return np.sqrt((diffs**2).sum(axis=2).max(axis=1))
+
+
+def _stacked_pi_star(mesh, v):
+    """pi*'s coefficients from (M, E, n) edge gathers and one einsum over all edges."""
+    coefs = v.value_at(mesh.vertices)[mesh.elements]
+    g, x = (t.take(mesh.elements, 0) for t in (v.grad_at(mesh.vertices), mesh.vertices))
+    i, j = _edge_pairs(mesh.dim).T
+    mids = (0.5 * (coefs[:, i] + coefs[:, j])
+            - np.einsum("men,men->me", g[:, i] - g[:, j], x[:, i] - x[:, j]) / 8.0)
+    return np.concatenate([coefs, mids], axis=1)
+
+
+@pytest.mark.parametrize("name", [entry.name for entry in registry()])
+def test_pairwise_diameters_and_midpoints_match_the_stacked_formulas_bitwise(name):
+    # the one-pair-at-a-time fold and the one-edge-at-a-time midpoints keep the
+    # stacked formulas' bits, on the entry's uniform meshes and jittered copies
+    entry = lookup(name)
+    f = entry.field()
+    rng = np.random.default_rng(61 + entry.dim)
+    box = np.asarray(entry.box)
+    for k in (1, 2, 3, 4, 8):
+        uniform = uniform_mesh(entry.box, k)
+        shift = rng.uniform(-0.15, 0.15, uniform.vertices.shape) * (box[:, 1] - box[:, 0]) / k
+        for m in (uniform, Triangulation(uniform.vertices + shift, uniform.elements)):
+            assert m.diameters.tobytes() == _stacked_diameters(m).tobytes()
+            star = MeshInterpolant(m, f, corrected=True)
+            assert star.coefs.tobytes() == _stacked_pi_star(m, f).tobytes()
+
+
+def _traced_peak(build):
+    """(build(), the peak bytes traced while it ran)."""
+    tracemalloc.start()
+    try:
+        return build(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_pi_star_build_holds_no_edge_gathers():
+    # on the 3D k=8 Kuhn mesh the (M, E, n) gathers peaked at 10.6x the
+    # coefficients; one edge at a time peaks at 2.4x
+    f = lookup("quad3d").field()
+    m = uniform_mesh([(-1.0, 1.0)] * 3, 8)
+    MeshInterpolant(m, f, corrected=True)  # warm up numpy's code paths
+    star, peak = _traced_peak(lambda: MeshInterpolant(m, f, corrected=True))
+    assert peak < 4.0 * star.coefs.nbytes, (peak, star.coefs.nbytes)
+
+
+def test_mesh_build_holds_no_difference_tensor():
+    # the (M, E, n) difference tensor lived through det and inv: 3.1x the
+    # arrays the 3D k=8 mesh keeps; the pairwise fold peaks at 2.4x
+    m = uniform_mesh([(-1.0, 1.0)] * 3, 8)
+    vertices, elements = m.vertices.copy(), m.elements.copy()
+    built, peak = _traced_peak(lambda: Triangulation(vertices, elements))
+    kept = sum(a.nbytes for a in (built.vertices, built.elements, built.volumes,
+                                  built.diameters, built.bary_matrices))
+    assert peak < 2.75 * kept, (peak, kept)
+
+
+def test_uniform_mesh_elements_lie_on_their_longest_edge_sphere():
+    # each vertex off an element's longest edge sees it at a right angle, so
+    # every vertex lies on the sphere with that edge as a diameter: it is the
+    # smallest ball holding the element, of radius R = mesh_size / 2
+    boxes = ([(0.0, 1.0)], [(-1.0, 2.5)], [(0.0, 1.0), (-1.0, 2.0)], [(0.0, math.pi), (2.0, 2.1)],
+             [(0.0, 1.0), (-1.0, 2.0), (0.5, 1.5)], [(-3.0, 0.1), (0.0, math.e), (1.0, 8.0)])
+    for bounds in boxes:
+        for k in (1, 2, 3, 5):
+            m = uniform_mesh(bounds, k)
+            verts = m.vertices[m.elements]
+            pairs = _edge_pairs(m.dim)
+            lengths = np.linalg.norm(verts[:, pairs[:, 1]] - verts[:, pairs[:, 0]], axis=2)
+            i, j = pairs[lengths.argmax(axis=1)].T
+            rows = np.arange(len(m))
+            center = 0.5 * (verts[rows, i] + verts[rows, j])
+            radius = np.linalg.norm(verts - center[:, None], axis=2)
+            np.testing.assert_allclose(radius, m.mesh_size / 2.0, rtol=1e-13)
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 8])
+def test_quad3d_edge_midpoint_attains_the_sharp_pi_bound(k):
+    # |x|^2 has Hessian 2I, so pi's error at the midpoint of an edge of length
+    # 2R is R^2 = d2 R^2 / 2: the simplex study's gate is attained, at every
+    # element's longest edge, the cell diagonal from vertex 0 to vertex 3
+    entry = lookup("quad3d")
+    f = entry.field()
+    m = uniform_mesh(entry.box, k)
+    ks = np.arange(len(m))
+    mid = [[0.5, 0.0, 0.0, 0.5]]
+    points = 0.5 * (m.vertices[m.elements[:, 0]] + m.vertices[m.elements[:, 3]])
+    err = np.abs(MeshInterpolant(m, f).eval_on_element(ks, mid)[:, 0] - f.value_at(points))
+    sharp = InterpBounds(m.mesh_size / 2.0, entry.d1_inf, entry.d2_inf).classical
+    np.testing.assert_allclose(err, sharp, rtol=1e-12)
+    assert sharp == pytest.approx(entry.d2_inf * (m.mesh_size / 2.0) ** 2 / 2.0, rel=1e-15)
