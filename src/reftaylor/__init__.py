@@ -5,7 +5,8 @@ The package has four layers:
 - expansion: m-point derivative-averaged expansions with two-sided remainder
   enclosures that shrink like 1/(2m) relative to the classical ones;
 - interp1d: consequences for linear interpolation on an interval, including
-  the convex exponential family on which the mixed bound provably wins;
+  the convex exponential family on which the mixed bound provably wins; the
+  interval is the simplex layer's one-element mesh, measured through it;
 - simplex: barycentric interpolation on simplices and meshes (a simplex is
   a one-element mesh), with the half-constant corrected interpolant, the
   one InterpBounds formula for the interpolation bounds at a size h, and
@@ -48,7 +49,6 @@ from .interp1d import (
     class_p_lower_envelope,
     class_p_sup_norms,
     compare_bounds,
-    linear_interpolant,
     rate_for_beta,
 )
 from .simplex import (

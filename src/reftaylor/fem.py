@@ -55,7 +55,7 @@ from .fields import ScalarField
 from .quadrature import simplex_rule
 from .registry import sine_product
 from .simplex import InterpBounds, MeshInterpolant, _basis, _basis_derivatives, _combine
-from .simplex import _edge_pairs, _unique_rows
+from .simplex import _edge_pairs, _element_points, _unique_rows
 
 __all__ = [
     "SolverError",
@@ -203,7 +203,7 @@ def _assemble(problem, mesh, space, elem_dofs, ndof):
         local = local + problem.reaction * mass_ref[None, :, :]
     local = local * vols[:, None, None]
 
-    pts = _combine(bary, mesh.vertices.take(mesh.elements, 0)).T.reshape(-1, mesh.dim)
+    pts = _element_points(mesh, bary)
     fvals = problem.rhs.value_at(pts).reshape(len(vols), len(w))
     load = vols[:, None] * np.einsum("mq,q,ql->ml", fvals, w, N)
 

@@ -1,7 +1,9 @@
 """Linear interpolation on an interval and the mixed-derivative error bound.
 
-For f twice differentiable on [a, b], the affine interpolant matching f at
-the endpoints satisfies the classical sup-error bound
+An interval is the mesh layer's one-element case, uniform_mesh((a, b), 1),
+and compare_bounds measures there the affine interpolant matching f at the
+endpoints.  For f twice differentiable on [a, b] it satisfies the classical
+sup-error bound
 
     classical = (b - a)^2 |f''|_inf / 8.
 
@@ -28,13 +30,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import ScalarField
-from .simplex import InterpBounds
+from .quadrature import _grid
+from .simplex import InterpBounds, MeshInterpolant, _element_points, uniform_mesh
 
 __all__ = [
     "Interval",
     "BoundComparison",
     "ClassPParams",
-    "linear_interpolant",
     "compare_bounds",
     "rate_for_beta",
     "class_p_field",
@@ -57,9 +59,6 @@ class Interval:
     @property
     def length(self):
         return self.b - self.a
-
-    def grid(self, n):
-        return np.linspace(self.a, self.b, n)
 
 
 @dataclass(frozen=True)
@@ -106,29 +105,15 @@ class ClassPParams:
             )
 
 
-def linear_interpolant(f, iv):
-    """The affine function matching the ScalarField f at both endpoints of iv.
-
-    Returns a vectorised callable.
-    """
-    fa = f.value([iv.a])
-    fb = f.value([iv.b])
-    a, b = iv.a, iv.b
-
-    def interp(x):
-        x = np.asarray(x, dtype=float)
-        return ((x - b) * fa + (a - x) * fb) / (a - b)
-
-    return interp
-
-
 def compare_bounds(f, iv, f1_sup, f2_sup, grid=1001):
     """Evaluate both error bounds and the measured sup error on a grid.
 
     f1_sup and f2_sup are sup-norm bounds for f' and f'' on iv; they must be
     certified by the caller for the resulting bounds to be certified.  A zero
     f2_sup is only consistent with an affine f, which is checked on the grid.
-    A bound that overflows a float raises ValueError.
+    A bound that overflows a float raises ValueError.  The error is measured
+    on iv's one-element mesh at (1 - t) a + t b, t on an even grid of [0, 1]; a
+    width that squares to 0 makes that mesh degenerate (GeometryError).
 
     The bounds are InterpBounds at the circumradius L/2, where the classical
     bound is sharp (Waldron, SIAM J. Numer. Anal. 35, 1998).  The mesh layer
@@ -142,10 +127,11 @@ def compare_bounds(f, iv, f1_sup, f2_sup, grid=1001):
         raise ValueError(f"interpolation bounds on [{iv.a:g}, {iv.b:g}] overflow a float")
     if grid < 3:
         raise ValueError(f"grid must have at least 3 points, got {grid}")
-    xs = iv.grid(grid)
-    vals = f.value_at(xs.reshape(-1, 1))
-    interp = linear_interpolant(f, iv)
-    measured = float(np.max(np.abs(interp(xs) - vals)))
+    mesh = uniform_mesh((iv.a, iv.b), 1)
+    t = _grid(0.0, 1.0, grid)
+    bary = np.column_stack([1.0 - t, t])
+    vals = f.value_at(_element_points(mesh, bary))
+    measured = float(np.max(np.abs(MeshInterpolant(mesh, f).eval_on_element([0], bary)[0] - vals)))
 
     if f2_sup == 0.0:
         scale = 1.0 + float(np.max(np.abs(vals)))

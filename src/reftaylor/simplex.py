@@ -8,8 +8,9 @@ pi(v)(P) = sum_i lambda_i(P) v(A_i).  At a size h its sup error admits two bound
     refined   = |Dv|_inf / 2 * h + |D2v|_inf / 4 * h^2,
 
 and neither dominates the other, so the useful bound is their minimum.
-InterpBounds writes these formulas once: a mesh reads them at its largest
-element diameter (mesh_size), interp1d at an interval's circumradius.
+InterpBounds writes these formulas once: the CSV columns read them at the
+largest element diameter (mesh_size), the gates and interp1d (a one-element
+mesh) at the circumradius R, where they and pi*'s bound below hold.
 Subtracting half the first-order mismatch at the vertices,
 
     pi*(v)(P) = pi(v)(P) - 1/2 sum_i lambda_i(P) Dv(A_i).(A_i - P),
@@ -112,10 +113,10 @@ class InterpBounds:
 
     d1_inf and d2_inf bound the operator norms of Dv and D2v; certified
     inputs give certified bounds.  classical and refined bound pi, corrected
-    bounds pi*.  A mesh passes h = mesh_size, so the bounds hold on every
-    element; interp1d passes the interval's circumradius, half its length,
-    where classical and corrected are the sharp Peano-kernel constants L^2/8
-    of pi and L^2/16 of pi* on an interval of length L.
+    bounds pi*.  All three hold at h = R, the radius of the smallest ball
+    holding the element, so also at the diameter h = mesh_size.  On an
+    interval of length L, R = L/2 gives the sharp Peano-kernel constants
+    L^2/8 of pi and L^2/16 of pi*.
     """
 
     __slots__ = ("classical", "refined", "corrected", "combined")
@@ -321,6 +322,11 @@ def _combine(coef, table):
     for b in range(1, coef.shape[2]):
         out += np.multiply(coef[:, :, b], table[:, :, b], out=term)
     return out.reshape(table.shape[:1] + lead + table.shape[-1:])
+
+
+def _element_points(mesh, bary):
+    """Points (M*Q, n) sum_i bary[q, i] A_i, element-major, added in vertex order."""
+    return _combine(bary, mesh.vertices.take(mesh.elements, 0)).T.reshape(-1, mesh.dim)
 
 
 class MeshInterpolant:

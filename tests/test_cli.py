@@ -143,6 +143,15 @@ def test_benchmark_csv_bytes_match_recorded_digests(key, tmp_path):
     assert digest == by_seed.get("0", by_seed.get("any"))
 
 
+def test_default_interp1d_csv_bytes_match_the_recorded_digest(tmp_path):
+    # no benchmark op runs interp1d, so its digest is pinned here; it is the
+    # same at every BLAS thread count
+    out = tmp_path / "interp1d.csv"
+    assert run_main(["interp1d", "--output", str(out)]) == EXIT_OK
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "8cf7b80340451c9377ecef5a6575e39294759ddeeef7493d64d90180fb95092c"
+
+
 def test_seed_changes_sampled_rows(tmp_path):
     _, a = _run(["simplex", "--function", "exp2d", "--subdivisions", "2", "--seed", "0"], tmp_path, "a.csv")
     _, b = _run(["simplex", "--function", "exp2d", "--subdivisions", "2", "--seed", "1"], tmp_path, "b.csv")
@@ -408,6 +417,15 @@ def test_interval_whose_bound_squares_past_a_float_exits_usage(tmp_path, capsys)
     assert run_main(["interp1d", "--interval=0,1e200", "--output", str(out)]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err == "error: interpolation bounds on [0, 1e+200] overflow a float\n"
+    assert not out.exists()
+
+
+def test_interval_whose_width_squares_to_zero_exits_usage(tmp_path, capsys):
+    # (1e-170)**2 underflows to 0, so the interval's one-element mesh has
+    # diameter 0 and is refused as degenerate before any value is measured
+    out = tmp_path / "x.csv"
+    assert run_main(["interp1d", "--interval=0,1e-170", "--output", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: degenerate simplex 0: volume 1.000e-170")
     assert not out.exists()
 
 

@@ -146,7 +146,7 @@ EXITS = {
     "expansion derivative sum x (1 + 1e-9)": "0 0 0  0 0 0  0 0 0 0  2 2",
     "pi* midpoint correction /8 -> /7":      "0 0 0  0 0 0  0 0 0 0  0 0",
     "pi* midpoint correction /8 -> /9":      "0 0 0  0 0 0  0 0 0 0  0 0",
-    "P1 vertex values x (1 + 1e-3)":         "0 0 0  0 0 2  0 0 2 0  0 0",
+    "P1 vertex values x (1 + 1e-3)":         "0 0 0  0 0 2  2 0 2 0  0 0",
     "one triangle-rule weight x 1.01":       "0 0 0  0 0 0  0 0 0 0  0 0",
     "stiffness x 1.01":                      "0 0 0  0 0 0  2 2 2 0  0 0",
     "stiffness x 1.10":                      "0 0 0  0 0 0  2 2 2 2  0 0",

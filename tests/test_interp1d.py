@@ -13,7 +13,6 @@ from reftaylor.interp1d import (
     class_p_lower_envelope,
     class_p_sup_norms,
     compare_bounds,
-    linear_interpolant,
     rate_for_beta,
 )
 
@@ -44,26 +43,6 @@ def test_interval_validation():
     assert Interval(-1.0, 3.0).length == 4.0
 
 
-def test_interpolant_reproduces_affine():
-    f = field_1d(lambda x: 3 * x - 2, lambda x: 3.0, lambda x: 0.0)
-    interp = linear_interpolant(f, Interval(-1.0, 2.0))
-    xs = np.linspace(-1.0, 2.0, 1001)
-    assert np.max(np.abs(interp(xs) - (3 * xs - 2))) <= 1e-13
-
-
-def test_interpolant_constant_and_identity():
-    c = linear_interpolant(ScalarField(1, lambda pts: np.full(len(pts), 7.5)), UNIT)
-    assert c(0.3) == pytest.approx(7.5)
-    ident = linear_interpolant(ScalarField(1, lambda pts: pts[:, 0]), UNIT)
-    assert ident(0.25) == pytest.approx(0.25)
-
-
-def test_interpolant_square_midpoint():
-    interp = linear_interpolant(square(), UNIT)
-    assert interp(0.5) == pytest.approx(0.5)
-    assert interp(0.5) - 0.25 == pytest.approx(0.25)  # error 1/4 at the midpoint
-
-
 def test_compare_bounds_square_example():
     # |f'| sup = 2, |f''| sup = 2 on [0,1]
     cmp = compare_bounds(square(), UNIT, f1_sup=2.0, f2_sup=2.0)
@@ -72,6 +51,24 @@ def test_compare_bounds_square_example():
     assert cmp.beta == pytest.approx(2.5)  # no improvement for the parabola
     assert cmp.measured_sup_error == pytest.approx(0.25, abs=1e-12)
     assert cmp.measured_sup_error <= min(cmp.classical, cmp.refined) + 1e-10
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (-1.0, 2.0), (0.3, 0.30001)])
+@pytest.mark.parametrize("grid", [3, 1001])
+def test_compare_bounds_measures_the_endpoint_line_float_by_float(a, b, grid):
+    # the one-element mesh's interpolant at x = (1 - t) a + t b is
+    # (1 - t) f(a) + t f(b), each sum added left to right, on t = linspace(0, 1, grid)
+    iv = Interval(a, b)
+    params = ClassPParams(rate=rate_for_beta(0.75, iv), forcing=1.0, slope_at_a=0.5)
+    f = class_p_field(params, iv)
+    fa, fb = (float(v) for v in f.value_at(np.array([[a], [b]])))
+    ts = np.linspace(0.0, 1.0, grid).tolist()
+    xs = [(1.0 - t) * a + t * b for t in ts]
+    vals = f.value_at(np.array(xs)[:, None]).tolist()
+    want = max(abs((1.0 - t) * fa + t * fb - v) for t, v in zip(ts, vals))
+    cmp = compare_bounds(f, iv, *class_p_sup_norms(params, iv), grid=grid)
+    assert cmp.measured_sup_error == want
+    assert 0.0 < want <= cmp.classical
 
 
 def test_compare_bounds_affine_zero_curvature():
@@ -227,7 +224,7 @@ def test_class_p_sup_norms_match_grid():
         )
         iv = Interval(0.0, float(rng.uniform(0.5, 2.0)))
         f = class_p_field(p, iv)
-        xs = iv.grid(10001)
+        xs = np.linspace(iv.a, iv.b, 10001)
         g1 = float(np.max(np.abs(f.grad_at(xs[:, None]))))
         g2 = float(np.max(f.hess_at(xs[:, None])))
         f1, f2 = class_p_sup_norms(p, iv)

@@ -13,13 +13,23 @@ constant sharp, at least the kernel's where they call it valid.
 The expansions act on phi(t) = Df(a + t h).(h) on [0, 1], whose integral is
 f(a+h) - f(a); so exact - approx is E(phi) for E(phi) = integral phi -
 sum_k w_k phi(t_k), and phi' = D2f(a + t h).(h, h) lies in [m2, M2] |h|^2.
+
+On a simplex with vertices A_i, each interpolation error at P = sum_i
+lambda_i A_i is a lambda-weighted sum of 1D remainders along the rays
+A_i -> P, g_i(t) = v(A_i + t (P - A_i)), since sum_i lambda_i (P - A_i) = 0.
+With mu_p(P) = sum_i lambda_i |P - A_i|^p their kernels give
+|v - pi v| <= (d2/2) mu2, |v - pi* v| <= (d2/4) mu2 and
+|v - pi v| <= (d1/2) mu1 + (d2/4) mu2, and mu2 <= R^2, R the radius of the
+smallest ball holding the simplex: InterpBounds at R holds in full.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 import sympy
+from hypothesis import assume, given, settings, strategies as st
 
 from reftaylor.expansion import (
     CLOSED,
@@ -31,8 +41,15 @@ from reftaylor.expansion import (
 )
 from reftaylor.fields import ScalarField
 from reftaylor.interp1d import Interval, compare_bounds
-from reftaylor.registry import lookup
-from reftaylor.simplex import InterpBounds, MeshInterpolant, uniform_mesh
+from reftaylor.registry import lookup, registry
+from reftaylor.simplex import (
+    GeometryError,
+    InterpBounds,
+    MeshInterpolant,
+    Simplex,
+    _element_points,
+    uniform_mesh,
+)
 
 s, t, x = sympy.symbols("s t x", real=True)
 MS = range(1, 9)
@@ -262,3 +279,175 @@ def test_interval_interpolation_constants(L):
     # a mesh reads the bounds at its element diameter L: valid, 4x the 1D constants
     mesh = InterpBounds(uniform_mesh((0.0, float(L)), 1).mesh_size, 0.0, 1.0)
     assert mesh.classical >= float(pi) and mesh.corrected >= float(pi_star)
+
+
+# ------------------------------------------------ rays on a simplex
+
+
+def _rational_simplex(n):
+    """Rational vertices A_i of a nondegenerate n-simplex, weights lambda_i in
+    the symbols l1.. summing to 1, P = sum_i lambda_i A_i, and the Poly
+    generators (t, l1, ..)."""
+    A = [sympy.Matrix([sympy.Rational((3 * i + 5 * k) % 7 - 3, k + 2) + int(i == k + 1)
+                       for k in range(n)]) for i in range(n + 1)]
+    assert sympy.Matrix.hstack(*[a - A[0] for a in A[1:]]).det() != 0
+    free = sympy.symbols(f"l1:{n + 1}", real=True)
+    lam = [1 - sum(free), *free]
+    return A, lam, sum((l * a for l, a in zip(lam, A)), sympy.zeros(n, 1)), (t, *free)
+
+
+@pytest.mark.parametrize("n, degree", [(1, 4), (2, 4), (3, 3)])
+def test_ray_identities_of_pi_pi_star_and_the_refined_bound(n, degree):
+    # exact for every monomial v up to the degree, so for every such polynomial:
+    #   v - pi v  = -sum lambda_i int_0^1 t g_i''
+    #   v - pi* v =  sum lambda_i (int_0^1 g_i' - (g_i'(0) + g_i'(1))/2)
+    #   v - pi v  =  1/2 sum lambda_i Dv(A_i).(P - A_i) + 1/2 sum lambda_i int_0^1 (1 - 2t) g_i''
+    # with pi* v = pi v - 1/2 sum lambda_i Dv(A_i).(A_i - P)
+    X = sympy.symbols(f"x0:{n}", real=True)
+    A, lam, P, gens = _rational_simplex(n)
+    poly = lambda e: sympy.Poly(e, *gens)
+    at = lambda p, value: poly(p.as_expr().subs(t, value))
+    integral = lambda p: at(p.integrate(t), 1) - at(p.integrate(t), 0)
+    lam = [poly(l) for l in lam]
+    weighted = lambda terms: sum((l * term for l, term in zip(lam, terms)), poly(0))
+    half = sympy.Rational(1, 2)
+    for v in sympy.itermonomials(X, degree):
+        (powers,) = sympy.Poly(v, *X).monoms()
+        value = lambda point: math.prod((poly(c) ** e for c, e in zip(point, powers)), start=poly(1))
+        grad = [sympy.diff(v, xk) for xk in X]
+        first = [poly(sum(g.subs(dict(zip(X, a))) * (P[k] - a[k]) for k, g in enumerate(grad)))
+                 for a in A]
+        dg = [value(a + t * (P - a)).diff(t) for a in A]
+        d2g = [d.diff(t) for d in dg]
+        error = value(P) - weighted([value(a) for a in A])
+        assert (error + weighted([integral(poly(t) * d) for d in d2g])).is_zero, v
+        trapezoid = [integral(d) - (at(d, 0) + at(d, 1)) * half for d in dg]
+        assert (error - weighted(first) * half - weighted(trapezoid)).is_zero, v
+        midpoint = [integral(poly(1 - 2 * t) * d) for d in d2g]
+        assert (error - weighted(first) * half - weighted(midpoint) * half).is_zero, v
+    # |g_i''| <= d2 |P - A_i|^2, so the kernels' integrals are the bounds' constants
+    assert sympy.integrate(t, (t, 0, 1)) == half
+    assert sympy.integrate(sympy.Abs(1 - 2 * t), (t, 0, 1)) * half == sympy.Rational(1, 4)
+
+
+def test_pi_star_midpoint_value_is_the_ray_form_at_the_edge_midpoint():
+    # MeshInterpolant stores (v_i + v_j)/2 - (Dv_i - Dv_j).(A_i - A_j)/8 on edge
+    # A_i A_j: pi v - 1/2 sum lambda_k Dv(A_k).(A_k - P) at lambda_i = lambda_j = 1/2,
+    # and a quadratic is fixed by its P2 node values
+    vi, vj = sympy.symbols("v_i v_j", real=True)
+    Ai, Aj, Di, Dj = (sympy.Matrix(sympy.symbols(f"{name}0:3", real=True))
+                      for name in ("A", "B", "D", "E"))
+    P = (Ai + Aj) / 2
+    ray_form = (vi + vj) / 2 - ((Di.T * (Ai - P))[0] + (Dj.T * (Aj - P))[0]) / 4
+    assert sympy.expand(ray_form - ((vi + vj) / 2 - ((Di - Dj).T * (Ai - Aj))[0] / 8)) == 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_mu2_identity_and_the_paraboloid_witness(n):
+    # mu2(P) = sum lambda_i |A_i - c|^2 - |P - c|^2 for every c: the weighted
+    # vertex spread about c less P's own, so mu2 <= max_i |A_i - c|^2 = R^2 at
+    # the centre of the smallest ball holding the simplex.  The same sum makes
+    # v = |x - c|^2/2, with D2v = I, meet pi's bound: v - pi v = -mu2/2
+    A = [sympy.Matrix(sympy.symbols(f"a{i}_0:{n}", real=True)) for i in range(n + 1)]
+    c = sympy.Matrix(sympy.symbols(f"c0:{n}", real=True))
+    free = sympy.symbols(f"l1:{n + 1}", real=True)
+    lam = [1 - sum(free), *free]
+    P = sum((l * a for l, a in zip(lam, A)), sympy.zeros(n, 1))
+    sq = lambda u: (u.T * u)[0]
+    mu2 = sum(l * sq(P - a) for l, a in zip(lam, A))
+    spread = sum(l * sq(a - c) for l, a in zip(lam, A))
+    assert sympy.expand(mu2 - (spread - sq(P - c))) == 0
+    paraboloid_error = sq(P - c) / 2 - sum(l * sq(a - c) / 2 for l, a in zip(lam, A))
+    assert sympy.expand(paraboloid_error + mu2 / 2) == 0
+
+
+def _enclosing_radius(verts):
+    """Radius of the smallest ball holding the points.
+
+    That ball is centred in the affine hull of the points on its sphere, at
+    the point equidistant from them, so the least, over vertex subsets, of
+    the largest distance from that subset's centre is its radius.
+    """
+    best = math.inf
+    for size in range(1, len(verts) + 1):
+        for subset in map(np.array, itertools.combinations(verts, size)):
+            E = subset[1:] - subset[0]
+            centre = subset[0] + np.linalg.solve(2.0 * E @ E.T, (E**2).sum(axis=1)) @ E
+            best = min(best, float(np.max(np.linalg.norm(verts - centre, axis=1))))
+    return best
+
+
+def test_enclosing_radius_examples():
+    # a right or obtuse triangle's ball has its longest edge as diameter; an
+    # acute one's is the circumscribed ball; so is a regular tetrahedron's
+    assert _enclosing_radius(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])) == pytest.approx(math.sqrt(0.5))
+    assert _enclosing_radius(np.array([[0.0, 0.0], [4.0, 0.0], [1.0, 1.0]])) == pytest.approx(2.0)
+    equilateral = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(0.75)]])
+    assert _enclosing_radius(equilateral) == pytest.approx(1.0 / math.sqrt(3.0))
+    tetrahedron = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]])
+    assert _enclosing_radius(tetrahedron) == pytest.approx(math.sqrt(3.0))
+    for k in (1, 2):
+        mesh = uniform_mesh([(0.0, 1.0)] * 3, k)
+        for element in mesh.elements:
+            assert _enclosing_radius(mesh.vertices[element]) == pytest.approx(mesh.mesh_size / 2)
+
+
+ANALYTIC = [entry for entry in registry() if entry.analytic]
+
+
+@st.composite
+def _simplex_in_a_box(draw):
+    """An analytic registry entry, a random nondegenerate simplex inside its box,
+    and barycentric sample points: random ones, the vertices and edge midpoints."""
+    entry = draw(st.sampled_from(ANALYTIC))
+    box = np.asarray(entry.box, dtype=float)
+    n = entry.dim
+    unit = draw(st.lists(st.floats(0.0, 1.0), min_size=n * (n + 1), max_size=n * (n + 1)))
+    verts = box[:, 0] + np.reshape(unit, (n + 1, n)) * (box[:, 1] - box[:, 0])
+    try:
+        simplex = Simplex(verts)
+    except GeometryError:
+        assume(False)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    eye = np.eye(n + 1)
+    midpoints = [(eye[i] + eye[j]) / 2 for i, j in itertools.combinations(range(n + 1), 2)]
+    lam = np.vstack([rng.dirichlet(np.ones(n + 1), size=64), eye, *midpoints])
+    return entry, simplex, lam
+
+
+def _mu(simplex, lam):
+    """Sample points (Q, n) and their mu1, mu2 (Q,)."""
+    P = _element_points(simplex, lam)
+    dist = np.linalg.norm(P[:, None, :] - simplex.vertices[None], axis=2)
+    return P, (lam * dist).sum(axis=1), (lam * dist**2).sum(axis=1)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(_simplex_in_a_box())
+def test_pointwise_ray_bounds_hold_on_random_simplices(case):
+    entry, simplex, lam = case
+    f, d1, d2 = entry.field(), entry.d1_inf, entry.d2_inf
+    P, mu1, mu2 = _mu(simplex, lam)
+    R = _enclosing_radius(simplex.vertices)
+    assert np.all(mu2 <= R * R * (1 + 1e-12))
+    assert np.all(mu1 <= np.sqrt(mu2) * (1 + 1e-12))
+    exact = f.value_at(P)
+    # the quadratics attain pi's bound, so the slack is rounding only
+    slack = 1e-12 * (1.0 + np.max(np.abs(exact)))
+    err = np.abs(MeshInterpolant(simplex, f).eval_on_element([0], lam)[0] - exact)
+    err_star = np.abs(MeshInterpolant(simplex, f, corrected=True).eval_on_element([0], lam)[0] - exact)
+    assert np.all(err <= d2 / 2 * mu2 + slack), entry.name
+    assert np.all(err_star <= d2 / 4 * mu2 + slack), entry.name
+    assert np.all(err <= d1 / 2 * mu1 + d2 / 4 * mu2 + slack), entry.name
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(_simplex_in_a_box(), st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3))
+def test_paraboloid_attains_the_pointwise_pi_bound(case, centre):
+    # the random-simplex witness: |x - c|^2/2 has d2 = 1 and pi error -mu2/2
+    _, simplex, lam = case
+    c = np.array(centre[: simplex.dim])
+    w = ScalarField(simplex.dim, lambda p: ((p - c) ** 2).sum(axis=1) / 2)
+    P, _, mu2 = _mu(simplex, lam)
+    err = MeshInterpolant(simplex, w).eval_on_element([0], lam)[0] - w.value_at(P)
+    np.testing.assert_allclose(err, mu2 / 2, rtol=1e-9, atol=1e-13)

@@ -132,6 +132,29 @@ def test_pi_star_square_at_centroid():
     assert got == pytest.approx(1 / 9, abs=1e-14)
 
 
+def interval_field(value):
+    return ScalarField(1, lambda p: np.broadcast_to(value(p[:, 0]), (len(p),)))
+
+
+def test_interval_pi_reproduces_affine():
+    # an interval's affine interpolant is pi on its one-element mesh
+    pi = MeshInterpolant(uniform_mesh((-1.0, 2.0), 1), interval_field(lambda x: 3 * x - 2))
+    xs = np.linspace(-1.0, 2.0, 1001)
+    assert np.max(np.abs(pi.values_at(xs[:, None]) - (3 * xs - 2))) <= 1e-13
+
+
+def test_interval_pi_constant_and_identity():
+    mesh = uniform_mesh((0.0, 1.0), 1)
+    assert MeshInterpolant(mesh, interval_field(lambda x: 7.5))(0.3) == pytest.approx(7.5)
+    assert MeshInterpolant(mesh, interval_field(lambda x: x))(0.25) == pytest.approx(0.25)
+
+
+def test_interval_pi_square_midpoint():
+    got = MeshInterpolant(uniform_mesh((0.0, 1.0), 1), interval_field(lambda x: x * x))(0.5)
+    assert got == pytest.approx(0.5)
+    assert got - 0.25 == pytest.approx(0.25)  # error 1/4 at the midpoint
+
+
 def test_pi_star_reproduces_quadratics():
     rng = np.random.default_rng(19)
     for dim in (1, 2, 3):
