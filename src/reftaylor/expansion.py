@@ -22,13 +22,15 @@ t in [0, 1] via phi(t) = Df(a + t h).(h), so phi'(t) = D2f(a + t h).(h, h).
 
 Every point a + t h a routine evaluates (a Taylor end, an expansion node,
 a segment-bound sample or a Gauss node) is built and domain-checked by one
-helper, and a point outside the domain is named by its t.  Both expansions
-build their ExpansionReport through one helper, which sums their terms left
-to right.  The Hessian form h.D2f(x).h is summed for all points at once:
-each of its two contractions starts at 0.0 and adds its products in index
-order, one array operation per term, instead of one matmul per point.  The
-remainder integral takes its Gauss panels from gauss_panels, node by panel,
-so each array operation runs along the panels, and sums them panel by panel.
+helper, and a point outside the domain is named by its t.  Classical Taylor
+is the one-node expansion, so one routine builds every ExpansionReport from
+the node parameters, the weights and an enclosure rule: one gradient batch
+gives every first derivative, and the terms are summed left to right.  The
+Hessian form h.D2f(x).h is summed for all points at once: each of its two
+contractions starts at 0.0 and adds its products in index order, one array
+operation per term, instead of one matmul per point.  The remainder
+integral takes its Gauss panels from gauss_panels, node by panel, so each
+array operation runs along the panels, and sums them panel by panel.
 """
 
 import math
@@ -207,22 +209,28 @@ def estimate_segment_bounds(f, a, h, samples=201):
     )
 
 
-def _degenerate_report(f, a):
-    v = f.value(a)
-    return ExpansionReport(approx=v, exact=v, bound_lo=0.0, bound_hi=0.0, h_norm=0.0, roundoff=0.0)
+def _expansion(f, a, h, ts, weights, enclosure, bounds):
+    """ExpansionReport of f(a) + sum_k weights[k] Df(a + ts[k] h).(h) against f(a+h).
 
-
-def _report(f, a, h, hn, terms, lo, hi):
-    """ExpansionReport of approx = the terms summed left to right, exact = f(a+h).
-
-    np.add.accumulate adds in order, term by term, so approx has the bits of
-    terms[0] + terms[1] + ... written out.  roundoff is 4 n u (sum |terms| +
-    |exact|)/|h| for the n terms.
+    Every point a + t h, t in ts, is built and domain-checked; the first
+    len(weights) are the derivative nodes.  h = 0 gives f(a) with a zero
+    enclosure; otherwise omitted bounds are sampled and enclosure(|h|,
+    bounds) gives (bound_lo, bound_hi).  np.add.accumulate adds the terms in
+    order, so approx has the bits of terms[0] + terms[1] + ... written out;
+    roundoff is 4 n u (sum |terms| + |exact|)/|h| for the n terms.
     """
-    exact = f.value(a + h)
+    a, h, hn = _prepare(f, a, h)
+    x = _segment_points(f, a, h, np.asarray(ts, dtype=float))
+    if hn == 0.0:
+        v = f.value(a)
+        return ExpansionReport(v, v, 0.0, 0.0, 0.0, 0.0)
+    if bounds is None:
+        bounds = estimate_segment_bounds(f, a, h)
+    terms = np.concatenate(([f.value(a)], weights * (f.grad_at(x[: len(weights)]) @ h)))
     approx = float(np.add.accumulate(terms)[-1])
+    exact = f.value(a + h)
     roundoff = 4 * len(terms) * _UNIT_ROUNDOFF * (float(np.abs(terms).sum()) + abs(exact)) / hn
-    return ExpansionReport(approx, exact, lo, hi, hn, roundoff)
+    return ExpansionReport(approx, exact, *enclosure(hn, bounds), hn, roundoff)
 
 
 def taylor_first_order(f, a, h, bounds=None):
@@ -235,14 +243,8 @@ def taylor_first_order(f, a, h, bounds=None):
     certified).  Both ends of the segment, t = 0 and t = 1, must lie in f's
     domain.
     """
-    a, h, hn = _prepare(f, a, h)
-    _segment_points(f, a, h, np.array([0.0, 1.0]))
-    if hn == 0.0:
-        return _degenerate_report(f, a)
-    if bounds is None:
-        bounds = estimate_segment_bounds(f, a, h)
-    terms = (f.value(a), f.d(a, h))
-    return _report(f, a, h, hn, terms, hn * bounds.m2 / 2.0, hn * bounds.M2 / 2.0)
+    return _expansion(f, a, h, (0.0, 1.0), (1.0,),
+                      lambda hn, b: (hn * b.m2 / 2.0, hn * b.M2 / 2.0), bounds)
 
 
 def refined_expansion(f, a, h, m, kind=CLOSED, bounds=None):
@@ -255,20 +257,16 @@ def refined_expansion(f, a, h, m, kind=CLOSED, bounds=None):
     t = k/m, both ends of the segment included, must lie in f's domain.
     """
     weights = expansion_weights(m, kind)
-    a, h, hn = _prepare(f, a, h)
-    nodes = _segment_points(f, a, h, np.arange(m + 1) / m)
-    if hn == 0.0:
-        return _degenerate_report(f, a)
-    if bounds is None:
-        bounds = estimate_segment_bounds(f, a, h)
-    terms = np.concatenate(([f.value(a)], weights * (f.grad_at(nodes) @ h)))
-    spread = hn * (bounds.M2 - bounds.m2) / (8.0 * m)
-    lo, hi = -spread, spread
-    if kind == OPEN:
-        if bounds.m1 is None or bounds.M1 is None:
+
+    def enclosure(hn, b):
+        spread = hn * (b.M2 - b.m2) / (8.0 * m)
+        if kind == CLOSED:
+            return -spread, spread
+        if b.m1 is None or b.M1 is None:
             raise ValueError("open-weight enclosure needs first-derivative bounds m1, M1")
-        lo, hi = lo - bounds.M1 / (2.0 * m), hi - bounds.m1 / (2.0 * m)
-    return _report(f, a, h, hn, terms, lo, hi)
+        return -spread - b.M1 / (2.0 * m), spread - b.m1 / (2.0 * m)
+
+    return _expansion(f, a, h, np.arange(m + 1) / m, weights, enclosure, bounds)
 
 
 def remainder_integral(f, a, h, m):

@@ -59,23 +59,27 @@ def _edge_pairs(dim):
     return pairs
 
 
-def _simplex_geometry(verts):
-    """Volumes, diameters and barycentric matrices of stacked simplices.
+def _simplex_geometry(vertices, elements):
+    """Volumes, diameters and barycentric matrices of the (M, n+1) elements.
 
-    verts is an (M, n+1, n) array.  Row i of each (n+1, n+1) barycentric
-    matrix maps (1, P) to lambda_i(P), so its columns 1: are the constant
-    barycentric gradients.  Degeneracy is measured against the scale of each
-    simplex: the volume must exceed 1e-12 * diameter^n.  The squared
-    diameters are folded one vertex pair at a time, so no (M, E, n)
-    difference tensor is held beside the det and inv work.
+    Row i of each (n+1, n+1) barycentric matrix maps (1, P) to lambda_i(P),
+    so its columns 1: are the constant barycentric gradients.  The affine
+    matrices [1; A^T] are filled one coordinate at a time; diameters (one
+    vertex pair at a time) and volumes read their coordinate rows, so no
+    vertex gather or difference tensor is held.  Degeneracy is measured
+    against each simplex's scale: the volume must exceed 1e-12 * diameter^n.
     """
-    n = verts.shape[2]
-    squared = np.zeros(len(verts))
+    n = vertices.shape[1]
+    affine = np.ones((len(elements), n + 1, n + 1))
+    for d in range(n):
+        affine[:, d + 1, :] = vertices[elements, d]
+    coords, squared = affine[:, 1:], np.zeros(len(elements))  # coords[k, d, i]: A_i's coordinate d
     for i, j in _edge_pairs(n):
-        diff = verts[:, j] - verts[:, i]
-        np.maximum(squared, (diff**2).sum(axis=1), out=squared)
+        np.maximum(squared, ((coords[:, :, j] - coords[:, :, i]) ** 2).sum(axis=1), out=squared)
     diameters = np.sqrt(squared)
-    volumes = np.abs(np.linalg.det(verts[:, 1:] - verts[:, :1])) / math.factorial(n)
+    # det reads the edge matrix with rows A_{i+1} - A_0, freed before inv runs
+    volumes = np.abs(np.linalg.det((coords[:, :, 1:] - coords[:, :, :1]).transpose(0, 2, 1)))
+    volumes /= math.factorial(n)
     bad = np.flatnonzero((diameters <= 0.0) | (volumes <= 1e-12 * diameters**n))
     if bad.size:
         k = bad[0]
@@ -83,9 +87,6 @@ def _simplex_geometry(verts):
             f"degenerate simplex {k}: volume {volumes[k]:.3e} vs "
             f"diameter^{n} {diameters[k] ** n:.3e}"
         )
-    # the inverse of the affine matrix [1; A^T] gives barycentric coordinates
-    affine = np.ones((len(verts), n + 1, n + 1))
-    affine[:, 1:, :] = verts.transpose(0, 2, 1)
     return volumes, diameters, np.linalg.inv(affine)
 
 
@@ -192,8 +193,7 @@ class Triangulation:
         self.vertices.flags.writeable = False
         self.elements.flags.writeable = False
         self.volumes, self.diameters, self.bary_matrices = _simplex_geometry(
-            self.vertices.take(self.elements, 0)
-        )
+            self.vertices, self.elements)
         self.bary_matrices.flags.writeable = False
         self.mesh_size = float(self.diameters.max())
         self._faces = None

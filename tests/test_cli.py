@@ -22,6 +22,30 @@ from reftaylor.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, StudyConfi
 from reftaylor.registry import lookup
 
 DIGESTS = Path(__file__).resolve().parent.parent / "perfbench" / "digests.json"
+def test_simplex_gate_holds_pi_to_the_refined_bound_where_it_is_smaller(tmp_path, monkeypatch, capsys):
+    # on sinsin2d's one-cell mesh the refined bound at R, d1 R/2 + d2 R^2/4, lies
+    # below the classical d2 R^2/2, so an error between the two must fail the gate
+    entry = lookup("sinsin2d")
+    at_r = simplex.InterpBounds(simplex.uniform_mesh(entry.box, 1).mesh_size / 2.0,
+                                entry.d1_inf, entry.d2_inf)
+    between = 0.5 * (at_r.refined + at_r.classical)
+    assert at_r.refined < between < at_r.classical
+    f, values_at = entry.field(), simplex.MeshInterpolant.values_at
+
+    def off_by_between(self, points):
+        if self.space == "P1":
+            return f.value_at(points) + between
+        return values_at(self, points)
+
+    monkeypatch.setattr(simplex.MeshInterpolant, "values_at", off_by_between)
+    out = tmp_path / "x.csv"
+    args = ["simplex", "--function", "sinsin2d", "--subdivisions", "1", "--output", str(out)]
+    assert run_main(args) == EXIT_NUMERIC
+    assert capsys.readouterr().err.startswith(f"numeric failure: sinsin2d k=1 plain error {between:.6e} "
+                                              f"escapes [0.000000e+00, {at_r.refined:.6e}]")
+    assert not out.exists()
+
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 SRC = Path(__file__).resolve().parent.parent / "src"
 

@@ -241,6 +241,25 @@ def test_refined_expansion_matches_scalar_loop_bitwise(name, kind):
             assert all(type(x) is float for x in [*values, report.remainder_eps]), report
 
 
+@pytest.mark.parametrize("name", [e.name for e in registry() if e.analytic])
+def test_taylor_first_order_matches_the_one_node_formula_bitwise(name):
+    # classical Taylor is the one-node expansion: f(a) plus one gradient-batch
+    # slope, with the enclosure |h| m2/2 .. |h| M2/2
+    entry = lookup(name)
+    f, bounds = entry.field(), entry.segment_bounds
+    a, h = (np.atleast_1d(np.asarray(v, dtype=float)) for v in entry.segment)
+    hn = float(np.linalg.norm(h))
+    rep = taylor_first_order(f, a, h, bounds=bounds)
+    want = (f.value(a) + (f.grad_at(a[None]) @ h)[0], hn * bounds.m2 / 2.0, hn * bounds.M2 / 2.0)
+    got = (rep.approx, rep.bound_lo, rep.bound_hi)
+    assert [x.hex() for x in got] == [float(x).hex() for x in want]
+    values = [getattr(rep, field.name) for field in dataclasses.fields(rep)]
+    assert all(type(x) is float for x in [*values, rep.remainder_eps]), rep
+    v = f.value(a)
+    assert taylor_first_order(f, a, 0.0 * h, bounds=bounds) == expansion.ExpansionReport(
+        v, v, 0.0, 0.0, 0.0, 0.0)
+
+
 def test_refined_node_outside_domain_names_offender():
     f = exp1d(domain=((0.0, 1.0),))
     with pytest.raises(DomainError, match=r"t=1\.0"):

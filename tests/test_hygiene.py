@@ -85,3 +85,18 @@ def test_every_parameter_is_read():
     unread = {p.name: _unread_parameters(ast.parse(p.read_text(encoding="utf-8")))
               for p in sorted(PACKAGE.glob("*.py"))}
     assert {name: u for name, u in unread.items() if u} == {}
+
+
+def _one_point_derivative_calls(tree):
+    """Calls of the one-point ScalarField views grad, hess, d and d2."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("grad", "hess", "d", "d2")]
+
+
+def test_derivatives_are_read_through_batch_calls():
+    # one array-first data path: a derivative outside fields.py comes from
+    # grad_at or hess_at; the one-point value view stays in use
+    calls = {p.name: _one_point_derivative_calls(ast.parse(p.read_text(encoding="utf-8")))
+             for p in sorted(PACKAGE.glob("*.py")) if p.name != "fields.py"}
+    assert {name: lines for name, lines in calls.items() if lines} == {}

@@ -789,13 +789,14 @@ def test_pi_star_build_holds_no_edge_gathers():
 
 def test_mesh_build_holds_no_difference_tensor():
     # the (M, E, n) difference tensor lived through det and inv: 3.1x the
-    # arrays the 3D k=8 mesh keeps; the pairwise fold peaks at 2.4x
+    # arrays the 3D k=8 mesh keeps; a gathered (M, n+1, n) vertex copy, 2.4x;
+    # filling the affine stack one coordinate at a time peaks at 1.75x
     m = uniform_mesh([(-1.0, 1.0)] * 3, 8)
     vertices, elements = m.vertices.copy(), m.elements.copy()
     built, peak = _traced_peak(lambda: Triangulation(vertices, elements))
     kept = sum(a.nbytes for a in (built.vertices, built.elements, built.volumes,
                                   built.diameters, built.bary_matrices))
-    assert peak < 2.75 * kept, (peak, kept)
+    assert peak < 2.1 * kept, (peak, kept)
 
 
 def test_uniform_mesh_elements_lie_on_their_longest_edge_sphere():
