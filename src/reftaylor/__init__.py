@@ -66,7 +66,6 @@ from .registry import (
     known_names,
     lookup,
     registry,
-    registry_selftest,
 )
 
 __version__ = "0.1.0"

@@ -7,7 +7,7 @@ Five study commands plus a registry listing:
     simplex   mesh interpolation error vs bounds over subdivisions
     fem       Galerkin L2 error vs the a-priori chains over subdivisions
     savings   tolerance-driven mesh-size arithmetic over eps
-    registry  list the named test fields, optionally self-test them
+    registry  list the named test fields (it reads no option)
 
 Every study writes one CSV (12 significant digits, scientific notation,
 header row, rows sorted by the first column) and a key=value manifest next
@@ -17,8 +17,8 @@ are identical run to run; the manifest is not, since it carries the wall
 time.  Both files are written as new files: whatever was at the path before
 is unlinked first, so a symlink there is replaced rather than followed and a
 hard link to an old output keeps the old bytes.  Flags may come from a flat
-key=value config file via --config, with explicit flags winning; a switch
-key takes true or false, and a file may not name another config file.
+key=value config file via --config, with explicit flags winning; a file
+may not name another config file.
 
 Each command's options and their defaults are written once, in _COMMANDS,
 and each option's flag once, in _FLAGS; the parser and StudyConfig share
@@ -27,9 +27,11 @@ Config-file keys are full flag names without the dashes (`m = 1,2,4`); the
 manifest names options as StudyConfig does (`m_values = 1,2,4`) and writes
 each real as repr does, so it reads back as the same float.
 
-StudyConfig.validate checks only what no library call sees: each option's
-type, shape and finiteness, the required --function, nonempty lists and the
-seed, points and samples minimums.  The range of every other value (m,
+Each flag's parser only converts text (int, float or a comma list of
+either), and StudyConfig.validate is the one check of what no library call
+sees, for flags, config files and StudyConfig alike: each option's type,
+shape and finiteness, the required --function, nonempty lists and the seed,
+points and samples minimums.  The range of every other value (m,
 beta, space, dim, ...) is checked by the library call that reads it, whose
 ValueError comes before any output is written and exits 1 like any usage
 error.  While building rows, each measured value is checked against its
@@ -65,7 +67,7 @@ from .interp1d import (
     compare_bounds,
     rate_for_beta,
 )
-from .registry import lookup, registry, registry_selftest
+from .registry import lookup, registry
 from .simplex import InterpBounds, MeshInterpolant, mesh_savings, uniform_mesh
 
 __all__ = [
@@ -88,8 +90,6 @@ EXIT_IO = 3
 SINE_D1 = math.pi     # sup |grad| of the manufactured product-of-sines solution
 SINE_D2 = math.pi**2  # sup |D2|, both dims
 
-_SELFTEST_TOL = 1e-6
-
 # least value of each integer option no library call checks; the library
 # checks samples only for sampled entries
 _MINIMUM = {"seed": 0, "points": 1, "samples": 2}
@@ -107,10 +107,11 @@ class StudyConfig:
     """One study run: the command plus the options it reads.
 
     StudyConfig(command, **options) holds the command's options from
-    _COMMANDS, an output_path (studies only: registry writes no file) and a
-    seed.  Options left out take the command's defaults, the same ones the
-    flags have; output_path defaults to "<command>.csv" and seed to 0.  An
-    option the command does not read is a UsageError.
+    _COMMANDS and, for a study, an output_path and a seed; registry prints
+    its listing and reads no option.  Options left out take the command's
+    defaults, the same ones the flags have; output_path defaults to
+    "<command>.csv" and seed to 0.  An option the command does not read is
+    a UsageError.
     """
 
     def __init__(self, command, **options):
@@ -132,11 +133,12 @@ class StudyConfig:
         at least 0, points at least 1 and samples at least 2, and expand and
         simplex need --function.  Every other range (m >= 1, beta > 1/2, space
         P1 or P2, ...) is checked by the library call that reads the value,
-        which raises ValueError before any output is written.
+        which raises ValueError before any output is written.  The flags'
+        parsers only convert text, so a value from a flag, a config file or
+        StudyConfig fails here with the same message.
         """
-        # what a flag's parser refuses fails here too: a non-integer, a wrong shape, nan or +-inf
         for option, (flag, parse, _) in _FLAGS.items():
-            if option not in vars(self) or parse in (None, str):
+            if option not in vars(self) or parse is str:
                 continue
             value = getattr(self, option)
             items = np.asarray(value, dtype=object)
@@ -144,14 +146,14 @@ class StudyConfig:
                 isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in items.flat
             ):
                 raise UsageError(f"{flag} must be an integer, got {value!r}")
-            if parse in (_real, _real_list, _pair):
+            if parse in (float, _real_list, _pair):
                 try:
                     finite = np.isfinite(value).all()
                 except (TypeError, ValueError):
                     raise UsageError(f"{flag} must be real, got {value!r}") from None
                 if not finite:
                     raise UsageError(f"{flag} must be finite, got {_echo(value)}")
-            scalar = parse in (int, _real)
+            scalar = parse in (int, float)
             if items.ndim != (not scalar) or items.size == 0 or (parse is _pair and items.size != 2):
                 shape = "two values" if parse is _pair else "one value" if scalar else "a nonempty list"
                 raise UsageError(f"{flag} must be {shape}, got {value!r}")
@@ -369,29 +371,14 @@ def _write_lines(path, lines):
         fh.write("\n".join(lines) + "\n")
 
 
-def _run_registry(cfg, out):
-    print("name,dim,analytic", file=out)
-    for entry in registry():
-        print(f"{entry.name},{entry.dim},{str(entry.analytic).lower()}", file=out)
-    if not cfg.selftest:
-        return
-    report = registry_selftest(seed=cfg.seed)
-    failures = []
-    for name, worst in sorted(report.items()):
-        verdict = "PASS" if worst <= _SELFTEST_TOL else "FAIL"
-        print(f"selftest {name}: max gradient error {worst:.3e} {verdict}", file=out)
-        if worst > _SELFTEST_TOL:
-            failures.append(name)
-    if failures:
-        raise NumericFailure(f"registry selftest failed for: {', '.join(failures)}")
-
-
 def run(cfg, out=None):
     """Execute one study; returns EXIT_OK or raises a mapped exception."""
     out = sys.stdout if out is None else out
     cfg.validate()
     if cfg.command == "registry":
-        _run_registry(cfg, out)
+        print("name,dim,analytic", file=out)
+        for entry in registry():
+            print(f"{entry.name},{entry.dim},{str(entry.analytic).lower()}", file=out)
         return EXIT_OK
     start = time.perf_counter()
     _, build_rows, _ = _COMMANDS[cfg.command]
@@ -416,18 +403,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _real(text):
-    """float(text), refusing nan and +-inf: the parser of every real-valued flag."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite real, got {text!r}")
-    return value
-
-
-# argparse words a ValueError as "invalid <type name> value: ..."
-_real.__name__ = "float"
-
-
 def _comma_list(parse, noun):
     def parse_list(text):
         try:
@@ -439,38 +414,30 @@ def _comma_list(parse, noun):
 
 
 _int_list = _comma_list(int, "integers")
-_real_list = _comma_list(_real, "reals")
+_real_list = _comma_list(float, "reals")
+_pair = _comma_list(float, "reals")  # validate wants two of them
 
-
-def _pair(text):
-    values = _real_list(text)
-    if len(values) != 2:
-        raise argparse.ArgumentTypeError(f"expected two comma-separated reals, got {text!r}")
-    return tuple(values)
-
-
-# StudyConfig option -> (flag, value parser, help); a parser of None makes a switch
+# StudyConfig option -> (flag, value parser, help); a parser only converts text
 _FLAGS = {
     "function": ("--function", str, "registry field name"),
     "m_values": ("--m", _int_list, "comma list of point counts"),
     "kind": ("--kind", str, "weight family: closed or open"),
     "samples": ("--samples", int, "samples for non-analytic bounds"),
     "beta_values": ("--beta", _real_list, None),
-    "forcing": ("--forcing", _real, None),
-    "slope": ("--slope", _real, None),
+    "forcing": ("--forcing", float, None),
+    "slope": ("--slope", float, None),
     "interval": ("--interval", _pair, "a,b with a < b"),
     "grid": ("--grid", int, "sup-error sample grid"),
     "subdivisions": ("--subdivisions", _int_list, None),
     "points": ("--points", int, "sample points per mesh"),
     "dim": ("--dim", int, None),
     "space": ("--space", str, "P1 or P2"),
-    "diffusion": ("--diffusion", _real, None),
-    "reaction": ("--reaction", _real, None),
+    "diffusion": ("--diffusion", float, None),
+    "reaction": ("--reaction", float, None),
     "eps_values": ("--eps", _real_list, "target tolerances"),
-    "d2_inf": ("--d2", _real, "sup |D2 u|"),
-    "big_c": ("--C", _real, "continuity constant"),
-    "alpha": ("--alpha", _real, "ellipticity constant"),
-    "selftest": ("--selftest", None, "finite-difference check of every entry"),
+    "d2_inf": ("--d2", float, "sup |D2 u|"),
+    "big_c": ("--C", float, "continuity constant"),
+    "alpha": ("--alpha", float, "ellipticity constant"),
     "output_path": ("--output", str, "CSV output path"),
     "seed": ("--seed", int, "seed for sampled suites"),
 }
@@ -489,15 +456,15 @@ _COMMANDS = {
              "reaction": 0.0}),
     "savings": ("mesh coarsening arithmetic", _savings_rows,
                 {"eps_values": [1e-4], "dim": 3, "d2_inf": 1.0, "big_c": 1.0, "alpha": 1.0}),
-    "registry": ("list named test fields", None, {"selftest": False}),
+    "registry": ("list named test fields", None, {}),
 }
 
 
 def _defaults(command):
     """Every option the command reads, with its default, in flag order."""
     _, build_rows, defaults = _COMMANDS[command]
-    written = {"output_path": f"{command}.csv"} if build_rows else {}
-    return {**defaults, **written, "seed": 0}
+    study = {"output_path": f"{command}.csv", "seed": 0} if build_rows else {}
+    return {**defaults, **study}
 
 
 @functools.cache
@@ -513,8 +480,7 @@ def _build_parser():
         sub = subs.add_parser(command, help=summary, argument_default=argparse.SUPPRESS)
         for option in _defaults(command):
             flag, parse, help_text = _FLAGS[option]
-            how = {"action": "store_true"} if parse is None else {"type": parse}
-            sub.add_argument(flag, dest=option, help=help_text, **how)
+            sub.add_argument(flag, dest=option, type=parse, help=help_text)
         sub.add_argument("--config", help="flat key=value config file")
     return parser
 
@@ -548,21 +514,16 @@ def parse_argv(argv):
             raise UsageError(
                 f"config file names command {file_command!r} but {command!r} was invoked"
             )
-        parsers = dict(_FLAGS[option][:2] for option in _defaults(command))
+        flags = {_FLAGS[option][0] for option in _defaults(command)}
         spliced = [command]
         for key, value in mapping.items():
             flag = f"--{key}"
             if key == "config":
                 raise UsageError(f"{path}: a config file cannot name another config file")
             # argparse would read a prefix as its flag, so a key must be a flag in full
-            if flag not in parsers:
+            if flag not in flags:
                 raise UsageError(f"{path}: unknown key {key!r}; keys are {command} flags in full")
-            if parsers[flag] is not None:
-                spliced.extend([flag, value])
-            elif value in ("true", "false"):
-                spliced.extend([flag] * (value == "true"))
-            else:
-                raise UsageError(f"{path}: {key} takes true or false, got {value!r}")
+            spliced.extend([flag, value])
         knobs = vars(parser.parse_args([*spliced, *argv[1:]]))
         knobs.pop("config", None)
     return StudyConfig(**knobs)

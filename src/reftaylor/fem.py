@@ -32,9 +32,11 @@ factors one Fortran-ordered copy of the matrix in place: LAPACK's order,
 so its wrapper makes no second copy.  Larger systems go to the module's
 cg, the loop of SciPy's scipy.sparse.linalg.cg repeated operation for
 operation, so it gives the same bits without loading that package.
-Every failed solve raises SolverError: a system with an inf or nan entry
-(an overflowing coefficient makes one) before either solver runs, an
-exactly singular dense factor, or a residual above RESIDUAL_RTOL.
+Both solve the system scaled by the power of two that brings its largest
+entry into [0.5, 1): the same bits, and no overflowing norm on a huge
+coefficient.  Every failed solve raises SolverError: a system with an inf
+or nan entry (an overflowing coefficient makes one) before either solver
+runs, an exactly singular dense factor, or a residual above RESIDUAL_RTOL.
 
 Assembly accumulates shape gradients, local stiffness matrices and
 quadrature points explicitly, one term at a time in a fixed order: the
@@ -259,16 +261,32 @@ def cg(A, b, callback=None):
     return x, maxiter
 
 
+def _normalise(*arrays):
+    """Scale the arrays in place so that their largest magnitude lies in [0.5, 1).
+
+    The factor is one power of two, which scales every product and sum of a
+    solve exactly while no entry falls below the normal range, so the
+    solution keeps its bits; the residual's norms and cg's inner products
+    no longer overflow on a huge coefficient.
+    """
+    top = max(max(a.max(), -a.min()) for a in arrays)
+    _, exponent = math.frexp(top)
+    for a in arrays:
+        np.ldexp(a, -exponent, out=a)
+
+
 def assemble_and_solve(problem, mesh, space="P1"):
     """Assemble and solve the discrete system; checks the relative residual.
 
     Dirichlet DOFs are found from the mesh topology and eliminated.  Dense
     LU handles systems up to DENSE_DOF_LIMIT unknowns, factoring one
     Fortran-ordered copy of the matrix in place; the module's cg, which
-    returns the bits of SciPy's, handles the rest.  A system with an inf or
-    nan entry reaches neither solver, an exactly singular dense factor
-    stops the solve, and either way the solve must reach RESIDUAL_RTOL:
-    each failure raises SolverError rather than returning a silently bad
+    returns the bits of SciPy's, handles the rest.  Either solver gets the
+    system scaled by the power of two that brings its largest entry into
+    [0.5, 1), which keeps the solution's bits.  A system with an inf or nan
+    entry reaches neither solver, an exactly singular dense factor stops
+    the solve, and either way the solve must reach RESIDUAL_RTOL: each
+    failure raises SolverError rather than returning a silently bad
     solution.
     """
     _check_space(space)
@@ -291,6 +309,7 @@ def assemble_and_solve(problem, mesh, space="P1"):
         raise SolverError("the assembled system has an inf or nan entry")
     x = np.zeros(ndof)
     if free.any():
+        _normalise(A_ff.data, b_f)
         n_free = int(free.sum())
         if n_free <= DENSE_DOF_LIMIT:
             # LAPACK works on Fortran order: a C-ordered array would be copied again.

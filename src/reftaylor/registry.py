@@ -23,7 +23,7 @@ from .expansion import SegmentBounds
 from .fields import ScalarField
 from .interp1d import ClassPParams, Interval, class_p_field, class_p_sup_norms, rate_for_beta
 
-__all__ = ["FieldEntry", "UnknownFieldError", "registry", "lookup", "registry_selftest"]
+__all__ = ["FieldEntry", "UnknownFieldError", "registry", "lookup"]
 
 E1 = math.e
 E2 = math.e**2
@@ -175,11 +175,15 @@ def _runge1d():
     def u(x):
         return 1.0 + 25.0 * x**2
 
+    def hess(pts):
+        v = u(pts)  # a product, not np.power's general path for ** 3
+        return ((3750.0 * pts**2 - 50.0) / (v * v * v))[:, :, None]
+
     return ScalarField(
         1,
         lambda pts: 1.0 / u(pts[:, 0]),
         grad=lambda pts: -50.0 * pts / u(pts) ** 2,
-        hess=lambda pts: ((3750.0 * pts**2 - 50.0) / u(pts) ** 3)[:, :, None],
+        hess=hess,
         name="runge1d",
     )
 
@@ -275,25 +279,3 @@ def lookup(name):
 
 def known_names():
     return [e.name for e in _STATIC] + ["classP(beta=<b>)"]
-
-
-def registry_selftest(seed=0):
-    """Check every entry's derivatives against finite differences.
-
-    Returns {name: worst relative consistency error} over 25 points sampled
-    inside each entry's box; a clean registry stays below 1e-6 everywhere.
-    """
-    rng = np.random.default_rng(seed)
-    report = {}
-    for entry in registry():
-        f = entry.field()
-        lo, hi = np.asarray(entry.box).T
-        # keep probes off the box edge so central differences stay inside
-        pts = lo + (0.05 + 0.9 * rng.random((25, entry.dim))) * (hi - lo)
-        hs = 0.1 * (hi - lo) * (rng.random((25, entry.dim)) - 0.5)
-        exact = np.sum(f.grad_at(pts) * hs, axis=1)
-        step = 1e-6
-        fd = (f.value_at(pts + step * hs) - f.value_at(pts - step * hs)) / (2.0 * step)
-        worst = float(np.max(np.abs(fd - exact) / (1.0 + np.abs(exact))))
-        report[entry.name] = worst
-    return report

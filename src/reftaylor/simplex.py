@@ -144,6 +144,7 @@ def mesh_savings(eps, d2_inf, C, alpha, dim):
     bounds of InterpBounds at h = 1.  The corrected constant is half the
     classical one, so h_corrected = sqrt(2) * h_classical for free, and a
     corrected build needs (h_classical/h_corrected)^dim = 2^(-dim/2) as many nodes.
+    A size that underflows to 0 or overflows is a ValueError naming it.
     """
     if not (eps > 0 and d2_inf > 0 and C > 0 and alpha > 0):
         raise ValueError("eps, d2_inf, C and alpha must all be positive")
@@ -152,6 +153,12 @@ def mesh_savings(eps, d2_inf, C, alpha, dim):
     unit = InterpBounds(1.0, 0.0, d2_inf)
     h_classical = math.sqrt(alpha * eps / (C * unit.classical))
     h_corrected = math.sqrt(alpha * eps / (C * unit.corrected))
+    for name, h in (("h_classical", h_classical), ("h_corrected", h_corrected)):
+        if not 0.0 < h < math.inf:
+            raise ValueError(
+                f"{name} = {h} for eps={eps}, d2_inf={d2_inf}, C={C}, alpha={alpha}: "
+                "not a positive finite mesh size"
+            )
     node_factor = (h_classical / h_corrected) ** dim
     return {"h_classical": h_classical, "h_corrected": h_corrected, "node_factor": node_factor}
 

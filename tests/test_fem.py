@@ -212,6 +212,18 @@ def test_non_finite_system_reaches_no_solver(monkeypatch, dense_limit, inject):
         assemble_and_solve(p, uniform_mesh([(0.0, 1.0)], 8), "P1")
 
 
+@pytest.mark.parametrize("dim, dense_limit", [(1, 2000), (1, 0), (2, 2000), (2, 0)])
+def test_power_of_two_scaling_keeps_the_solution_bits(monkeypatch, dim, dense_limit):
+    monkeypatch.setattr(fem, "DENSE_DOF_LIMIT", dense_limit)
+    mesh = uniform_mesh([(0.0, 1.0)] * dim, 8)
+    for space in ("P1", "P2"):
+        scaled = assemble_and_solve(sine_problem(dim, reaction=3.0), mesh, space)
+        with monkeypatch.context() as m:
+            m.setattr(fem, "_normalise", lambda *arrays: None)
+            plain = assemble_and_solve(sine_problem(dim, reaction=3.0), mesh, space)
+        assert np.array_equal(scaled.dof_values, plain.dof_values)
+
+
 def test_singular_dense_factor_raises_solver_error(monkeypatch):
     # SciPy only warns (LinAlgWarning) on an exactly zero pivot; with the
     # suite's warnings as errors, the warning itself would escape instead
@@ -641,6 +653,11 @@ def test_mesh_savings_values():
 def test_mesh_savings_validation():
     with pytest.raises(ValueError, match="positive"):
         mesh_savings(0.0, 1.0, 1.0, 1.0, 2)
+    # each input is valid, but the size underflows to 0 or overflows to inf
+    with pytest.raises(ValueError, match="h_classical = 0.0 for eps=1e-300, d2_inf=1e\\+300"):
+        mesh_savings(1e-300, 1e300, 1.0, 1.0, 3)
+    with pytest.raises(ValueError, match="h_classical = inf for eps=1e\\+300, d2_inf=1e-300"):
+        mesh_savings(1e300, 1e-300, 1.0, 1.0, 3)
     with pytest.raises(ValueError, match="positive"):
         mesh_savings(1e-2, -1.0, 1.0, 1.0, 2)
     with pytest.raises(ValueError, match="dim"):

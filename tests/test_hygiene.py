@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 import reftaylor
+from reftaylor import cli
 
 PACKAGE = Path(reftaylor.__file__).parent
 
@@ -100,3 +101,9 @@ def test_derivatives_are_read_through_batch_calls():
     calls = {p.name: _one_point_derivative_calls(ast.parse(p.read_text(encoding="utf-8")))
              for p in sorted(PACKAGE.glob("*.py")) if p.name != "fields.py"}
     assert {name: lines for name, lines in calls.items() if lines} == {}
+
+
+def test_every_flag_is_read_by_a_command():
+    # a flag no command reads (a leftover switch, say) is dead code that still parses
+    read = {option for command in cli._COMMANDS for option in cli._defaults(command)}
+    assert set(cli._FLAGS) == read

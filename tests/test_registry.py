@@ -13,7 +13,6 @@ from reftaylor.registry import (
     known_names,
     lookup,
     registry,
-    registry_selftest,
     sine_product,
 )
 
@@ -110,12 +109,6 @@ def test_classp_lookup_rejects_beta_whose_exponential_overflows():
 
 def test_known_names_mentions_parametric_family():
     assert known_names()[-1] == "classP(beta=<b>)"
-
-
-def test_selftest_stays_below_tolerance():
-    report = registry_selftest(seed=0)
-    assert set(report) == {e.name for e in registry()}
-    assert max(report.values()) < 1e-6
 
 
 @pytest.mark.parametrize("name", ANALYTIC)
